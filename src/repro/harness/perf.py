@@ -2,9 +2,8 @@
 
 The simulator is deterministic, so its *results* are regression-tested
 bit-for-bit elsewhere (``tools/check_bench_regression.py``); this module
-tracks how *fast* those results are produced.  It runs a small set of
-fixed-workload microbenchmark kernels, each stressing one layer of the
-hot path:
+tracks how *fast* those results are produced.  It runs seven
+fixed-workload kernels, each stressing one layer of the hot path:
 
 ``event_churn``
     The bare :class:`~repro.sim.engine.Simulator`: self-rescheduling
@@ -21,6 +20,14 @@ hot path:
 ``table1_mini``
     A shrunk Table 1 sweep — the paper's flagship experiment end to end,
     including machine construction costs.
+``mesh_64_sharded``
+    One contended machine run serial and split into four inline
+    regions; the two runs must be bit-identical.
+``shard_scaling``
+    Wall-clock scaling of ``--shards`` on a region-local workload.
+``mesh_1024``
+    Construction plus two storms on a 1024-node torus, under a memory
+    budget that gates the topology and directory footprint.
 
 Each kernel returns a dict of **deterministic proxies** (event counts,
 message counts, end cycles, final values).  The harness replays every
@@ -43,7 +50,7 @@ import time
 import tracemalloc
 from typing import Any, Callable, Iterable, Optional
 
-from ..config import small_config
+from ..config import scale_config, small_config
 from ..coherence.policy import SyncPolicy
 from ..machine.machine import build_machine
 from ..network.mesh import WormholeMesh
@@ -51,6 +58,7 @@ from ..network.message import Message, MessageType, Unit
 from ..obs.schema import make_run_payload
 from ..sim.engine import Simulator
 from .report import render_table
+from .shardrun import run_shard
 from .table1 import run_table1
 
 __all__ = [
@@ -157,8 +165,6 @@ def _mesh_64_sharded(quick: bool) -> dict[str, Any]:
     the two runs are bit-identical, and reports the sharded run's shape
     (window count, boundary traffic) as deterministic proxies.
     """
-    from .shardrun import run_shard
-
     nodes, turns = (16, 4) if quick else (64, 8)
     config = small_config(n_nodes=nodes)
     serial = run_shard(config, workload="golden_contention", shards=1,
@@ -187,8 +193,6 @@ def _shard_scaling(quick: bool) -> dict[str, Any]:
     walls and speedups under ``_info`` (host-dependent, never gated —
     on a single-core host the speedup is honestly below 1).
     """
-    from .shardrun import run_shard
-
     if quick:
         nodes, turns, backend, shard_counts = 64, 20, "inline", (1, 4)
     else:
@@ -246,8 +250,6 @@ def _mesh_1024(quick: bool) -> dict[str, Any]:
     covers machine construction, so its budget gates the constant-memory
     claim for topology + directory state.
     """
-    from ..config import scale_config
-
     inv_crowd, turns = (16, 1) if quick else (48, 2)
     config = scale_config(1024, topology="torus", directory="limited")
     t0 = time.perf_counter()

@@ -162,9 +162,10 @@ class WormholeMesh:
         # None keeps the fault-free fast path (docs/robustness.md).
         self.faults = None
         # Hot-path caches: flit sizes per message type, timing constants,
-        # the topology's distance rows, and the raw registry counters
-        # (bypassing the NetworkStats property shims).  All are pure
-        # derivations of frozen config / construction-time state.
+        # the topology's coordinates and per-axis hop tables, and the raw
+        # registry counters (bypassing the NetworkStats property shims).
+        # All are pure derivations of frozen config / construction-time
+        # state.
         data_flits = machine.data_flits(timing)
         self._flits_by_type = {
             mtype: data_flits if mtype.carries_data else timing.header_flits
@@ -173,7 +174,9 @@ class WormholeMesh:
         self._local_access = timing.local_access
         self._flit_cycles = timing.flit_cycles
         self._hop_cycles = timing.hop_cycles
-        self._dist = self.topology._dist
+        topology = self.topology
+        self._x, self._y = topology._x, topology._y
+        self._xd, self._yd = topology._xd, topology._yd
         stats = self.stats
         self._c_messages = stats._messages
         self._c_local = stats._local_messages
@@ -250,7 +253,9 @@ class WormholeMesh:
                 inject = now
             entry_free[src] = inject + serialize
             # Wormhole transit: head flit pays the hops, tail streams.
-            tail_arrival = (inject + self._dist[src][dst] * self._hop_cycles
+            x, y = self._x, self._y
+            hops = self._xd[x[src]][x[dst]] + self._yd[y[src]][y[dst]]
+            tail_arrival = (inject + hops * self._hop_cycles
                             + (flits - 1) * flit_cycles)
             # Exit-port queuing at the destination.
             exit_free = self._exit_free

@@ -159,7 +159,9 @@ class ShardedWormholeMesh(WormholeMesh):
         if inject < now:
             inject = now
         entry_free[src] = inject + serialize
-        tail_arrival = (inject + self._dist[src][dst] * self._hop_cycles
+        x, y = self._x, self._y
+        hops = self._xd[x[src]][x[dst]] + self._yd[y[src]][y[dst]]
+        tail_arrival = (inject + hops * self._hop_cycles
                         + (flits - 1) * flit_cycles)
         src_seq = self._send_seq[src]
         self._send_seq[src] = src_seq + 1

@@ -1,52 +1,21 @@
-"""2-D grid topologies: mesh and torus, with O(1) distance arithmetic.
+"""2-D grid topologies: mesh and torus, with per-axis hop tables.
 
-Nodes are numbered row-major on a ``width x height`` grid.  Distances
-come from coordinate arithmetic — Manhattan for the mesh, wraparound
-Manhattan for the torus — so no topology needs O(N^2) state.  The mesh
-fast path (:mod:`repro.network.mesh` indexes ``topology._dist[src][dst]``
-on every message) still gets a table: a dense precomputed one on small
-machines, exactly as before, and lazily materialized per-source rows on
-large ones, so a 1024-node machine costs one row per *sending* node
-instead of 1M+ entries up front.
+Nodes are numbered row-major on a ``width x height`` grid.  Under
+dimension-ordered routing a hop count is one x-axis distance plus one
+y-axis distance, so every topology holds just two small per-axis tables
+(``width x width`` and ``height x height``) and per-node coordinate
+lists: O(W^2 + H^2 + N) state at every machine size — 2,048 table
+entries at 1024 nodes.  Mesh and torus differ only in the one-axis
+metric; ``distance``, ``pair_distance``, the partition lookahead and
+both mesh send paths all read the same tables.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from ..config import MachineConfig, balanced_width
 from ..errors import ConfigError
 
 __all__ = ["Mesh2D", "Torus2D", "make_topology"]
-
-# Keep the dense all-pairs table while it stays at or under 64k entries
-# (256 nodes); beyond that, rows materialize lazily on first send.
-_DENSE_LIMIT = 65536
-
-
-class _LazyRows:
-    """Per-source distance rows, computed on first use.
-
-    Quacks like the dense ``list[list[int]]`` table for the only access
-    pattern the mesh uses (``_dist[src][dst]``), but holds one compact
-    ``array('i')`` row per source node that has actually sent a message.
-    """
-
-    __slots__ = ("_topology", "_rows")
-
-    def __init__(self, topology: "Mesh2D") -> None:
-        self._topology = topology
-        self._rows: dict[int, array] = {}
-
-    def __getitem__(self, src: int) -> array:
-        row = self._rows.get(src)
-        if row is None:
-            row = self._topology._row(src)
-            self._rows[src] = row
-        return row
-
-    def __len__(self) -> int:
-        return self._topology.n_nodes
 
 
 class Mesh2D:
@@ -76,33 +45,27 @@ class Mesh2D:
         self.n_nodes = n_nodes
         self.width = width
         self.height = -(-n_nodes // width)
-        # Cached coordinates, one flat array per axis: O(N) state.
-        self._x = array("i", (node % width for node in range(n_nodes)))
-        self._y = array("i", (node // width for node in range(n_nodes)))
-        # Distance rows for the mesh fast path (`_dist[src][dst]`):
-        # dense for small machines (bit-identical to the historical
-        # table), lazy per-source rows past _DENSE_LIMIT entries.
-        if n_nodes * n_nodes <= _DENSE_LIMIT:
-            self._dist: list[list[int]] | _LazyRows = [
-                list(self._row(src)) for src in range(n_nodes)
-            ]
-        else:
-            self._dist = _LazyRows(self)
+        # Per-node coordinates and per-axis hop tables:
+        # hops(a, b) = _xd[_x[a]][_x[b]] + _yd[_y[a]][_y[b]].
+        self._x = [node % width for node in range(n_nodes)]
+        self._y = [node // width for node in range(n_nodes)]
+        self._xd = self._axis_table(width)
+        self._yd = self._axis_table(self.height)
 
-    # -- distance arithmetic (O(1), no table) --------------------------
+    # -- distance arithmetic -------------------------------------------
+
+    @staticmethod
+    def _axis_distance(a: int, b: int, size: int) -> int:
+        """Hops between coordinates ``a`` and ``b`` on one axis."""
+        return abs(a - b)
+
+    def _axis_table(self, size: int) -> list[list[int]]:
+        dist = self._axis_distance
+        return [[dist(a, b, size) for b in range(size)] for a in range(size)]
 
     def pair_distance(self, ax: int, ay: int, bx: int, by: int) -> int:
         """Hop count between two coordinate pairs."""
-        return abs(ax - bx) + abs(ay - by)
-
-    def _row(self, src: int) -> array:
-        """All distances from ``src``, as one compact row."""
-        ax, ay = self._x[src], self._y[src]
-        pair = self.pair_distance
-        x, y = self._x, self._y
-        return array(
-            "i", (pair(ax, ay, x[b], y[b]) for b in range(self.n_nodes))
-        )
+        return self._xd[ax][bx] + self._yd[ay][by]
 
     def coords(self, node: int) -> tuple[int, int]:
         """Return the ``(x, y)`` position of ``node``."""
@@ -198,10 +161,10 @@ class Torus2D(Mesh2D):
             )
         super().__init__(n_nodes, width)
 
-    def pair_distance(self, ax: int, ay: int, bx: int, by: int) -> int:
-        dx = abs(ax - bx)
-        dy = abs(ay - by)
-        return min(dx, self.width - dx) + min(dy, self.height - dy)
+    @staticmethod
+    def _axis_distance(a: int, b: int, size: int) -> int:
+        d = abs(a - b)
+        return min(d, size - d)
 
     def _steps(self, start: int, goal: int, size: int) -> list[int]:
         if start == goal:

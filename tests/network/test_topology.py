@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.policy import SyncPolicy
 from repro.errors import ConfigError
 from repro.network.topology import Mesh2D
 
@@ -87,7 +88,7 @@ def test_zero_nodes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Scale: balanced default widths, lazy distance rows, torus wraparound.
+# Scale: balanced default widths, per-axis hop tables, torus wraparound.
 # ---------------------------------------------------------------------------
 
 def test_default_width_is_factor_balanced():
@@ -101,18 +102,55 @@ def test_default_width_is_factor_balanced():
     assert balanced_width(256) == 16
 
 
-def test_dense_and_lazy_tables_agree():
-    from repro.network.topology import _DENSE_LIMIT, _LazyRows
+def _arithmetic_distance(topology, a, b):
+    """Hop count from coordinates alone: (wraparound) Manhattan."""
+    (ax, ay), (bx, by) = topology.coords(a), topology.coords(b)
+    dx, dy = abs(ax - bx), abs(ay - by)
+    if topology.kind == "torus":
+        dx, dy = min(dx, topology.width - dx), min(dy, topology.height - dy)
+    return dx + dy
 
-    small = Mesh2D(64)
-    assert isinstance(small._dist, list)  # dense: the historical table
-    big = Mesh2D(1024)
-    assert isinstance(big._dist, _LazyRows)
-    assert 1024 * 1024 > _DENSE_LIMIT
-    for a, b in [(0, 1023), (31, 992), (500, 501), (77, 77)]:
-        assert big._dist[a][b] == big.distance(a, b)
-    # Rows are cached: same object on the second access.
-    assert big._dist[5] is big._dist[5]
+
+@pytest.mark.parametrize("kind, n_nodes, width, sources", [
+    ("mesh", 64, None, None),
+    ("torus", 64, None, None),
+    ("mesh", 1000, 31, None),      # partial grid: 23 dead positions
+    ("torus", 1024, None, range(0, 1024, 32)),
+])
+def test_hop_tables_match_coordinate_arithmetic(kind, n_nodes, width, sources):
+    from repro.network.topology import Torus2D
+
+    topology = (Torus2D if kind == "torus" else Mesh2D)(n_nodes, width)
+    x, y, xd, yd = topology._x, topology._y, topology._xd, topology._yd
+    for a in range(n_nodes) if sources is None else sources:
+        for b in range(n_nodes):
+            hops = xd[x[a]][x[b]] + yd[y[a]][y[b]]  # what the mesh sends on
+            assert hops == topology.distance(a, b)
+            assert hops == _arithmetic_distance(topology, a, b)
+
+
+def test_topology_state_is_per_axis_after_1024_node_storm():
+    from repro.config import scale_config
+    from repro.machine.machine import build_machine
+
+    m = build_machine(scale_config(1024, topology="torus"))
+    counter = m.alloc_sync(SyncPolicy.UNC, home=0)
+
+    def prog(p):
+        yield p.fetch_add(counter, 1)
+
+    m.spawn_all(prog)
+    m.run()
+    assert m.read_word(counter) == 1024
+    topology = m.mesh.topology
+    width, height = topology.width, topology.height
+    tables = {name: value for name, value in vars(topology).items()
+              if isinstance(value, list) and value
+              and isinstance(value[0], list)}
+    # Only the two per-axis tables are nested; no per-source rows.
+    assert set(tables) == {"_xd", "_yd"}
+    assert (sum(len(row) for table in tables.values() for row in table)
+            == width * width + height * height == 2048)
 
 
 def test_large_machine_construction_is_cheap():
