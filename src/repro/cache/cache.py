@@ -17,6 +17,8 @@ from .line import CacheLine, LineState
 
 __all__ = ["Cache", "Eviction", "CacheStats"]
 
+_INVALID = LineState.INVALID
+
 
 @dataclass
 class Eviction:
@@ -117,7 +119,7 @@ class Cache:
         """
         group = self._sets.get(block % self.n_sets)
         line = group.get(block) if group is not None else None
-        if line is None or not line.valid:
+        if line is None or line.state is _INVALID:
             if touch:
                 self._c_misses.value += 1
             return None

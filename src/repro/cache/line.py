@@ -21,6 +21,8 @@ class LineState(enum.Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
+    __hash__ = object.__hash__  # identity; see MessageType
+
 
 @dataclass
 class CacheLine:

@@ -10,7 +10,7 @@ was still in flight; they are replayed once the transaction completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional  # noqa: F401 (Optional used in types)
+from typing import Any, Callable, Optional
 
 from ..errors import ProtocolError
 from ..network.message import Message
@@ -18,7 +18,7 @@ from ..network.message import Message
 __all__ = ["Transaction", "Mshr"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """One in-flight requester-side transaction.
 
@@ -35,7 +35,8 @@ class Transaction:
             ``"sync_cas"``, ...), selecting the completion action.
         request_mtype: Message type of the original request, kept so an
             OWNER_NAK can reissue it.
-        request_payload: Payload of the original request, for reissue.
+        request_payload: Payload of the original request, sent as is by
+            the request and by every reissue.
         breakdown: Latency attribution for this transaction (a
             :class:`repro.obs.latency.TxnBreakdown`); components credit
             their cycles to it as the transaction flows through them.
@@ -56,7 +57,8 @@ class Transaction:
 
     def note_chain(self, chain: int) -> None:
         """Track the deepest serialized chain of this transaction."""
-        self.chain = max(self.chain, chain)
+        if chain > self.chain:
+            self.chain = chain
 
     @property
     def complete(self) -> bool:
@@ -71,7 +73,8 @@ class Mshr:
 
     def __init__(self) -> None:
         self.current: Optional[Transaction] = None
-        self._deferred: dict[int, list[Message]] = {}
+        #: Deferred remote requests per block (empty when none wait).
+        self.deferred: dict[int, list[Message]] = {}
 
     def begin(self, txn: Transaction) -> None:
         """Occupy the slot; the processor model guarantees it is free."""
@@ -95,8 +98,8 @@ class Mshr:
 
     def defer(self, msg: Message) -> None:
         """Hold a remote request until our transaction on its block ends."""
-        self._deferred.setdefault(msg.block, []).append(msg)
+        self.deferred.setdefault(msg.block, []).append(msg)
 
     def take_deferred(self, block: int) -> list[Message]:
         """Remove and return deferred messages for ``block``."""
-        return self._deferred.pop(block, [])
+        return self.deferred.pop(block, [])

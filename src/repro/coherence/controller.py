@@ -34,7 +34,7 @@ from ..cache.cache import Cache
 from ..cache.line import LineState
 from ..cache.mshr import Mshr, Transaction
 from ..config import SimConfig
-from ..errors import ProtocolError
+from ..errors import AddressError, ProtocolError
 from ..network.mesh import WormholeMesh
 from ..network.message import Message, MessageType, Unit
 from ..obs.latency import TxnBreakdown
@@ -71,6 +71,13 @@ _ACKS = frozenset({MessageType.INV_ACK, MessageType.UPDATE_ACK})
 _RECALLS = frozenset(
     {MessageType.FLUSH_REQ, MessageType.DOWNGRADE_REQ, MessageType.CAS_CMP}
 )
+_GETS = MessageType.GETS
+_GETX = MessageType.GETX
+_SYNC_REQ = MessageType.SYNC_REQ
+_HOME = Unit.HOME
+_SHARED = LineState.SHARED
+_EXCLUSIVE = LineState.EXCLUSIVE
+_INV = SyncPolicy.INV
 
 
 @dataclass
@@ -186,7 +193,7 @@ class ControllerStats:
             counter = self._chains[kind] = self._registry.counter(
                 f"{self._prefix}.chain.{kind}"
             )
-        counter.inc(chain)
+        counter.value += chain
 
     @property
     def chains(self) -> dict[str, int]:
@@ -213,33 +220,36 @@ class CacheController:
         self.stats = ControllerStats(registry, prefix=f"ctrl.{node}")
         self.last_chain = 0
         # Spurious reservation loss (paper §2.1: context switches / TLB
-        # exceptions reset the LLbit on real processors).
+        # exceptions reset the LLbit on real processors).  The RNG is
+        # only ever drawn when the rate is non-zero, so only then built.
         self._spurious_rate = config.spurious_sc_rate
-        self._spurious_rng = random.Random((config.seed << 8) ^ node)
+        self._spurious_rng = (
+            random.Random((config.seed << 8) ^ node)
+            if self._spurious_rate else None
+        )
         # Hot-path caches (cProfile-guided): timing constants off the
         # frozen config, raw registry counters behind the stats shims,
-        # and bound address-service methods, all resolved once.
+        # the address geometry and the machine's block -> policy map,
+        # all resolved once.
         timing = config.timing
         self._t_hit = timing.cache_hit
         self._t_occ = timing.controller_occupancy
         self._c_ops = self.stats._ops
         self._c_local_hits = self.stats._local_hits
-        self._block_of = machine.block_of
-        self._offset_of = machine.offset_of
-        self._policy_of = machine.policy_of
+        self._c_sc_local_failures = self.stats._sc_local_failures
+        self._block_bits = machine.address.block_bits
+        self._offset_of = machine.address.offset_of
+        self._policies = machine._policies
         mesh.register(node, Unit.CACHE, self.handle)
 
     # ==================================================================
     # Observability helpers.
     #
-    # Every emission site is guarded by ``events.active`` so a machine
-    # with no subscribers pays one attribute check and never constructs
-    # an Event — the simulation itself is never perturbed.
+    # Every emission site tests ``events.active`` before it builds any
+    # event fields, so a machine with no subscribers pays one attribute
+    # check and never constructs an Event — the simulation itself is
+    # never perturbed.
     # ==================================================================
-
-    def _emit(self, kind: str, ts: int, **data: Any) -> None:
-        if self.events.active:
-            self.events.emit(kind, ts, node=self.node, **data)
 
     def _emit_transition(self, block: int, frm: LineState | None,
                          to: LineState | None) -> None:
@@ -256,95 +266,71 @@ class CacheController:
     ) -> None:
         """Record an LL reservation (and announce it on the bus)."""
         self.reservation.set(block, addr, token=token, doomed=doomed)
-        self._emit("res.grant", self.sim.now, block=block, addr=addr,
-                   doomed=doomed)
+        if self.events.active:
+            self.events.emit("res.grant", self.sim.now, node=self.node,
+                             block=block, addr=addr, doomed=doomed)
 
     def _revoke_reservation(self, reason: str,
                             by: Optional[int] = None) -> None:
         """Kill the LL reservation, noting why (and whose write did it)."""
-        if self.reservation.valid:
-            self._emit("res.revoke", self.sim.now,
-                       block=self.reservation.block, reason=reason, by=by)
-        self.reservation.clear()
+        res = self.reservation
+        if res.valid and self.events.active:
+            self.events.emit("res.revoke", self.sim.now, node=self.node,
+                             block=res.block, reason=reason, by=by)
+        res.clear()
 
     # ==================================================================
     # Processor-facing interface.
     # ==================================================================
 
     def execute(self, op: Any, callback: Callback) -> None:
-        """Perform ``op`` and eventually call ``callback(result)``."""
+        """Perform ``op`` and eventually call ``callback(result)``.
+
+        The block's sync policy picks a route table (:data:`_ROUTES`)
+        and the operation's type picks the route within it.
+        """
         self._c_ops.value += 1
-        addr = getattr(op, "addr", None)
-        block = self._block_of(addr) if addr is not None else None
-        policy = self._policy_of(block) if block is not None else None
+        addr = op.addr
+        if addr < 0:
+            raise AddressError(f"negative address {addr}")
+        block = addr >> self._block_bits
+        policy = self._policies.get(block, _INV)
         if self.events.active:
             self.events.emit(
                 "atomic.start", self.sim.now, node=self.node,
                 op=type(op).__name__, addr=addr, block=block,
-                policy=policy.value if policy is not None else None)
-        if isinstance(op, DropCopy):
-            self._drop_copy(op, callback)
-            return
-        if policy is SyncPolicy.UNC:
-            self._execute_unc(op, block, callback)
-        elif policy is SyncPolicy.UPD:
-            self._execute_upd(op, block, callback)
-        else:
-            self._execute_inv(op, block, policy, callback)
+                policy=policy.value)
+        route = _ROUTES[policy].get(type(op))
+        if route is None:
+            raise ProtocolError(f"cannot execute {op!r} under {policy.value}")
+        route(self, op, block, callback)
 
     # ------------------------------------------------------------------
-    # UNC: everything goes to the memory; nothing is cached.
+    # Memory-side routes (UNC for everything, UPD for writes and LL/SC,
+    # INVd/INVs for a compare_and_swap that misses).
     # ------------------------------------------------------------------
 
-    def _execute_unc(self, op: Any, block: int, callback: Callback) -> None:
-        if isinstance(op, (Load, LoadExclusive)):
-            self._start_sync(op, block, callback, "sync_load", kind="load")
-        elif isinstance(op, Store):
-            self._start_sync(op, block, callback, "sync_store", kind="store",
-                             value=op.value)
-        elif isinstance(op, FetchAndPhi):
-            self._start_sync(op, block, callback, "sync_faa", kind="faa",
-                             phi=op.phi, operand=op.operand)
-        elif isinstance(op, CompareAndSwap):
-            self._start_sync(op, block, callback, "sync_cas", kind="cas",
-                             expected=op.expected, new=op.new)
-        elif isinstance(op, LoadLinked):
-            self._start_sync(op, block, callback, "sync_ll", kind="ll")
-        elif isinstance(op, StoreConditional):
-            self._store_conditional_memory(op, block, callback)
-        else:
-            raise ProtocolError(f"cannot execute {op!r} under UNC")
+    def _sync_load(self, op: Any, block: int, callback: Callback) -> None:
+        self._start_sync(op, block, callback, "sync_load", kind="load")
 
-    # ------------------------------------------------------------------
-    # UPD: reads hit shared copies; writes and LL/SC go to the memory.
-    # ------------------------------------------------------------------
+    def _sync_store(self, op: Store, block: int, callback: Callback) -> None:
+        self._start_sync(op, block, callback, "sync_store", kind="store",
+                         value=op.value)
 
-    def _execute_upd(self, op: Any, block: int, callback: Callback) -> None:
-        if isinstance(op, (Load, LoadExclusive)):
-            offset = self.machine.offset_of(op.addr)
-            line = self.cache.lookup(block)
-            if line is not None:
-                self._hit(op.addr, line.read_word(offset), callback,
-                          is_write=False)
-            else:
-                self._start_txn(op, block, callback, "load", MessageType.GETS)
-        elif isinstance(op, Store):
-            self._start_sync(op, block, callback, "sync_store", kind="store",
-                             value=op.value)
-        elif isinstance(op, FetchAndPhi):
-            self._start_sync(op, block, callback, "sync_faa", kind="faa",
-                             phi=op.phi, operand=op.operand)
-        elif isinstance(op, CompareAndSwap):
-            self._start_sync(op, block, callback, "sync_cas", kind="cas",
-                             expected=op.expected, new=op.new)
-        elif isinstance(op, LoadLinked):
-            # The reservation must be set at the memory, which also has the
-            # authoritative data — load_linked always travels (paper §3).
-            self._start_sync(op, block, callback, "sync_ll", kind="ll")
-        elif isinstance(op, StoreConditional):
-            self._store_conditional_memory(op, block, callback)
-        else:
-            raise ProtocolError(f"cannot execute {op!r} under UPD")
+    def _sync_faa(self, op: FetchAndPhi, block: int,
+                  callback: Callback) -> None:
+        self._start_sync(op, block, callback, "sync_faa", kind="faa",
+                         phi=op.phi, operand=op.operand)
+
+    def _sync_cas(self, op: CompareAndSwap, block: int,
+                  callback: Callback) -> None:
+        self._start_sync(op, block, callback, "sync_cas", kind="cas",
+                         expected=op.expected, new=op.new)
+
+    def _sync_ll(self, op: LoadLinked, block: int, callback: Callback) -> None:
+        # The reservation must be set at the memory, which also has the
+        # authoritative data — load_linked always travels (paper §3).
+        self._start_sync(op, block, callback, "sync_ll", kind="ll")
 
     def _spurious_reservation_loss(self) -> bool:
         """Model §2.1's spurious reservation invalidations, if enabled."""
@@ -367,13 +353,13 @@ class CacheController:
             if res.doomed:
                 # Over-limit reservation: guaranteed failure, no traffic.
                 self._revoke_reservation("doomed")
-                self.stats.sc_local_failures += 1
+                self._c_sc_local_failures.value += 1
                 self._hit_result(False, callback)
                 return
         if token is None and not (res.valid and res.addr == op.addr):
             # No reservation was ever established and no explicit token:
             # the store_conditional cannot succeed; fail locally.
-            self.stats.sc_local_failures += 1
+            self._c_sc_local_failures.value += 1
             self._hit_result(False, callback)
             return
         if res.valid and res.addr == op.addr:
@@ -382,125 +368,128 @@ class CacheController:
                          value=op.value, token=token)
 
     # ------------------------------------------------------------------
-    # INV family: primitives execute here on an exclusive copy.
+    # Cached routes: INV-family primitives execute here on an exclusive
+    # copy; loads (UPD's too) hit any valid copy.  Each route makes
+    # exactly one touching cache lookup.
     # ------------------------------------------------------------------
 
-    def _execute_inv(
-        self, op: Any, block: int, policy: SyncPolicy, callback: Callback
-    ) -> None:
-        offset = self.machine.offset_of(op.addr)
+    def _load(self, op: Any, block: int, callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
-        exclusive = line is not None and line.state is LineState.EXCLUSIVE
-
-        if isinstance(op, Load):
-            if line is not None:
-                self._hit(op.addr, line.read_word(offset), callback,
-                          is_write=False)
-            else:
-                self._start_txn(op, block, callback, "load", MessageType.GETS)
-        elif isinstance(op, LoadExclusive):
-            if exclusive:
-                self._hit(op.addr, line.read_word(offset), callback,
-                          is_write=False)
-            else:
-                self._start_txn(op, block, callback, "lx", MessageType.GETX)
-        elif isinstance(op, Store):
-            if exclusive:
-                line.write_word(offset, op.value)
-                self._hit(op.addr, None, callback, is_write=True)
-            else:
-                self._start_txn(op, block, callback, "store", MessageType.GETX)
-        elif isinstance(op, FetchAndPhi):
-            if exclusive:
-                old = line.read_word(offset)
-                line.write_word(offset, apply_phi(op.phi, old, op.operand))
-                self._hit(op.addr, old, callback, is_write=True, atomic=True)
-            else:
-                self._start_txn(op, block, callback, "faa", MessageType.GETX)
-        elif isinstance(op, CompareAndSwap):
-            self._execute_inv_cas(op, block, offset, line, policy, callback)
-        elif isinstance(op, LoadLinked):
-            if line is not None:
-                self._grant_reservation(block, op.addr)
-                self._hit(op.addr, LLValue(line.read_word(offset)), callback,
-                          is_write=False)
-            else:
-                self._start_txn(op, block, callback, "ll_inv", MessageType.GETS)
-        elif isinstance(op, StoreConditional):
-            self._execute_inv_sc(op, block, offset, line, callback)
+        if line is not None:
+            self._hit(op.addr, line.read_word(offset), callback,
+                      is_write=False)
         else:
-            raise ProtocolError(f"cannot execute {op!r} under {policy}")
+            self._start_txn(op, block, callback, "load", _GETS, {})
 
-    def _execute_inv_cas(
-        self,
-        op: CompareAndSwap,
-        block: int,
-        offset: int,
-        line: Any,
-        policy: SyncPolicy,
-        callback: Callback,
-    ) -> None:
-        if line is not None and line.state is LineState.EXCLUSIVE:
+    def _load_exclusive(self, op: LoadExclusive, block: int,
+                        callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
+        if line is not None and line.state is _EXCLUSIVE:
+            self._hit(op.addr, line.read_word(offset), callback,
+                      is_write=False)
+        else:
+            self._start_txn(op, block, callback, "lx", _GETX, {})
+
+    def _store(self, op: Store, block: int, callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
+        if line is not None and line.state is _EXCLUSIVE:
+            line.write_word(offset, op.value)
+            self._hit(op.addr, None, callback, is_write=True)
+        else:
+            self._start_txn(op, block, callback, "store", _GETX, {})
+
+    def _fetch_phi(self, op: FetchAndPhi, block: int,
+                   callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
+        if line is not None and line.state is _EXCLUSIVE:
             old = line.read_word(offset)
-            success = old == op.expected
-            if success:
-                line.write_word(offset, op.new)
-            self._hit(op.addr, CasResult(success, old), callback,
-                      is_write=success, atomic=True)
-            return
-        if policy is SyncPolicy.INV:
-            # Acquire an exclusive copy unconditionally, compare locally.
-            self._start_txn(op, block, callback, "cas", MessageType.GETX)
+            line.write_word(offset, apply_phi(op.phi, old, op.operand))
+            self._hit(op.addr, old, callback, is_write=True, atomic=True)
         else:
-            # INVd/INVs: let the home (or the owner) do the comparison so a
-            # failing CAS does not invalidate other copies.
-            self._start_sync(op, block, callback, "sync_cas", kind="cas",
-                             expected=op.expected, new=op.new)
+            self._start_txn(op, block, callback, "faa", _GETX, {})
 
-    def _execute_inv_sc(
-        self,
-        op: StoreConditional,
-        block: int,
-        offset: int,
-        line: Any,
-        callback: Callback,
-    ) -> None:
+    def _cas(self, op: CompareAndSwap, block: int, callback: Callback) -> None:
+        """INV: acquire an exclusive copy unconditionally, compare locally."""
+        if not self._cas_hit(op, block, callback):
+            self._start_txn(op, block, callback, "cas", _GETX, {})
+
+    def _cas_delegated(self, op: CompareAndSwap, block: int,
+                       callback: Callback) -> None:
+        """INVd/INVs: let the home (or the owner) do the comparison so a
+        failing CAS does not invalidate other copies."""
+        if not self._cas_hit(op, block, callback):
+            self._sync_cas(op, block, callback)
+
+    def _cas_hit(self, op: CompareAndSwap, block: int,
+                 callback: Callback) -> bool:
+        """Compare and swap on an exclusive copy; False if there is none."""
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
+        if line is None or line.state is not _EXCLUSIVE:
+            return False
+        old = line.read_word(offset)
+        success = old == op.expected
+        if success:
+            line.write_word(offset, op.new)
+        self._hit(op.addr, CasResult(success, old), callback,
+                  is_write=success, atomic=True)
+        return True
+
+    def _load_linked(self, op: LoadLinked, block: int,
+                     callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
+        if line is not None:
+            self._grant_reservation(block, op.addr)
+            self._hit(op.addr, LLValue(line.read_word(offset)), callback,
+                      is_write=False)
+        else:
+            self._start_txn(op, block, callback, "ll_inv", _GETS, {})
+
+    def _store_conditional(self, op: StoreConditional, block: int,
+                           callback: Callback) -> None:
+        offset = self._offset_of(op.addr)
+        line = self.cache.lookup(block)
         self._spurious_reservation_loss()
         res = self.reservation
         if not (res.valid and res.addr == op.addr):
-            self.stats.sc_local_failures += 1
+            self._c_sc_local_failures.value += 1
             self._hit_result(False, callback)
             return
-        if line is not None and line.state is LineState.EXCLUSIVE:
+        if line is not None and line.state is _EXCLUSIVE:
             # Exclusive and reserved: succeed entirely locally.
             self._revoke_reservation("sc_consumed")
             line.write_word(offset, op.value)
             self._hit(op.addr, True, callback, is_write=True, atomic=True)
             return
-        if line is not None and line.state is LineState.SHARED:
+        if line is not None and line.state is _SHARED:
             # The home arbitrates: success iff the line is still shared.
-            self._start_txn(op, block, callback, "sc_inv", MessageType.SC_REQ,
-                            addr=op.addr, offset=offset)
+            self._start_txn(op, block, callback, "sc_inv",
+                            MessageType.SC_REQ,
+                            {"addr": op.addr, "offset": offset})
             return
         # Line gone; the invalidation should have killed the reservation,
         # but be defensive: fail locally.
         self._revoke_reservation("line_gone")
-        self.stats.sc_local_failures += 1
+        self._c_sc_local_failures.value += 1
         self._hit_result(False, callback)
 
     # ------------------------------------------------------------------
-    # drop_copy.
+    # drop_copy (every policy).
     # ------------------------------------------------------------------
 
-    def _drop_copy(self, op: DropCopy, callback: Callback) -> None:
-        block = self.machine.block_of(op.addr)
+    def _drop_copy(self, op: DropCopy, block: int, callback: Callback) -> None:
         line = self.cache.lookup(block, touch=False)
         if line is not None and not self.mshr.pending_for(block):
             self._relinquish(block, line)
-        done = self.sim.now + self.config.timing.controller_occupancy
-        self._emit("atomic.complete", done, block=block, local=True)
-        self.sim.schedule(self.config.timing.controller_occupancy,
-                          callback, None)
+        if self.events.active:
+            self.events.emit("atomic.complete", self.sim.now + self._t_occ,
+                             node=self.node, block=block, local=True)
+        self.sim.schedule(self._t_occ, callback, None)
 
     def _relinquish(self, block: int, line: Any) -> None:
         """Give up a cached line: write back or send a drop notice."""
@@ -550,11 +539,17 @@ class CacheController:
         callback: Callback,
         txn_kind: str,
         mtype: MessageType,
-        **payload: Any,
+        payload: dict[str, Any],
     ) -> None:
+        """Open a transaction whose request carries ``payload``.
+
+        The request and any OWNER_NAK reissue send ``payload`` itself:
+        payloads are never mutated after send (see
+        :mod:`repro.network.message`).
+        """
         txn = Transaction(op=op, block=block, callback=callback, kind=txn_kind,
                           request_mtype=mtype, request_payload=payload,
-                          breakdown=TxnBreakdown(self.sim.now))
+                          breakdown=TxnBreakdown(self.sim._now))
         self.mshr.begin(txn)
         self._issue(txn)
 
@@ -566,10 +561,12 @@ class CacheController:
         txn_kind: str,
         **payload: Any,
     ) -> None:
-        payload.setdefault("addr", op.addr)
-        payload.setdefault("offset", self.machine.offset_of(op.addr))
-        self._start_txn(op, block, callback, txn_kind, MessageType.SYNC_REQ,
-                        **payload)
+        """Open a memory-side (SYNC_REQ) transaction; ``payload`` is the
+        request's payload, completed here with the word's address."""
+        addr = op.addr
+        payload["addr"] = addr
+        payload["offset"] = self._offset_of(addr)
+        self._start_txn(op, block, callback, txn_kind, _SYNC_REQ, payload)
 
     def _issue(self, txn: Transaction) -> None:
         home = self.machine.home_of(txn.block)
@@ -577,9 +574,9 @@ class CacheController:
         txn.note_chain(chain)
         self.mesh.send(
             Message.acquire(
-                txn.request_mtype, self.node, home, Unit.HOME, txn.block,
+                txn.request_mtype, self.node, home, _HOME, txn.block,
                 txn=txn, chain=chain, requester=self.node,
-                payload=dict(txn.request_payload),
+                payload=txn.request_payload,
             )
         )
 
@@ -741,7 +738,7 @@ class CacheController:
             self._reply_to(msg, MessageType.FLUSH_REPLY, home, Unit.HOME,
                            data=data, cas_ok=True, old=old)
             return
-        if msg.payload["variant"] == SyncPolicy.INVD.value:
+        if msg.payload["variant"] is SyncPolicy.INVD:
             # Failure, deny: keep our exclusive copy; tell the requester
             # directly and release the home.
             self._reply_to(msg, MessageType.CAS_FAIL, msg.requester,
@@ -767,57 +764,58 @@ class CacheController:
             self._finish(txn)
 
     def _finish(self, txn: Transaction) -> None:
-        reply = txn.reply
-        assert reply is not None
-        result = self._apply_completion(txn, reply)
-        self.mshr.finish()
-        self.last_chain = txn.chain
-        self.stats.note_chain(txn.kind, txn.chain)
-        self.machine.stats.note_transaction(txn.kind, txn.chain)
-        # Serve remote requests that arrived while we were in flight.
-        for deferred in self.mshr.take_deferred(txn.block):
-            self._on_recall(deferred)
-        done = self.sim.now + self.config.timing.controller_occupancy
-        policy = self.machine.policy_of(txn.block)
-        if txn.breakdown is not None:
-            txn.breakdown.credit("controller", done)
-            self.machine.stats.note_txn_latency(
-                txn.kind, policy.value, txn.breakdown
-            )
-        self._emit("atomic.complete", done, block=txn.block, op=txn.kind,
-                   chain=txn.chain, local=False, policy=policy.value)
-        self.sim.schedule(self.config.timing.controller_occupancy,
-                          txn.callback, result)
+        result = self._apply_completion(txn, txn.reply)
+        mshr = self.mshr
+        mshr.finish()
+        kind = txn.kind
+        chain = txn.chain
+        block = txn.block
+        self.last_chain = chain
+        self.stats.note_chain(kind, chain)
+        self.machine.stats.note_transaction(kind, chain)
+        if mshr.deferred:
+            # Serve remote requests that arrived while we were in flight.
+            for deferred in mshr.take_deferred(block):
+                self._on_recall(deferred)
+        done = self.sim._now + self._t_occ
+        policy = self._policies.get(block, _INV)
+        breakdown = txn.breakdown
+        if breakdown is not None:
+            breakdown.credit("controller", done)
+            self.machine.stats.note_txn_latency(kind, policy, breakdown)
+        if self.events.active:
+            self.events.emit("atomic.complete", done, node=self.node,
+                             block=block, op=kind, chain=chain, local=False,
+                             policy=policy.value)
+        self.sim.schedule(self._t_occ, txn.callback, result)
 
     def _apply_completion(self, txn: Transaction, reply: Message) -> Any:
-        kind = txn.kind
-        op = txn.op
-        block = txn.block
-        data = reply.payload.get("data")
+        """Run the completion action of ``txn``'s kind (:data:`_COMPLETIONS`)."""
+        complete = _COMPLETIONS.get(txn.kind)
+        if complete is None:
+            raise ProtocolError(f"unknown transaction kind {txn.kind!r}")
+        return complete(self, txn, reply, reply.payload.get("data"))
 
-        if kind == "load":
-            offset = self.machine.offset_of(op.addr)
-            self._install(block, LineState.SHARED, data)
-            self.machine.stats.note_access(op.addr, self.node, False)
-            return data[offset]
+    def _complete_load(
+        self, txn: Transaction, reply: Message, data: list[int]
+    ) -> int:
+        """A shared copy arrived for a load."""
+        addr = txn.op.addr
+        offset = self._offset_of(addr)
+        self._install(txn.block, _SHARED, data)
+        self.machine.stats.note_access(addr, self.node, False)
+        return data[offset]
 
-        if kind == "ll_inv":
-            offset = self.machine.offset_of(op.addr)
-            self._install(block, LineState.SHARED, data)
-            self._grant_reservation(block, op.addr)
-            self.machine.stats.note_access(op.addr, self.node, False)
-            return LLValue(data[offset])
-
-        if kind in ("lx", "store", "faa", "cas"):
-            return self._complete_exclusive(txn, reply, data)
-
-        if kind == "sc_inv":
-            return self._complete_sc_inv(txn, reply, data)
-
-        if kind.startswith("sync_"):
-            return self._complete_sync(txn, reply, data)
-
-        raise ProtocolError(f"unknown transaction kind {kind!r}")
+    def _complete_ll_inv(
+        self, txn: Transaction, reply: Message, data: list[int]
+    ) -> LLValue:
+        """A shared copy arrived for an INV-policy load_linked."""
+        addr = txn.op.addr
+        offset = self._offset_of(addr)
+        self._install(txn.block, _SHARED, data)
+        self._grant_reservation(txn.block, addr)
+        self.machine.stats.note_access(addr, self.node, False)
+        return LLValue(data[offset])
 
     def _complete_exclusive(
         self, txn: Transaction, reply: Message, data: list[int]
@@ -826,7 +824,7 @@ class CacheController:
         if reply.mtype is not MessageType.DATA_X:
             raise ProtocolError(f"{txn.kind} expected DATA_X, got {reply}")
         op = txn.op
-        offset = self.machine.offset_of(op.addr)
+        offset = self._offset_of(op.addr)
         line_data = list(data)
         kind = txn.kind
         if kind == "lx":
@@ -869,7 +867,7 @@ class CacheController:
         line = self.cache.lookup(txn.block, touch=False)
         if line is None:
             raise ProtocolError("SC granted but the shared copy vanished")
-        offset = self.machine.offset_of(op.addr)
+        offset = self._offset_of(op.addr)
         self._emit_transition(txn.block, line.state, LineState.EXCLUSIVE)
         line.state = LineState.EXCLUSIVE
         line.write_word(offset, op.value)
@@ -880,7 +878,7 @@ class CacheController:
         """Memory-side operation finished (UNC/UPD/INVd/INVs)."""
         op = txn.op
         kind = txn.kind
-        offset = self.machine.offset_of(op.addr)
+        offset = self._offset_of(op.addr)
 
         if reply.mtype is MessageType.DATA_X and reply.payload.get("cas_granted"):
             # INVd/INVs comparison succeeded: we take the line exclusive
@@ -935,3 +933,57 @@ class CacheController:
             self._send_unsolicited(MessageType.DROP, victim.block)
         if self.reservation.block == victim.block:
             self._revoke_reservation("evicted")
+
+
+# Route tables: sync policy -> operation type -> route.  UPD reads hit
+# shared copies; every other UPD operation, and every UNC operation,
+# goes to the memory.
+_UNC_ROUTES = {
+    Load: CacheController._sync_load,
+    LoadExclusive: CacheController._sync_load,
+    Store: CacheController._sync_store,
+    FetchAndPhi: CacheController._sync_faa,
+    CompareAndSwap: CacheController._sync_cas,
+    LoadLinked: CacheController._sync_ll,
+    StoreConditional: CacheController._store_conditional_memory,
+    DropCopy: CacheController._drop_copy,
+}
+_UPD_ROUTES = {
+    **_UNC_ROUTES,
+    Load: CacheController._load,
+    LoadExclusive: CacheController._load,
+}
+_INV_ROUTES = {
+    Load: CacheController._load,
+    LoadExclusive: CacheController._load_exclusive,
+    Store: CacheController._store,
+    FetchAndPhi: CacheController._fetch_phi,
+    CompareAndSwap: CacheController._cas,
+    LoadLinked: CacheController._load_linked,
+    StoreConditional: CacheController._store_conditional,
+    DropCopy: CacheController._drop_copy,
+}
+_DELEGATED_CAS_ROUTES = {
+    **_INV_ROUTES,
+    CompareAndSwap: CacheController._cas_delegated,
+}
+_ROUTES = {
+    SyncPolicy.INV: _INV_ROUTES,
+    SyncPolicy.INVD: _DELEGATED_CAS_ROUTES,
+    SyncPolicy.INVS: _DELEGATED_CAS_ROUTES,
+    SyncPolicy.UPD: _UPD_ROUTES,
+    SyncPolicy.UNC: _UNC_ROUTES,
+}
+
+# Transaction kind -> completion action.
+_COMPLETIONS = {
+    "load": CacheController._complete_load,
+    "ll_inv": CacheController._complete_ll_inv,
+    "lx": CacheController._complete_exclusive,
+    "store": CacheController._complete_exclusive,
+    "faa": CacheController._complete_exclusive,
+    "cas": CacheController._complete_exclusive,
+    "sc_inv": CacheController._complete_sc_inv,
+    **dict.fromkeys(("sync_load", "sync_store", "sync_faa", "sync_cas",
+                     "sync_ll", "sync_sc"), CacheController._complete_sync),
+}

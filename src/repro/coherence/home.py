@@ -60,6 +60,8 @@ _CONSUMED = frozenset(
         MessageType.DROP,
     }
 )
+_DROP = MessageType.DROP
+_INV = SyncPolicy.INV
 
 
 class HomeNode:
@@ -97,6 +99,7 @@ class HomeNode:
         self._c_fanouts = None
         self._service = memory.service
         self._t_directory = memory.config.timing.directory_service
+        self._policies = machine._policies
         self.faults = getattr(machine, "faults", None)
         mesh.register(node, Unit.HOME, self.handle)
 
@@ -111,8 +114,9 @@ class HomeNode:
         occupy the module for the shorter directory-service time.
         """
         self._requests.value += 1
+        mtype = msg.mtype
         faults = self.faults
-        if (faults is not None and msg.mtype in _REQUESTS
+        if (faults is not None and mtype in _REQUESTS
                 and faults.home_nak(self.node)):
             # Transient busy-NAK: the home pretends to be occupied and
             # retries the request after the penalty.  The replay goes
@@ -123,19 +127,16 @@ class HomeNode:
                 faults.plan.home_nak_penalty, self._replay_nak, msg
             )
             return
-        if msg.mtype is MessageType.DROP:
-            self._service(self._process, msg, service_time=self._t_directory,
-                          txn=msg.txn, block=msg.block, mtype="DROP",
-                          requester=msg.requester)
-        else:
-            self._service(self._process, msg, txn=msg.txn,
-                          block=msg.block, mtype=msg.mtype.value,
-                          requester=msg.requester)
+        self._service(
+            self._process, msg,
+            service_time=self._t_directory if mtype is _DROP else None,
+            txn=msg.txn, block=msg.block, mtype=mtype,
+            requester=msg.requester)
 
     def _replay_nak(self, msg: Message) -> None:
         """Re-queue a busy-NAK'd request at the memory module."""
         self._service(self._process, msg, txn=msg.txn, block=msg.block,
-                      mtype=msg.mtype.value, requester=msg.requester)
+                      mtype=msg.mtype, requester=msg.requester)
 
     def _account_fanout(self, entry: Any, others: list, requester: int) -> None:
         """Count fan-out beyond the exact sharers (imprecise directories).
@@ -186,27 +187,10 @@ class HomeNode:
                 Message.release(msg)
 
     def _dispatch(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.GETS:
-            self._gets(msg)
-        elif mtype is MessageType.GETX:
-            self._getx(msg)
-        elif mtype is MessageType.SYNC_REQ:
-            self._sync_req(msg)
-        elif mtype is MessageType.SC_REQ:
-            self._sc_req(msg)
-        elif mtype is MessageType.FLUSH_REPLY:
-            self._flush_reply(msg)
-        elif mtype is MessageType.SHARE_WB:
-            self._share_wb(msg)
-        elif mtype is MessageType.FLUSH_NAK:
-            self._flush_nak(msg)
-        elif mtype is MessageType.WB:
-            self._wb(msg)
-        elif mtype is MessageType.DROP:
-            self._drop(msg)
-        else:
+        handler = _HANDLERS.get(msg.mtype)
+        if handler is None:
             raise ProtocolError(f"home {self.node} cannot handle {msg}")
+        handler(self, msg)
 
     # ------------------------------------------------------------------
     # Helpers.
@@ -254,9 +238,9 @@ class HomeNode:
                     bus.emit("dir.queue.leave", self.machine.sim.now,
                              node=self.node, block=msg.block,
                              mtype=msg.mtype.value, requester=msg.requester)
-                self.memory.service(self._process, msg, txn=msg.txn,
-                                    block=msg.block, mtype=msg.mtype.value,
-                                    requester=msg.requester)
+                self._service(self._process, msg, txn=msg.txn,
+                              block=msg.block, mtype=msg.mtype,
+                              requester=msg.requester)
 
     def _note(self, msg: Message, is_write: bool) -> None:
         """Record a memory-side access for sharing-pattern statistics."""
@@ -466,7 +450,7 @@ class HomeNode:
     # ------------------------------------------------------------------
 
     def _sync_req(self, msg: Message) -> None:
-        policy = self.machine.policy_of(msg.block)
+        policy = self._policies.get(msg.block, _INV)
         kind = msg.payload["kind"]
         if policy is SyncPolicy.UNC:
             self._sync_unc(msg, kind)
@@ -606,7 +590,7 @@ class HomeNode:
                 offset=offset,
                 expected=expected,
                 new=new,
-                variant=policy.value,
+                variant=policy,
             )
             return
 
@@ -659,3 +643,17 @@ class HomeNode:
                 data=data,
                 acks=0,
             )
+
+
+# Home-bound message type -> handler.
+_HANDLERS = {
+    MessageType.GETS: HomeNode._gets,
+    MessageType.GETX: HomeNode._getx,
+    MessageType.SYNC_REQ: HomeNode._sync_req,
+    MessageType.SC_REQ: HomeNode._sc_req,
+    MessageType.FLUSH_REPLY: HomeNode._flush_reply,
+    MessageType.SHARE_WB: HomeNode._share_wb,
+    MessageType.FLUSH_NAK: HomeNode._flush_nak,
+    MessageType.WB: HomeNode._wb,
+    MessageType.DROP: HomeNode._drop,
+}

@@ -30,6 +30,8 @@ class SyncPolicy(enum.Enum):
     UPD = "UPD"
     UNC = "UNC"
 
+    __hash__ = object.__hash__  # identity; see MessageType
+
     @property
     def cached(self) -> bool:
         """True if the policy allows the block in caches at all."""

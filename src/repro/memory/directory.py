@@ -34,6 +34,8 @@ class DirState(enum.Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
+    __hash__ = object.__hash__  # identity; see MessageType
+
 
 @dataclass
 class DirectoryEntry:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..config import SimConfig
+from ..network.message import MessageType
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
@@ -133,7 +134,7 @@ class MemoryModule:
         service_time: int | None = None,
         txn: Any = None,
         block: int | None = None,
-        mtype: str | None = None,
+        mtype: MessageType | None = None,
         requester: int | None = None,
     ) -> None:
         """Enqueue a request; run ``fn(*args)`` when service completes.
@@ -167,7 +168,8 @@ class MemoryModule:
         if events is not None and events.active:
             events.emit(
                 "mem.service", end, node=self.node,
-                arrival=now, start=start, block=block, mtype=mtype,
+                arrival=now, start=start, block=block,
+                mtype=mtype.value if mtype is not None else None,
                 requester=requester, has_txn=txn is not None,
             )
         sim.schedule(end - now, fn, *args)

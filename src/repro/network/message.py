@@ -15,6 +15,13 @@ references return it to the pool (see ``docs/performance.md`` for the
 safety argument).  ``msg_id`` always comes off the global counter, so
 ids — and therefore traces — are identical whether or not the pool ever
 hits.
+
+A payload is never mutated after its message is sent.  Senders may
+therefore hand the same dict to several messages: a requester reissues
+its transaction's request payload as is after an OWNER_NAK, and the
+sharded mesh passes a boundary message's payload on by reference.
+Handlers only read payloads; anything they keep is copied out
+(``list(msg.payload["data"])``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ class Unit(enum.Enum):
 
     CACHE = "cache"
     HOME = "home"
+
+    __hash__ = object.__hash__  # identity; see MessageType
 
 
 class MessageType(enum.Enum):
@@ -76,6 +85,11 @@ class MessageType(enum.Enum):
     # Unsolicited cache -> home traffic.
     WB = "WB"  # writeback of a dirty exclusive line
     DROP = "DROP"  # notice that a shared copy was dropped/evicted
+
+    # Members are singletons compared by identity, so hashing by identity
+    # answers every dict/set probe exactly as Enum's name hash does,
+    # without a Python-level ``__hash__`` call per probe.
+    __hash__ = object.__hash__
 
     @property
     def carries_data(self) -> bool:

@@ -23,6 +23,7 @@ not claimed by any component are folded into the next segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = ["CATEGORIES", "TxnBreakdown", "LatencyStats", "LatencyTracker"]
 
@@ -112,12 +113,22 @@ class LatencyTracker:
 
     def __init__(self) -> None:
         self._keys: dict[tuple[str, str], LatencyStats] = {}
+        # The same stats keyed as callers pass them: the controller
+        # passes SyncPolicy members, so its per-transaction path never
+        # reads the (Python-level) ``Enum.value``.
+        self._by_caller_key: dict[tuple[str, Any], LatencyStats] = {}
 
-    def note(self, kind: str, policy: str, breakdown: TxnBreakdown) -> None:
-        """Record one completed transaction."""
-        stats = self._keys.get((kind, policy))
+    def note(self, kind: str, policy: Any, breakdown: TxnBreakdown) -> None:
+        """Record one completed transaction.
+
+        ``policy`` is a policy label (``"INV"``) or an enum member whose
+        ``value`` is that label; the tracker reports labels.
+        """
+        stats = self._by_caller_key.get((kind, policy))
         if stats is None:
-            stats = self._keys[(kind, policy)] = LatencyStats()
+            label = getattr(policy, "value", policy)
+            stats = self._keys.setdefault((kind, label), LatencyStats())
+            self._by_caller_key[(kind, policy)] = stats
         stats.note(breakdown)
 
     def get(self, kind: str, policy: str) -> LatencyStats | None:

@@ -111,9 +111,12 @@ class Histogram:
         return (1 << (bucket - 1), (1 << bucket) - 1)
 
     def observe(self, value: int) -> None:
-        """Record one sample."""
-        b = self.bucket_of(value)
-        self.buckets[b] = self.buckets.get(b, 0) + 1
+        """Record one sample (bucketed as :meth:`bucket_of` does)."""
+        if value < 0:
+            raise ValueError(f"histogram samples must be >= 0, got {value}")
+        b = value.bit_length()
+        buckets = self.buckets
+        buckets[b] = buckets.get(b, 0) + 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:

@@ -26,6 +26,8 @@ class PhiOp(enum.Enum):
     AND = "and"  # fetch_and_and
     TEST_AND_SET = "test_and_set"  # read old, store 1
 
+    __hash__ = object.__hash__  # identity; see MessageType
+
 
 def apply_phi(op: PhiOp, old: int, operand: int) -> int:
     """Compute the new value ``phi(old, operand)`` for a fetch_and_phi.

@@ -21,8 +21,21 @@ import random
 from typing import Any
 
 from ..errors import ProgramError
-from ..primitives import ops as _ops
-from ..primitives.ops import ContendBegin, ContendEnd, MagicBarrier
+from ..primitives.ops import (
+    CompareAndSwap,
+    ContendBegin,
+    ContendEnd,
+    DropCopy,
+    FetchAndPhi,
+    Load,
+    LoadExclusive,
+    LoadLinked,
+    MagicBarrier,
+    MemOp,
+    Store,
+    StoreConditional,
+    Think,
+)
 from ..sim.process import Process
 
 __all__ = ["Processor"]
@@ -65,33 +78,49 @@ class Processor:
         self.machine.on_processor_exit(self)
 
     def _interpret(self, process: Process, op: Any) -> None:
-        if isinstance(op, _ops.Think):
-            if op.cycles < 0:
-                raise ProgramError("think() needs a non-negative cycle count")
-            self.sim.schedule(op.cycles, process.resume, None)
-            return
-        if isinstance(op, MagicBarrier):
-            self.machine.barriers.arrive(op.barrier_id, op.participants, process)
-            return
-        if isinstance(op, ContendBegin):
-            self.machine.stats.contention.begin(op.addr, self.pid)
-            self.sim.schedule(0, process.resume, None)
-            return
-        if isinstance(op, ContendEnd):
-            self.machine.stats.contention.end(op.addr, self.pid)
-            self.sim.schedule(0, process.resume, None)
-            return
-        if isinstance(op, _ops.MemOp):
-            self.ops_issued += 1
-            if self.faults is not None:
-                stall = self.faults.cpu_stall(self.pid)
-                if stall:
-                    # Injected stall window (an interrupt hits before
-                    # the op issues): the operation is late, never
-                    # lost, so program semantics are untouched.
-                    self.sim.schedule(stall, self.controller.execute,
-                                      op, process.resume)
-                    return
-            self.controller.execute(op, process.resume)
-            return
-        raise ProgramError(f"program yielded a non-operation: {op!r}")
+        handler = _HANDLERS.get(type(op))
+        if handler is None:
+            raise ProgramError(f"program yielded a non-operation: {op!r}")
+        handler(self, process, op)
+
+    def _think(self, process: Process, op: Think) -> None:
+        if op.cycles < 0:
+            raise ProgramError("think() needs a non-negative cycle count")
+        self.sim.schedule(op.cycles, process.resume, None)
+
+    def _barrier(self, process: Process, op: MagicBarrier) -> None:
+        self.machine.barriers.arrive(op.barrier_id, op.participants, process)
+
+    def _contend_begin(self, process: Process, op: ContendBegin) -> None:
+        self.machine.stats.contention.begin(op.addr, self.pid)
+        self.sim.schedule(0, process.resume, None)
+
+    def _contend_end(self, process: Process, op: ContendEnd) -> None:
+        self.machine.stats.contention.end(op.addr, self.pid)
+        self.sim.schedule(0, process.resume, None)
+
+    def _memory_op(self, process: Process, op: MemOp) -> None:
+        self.ops_issued += 1
+        if self.faults is not None:
+            stall = self.faults.cpu_stall(self.pid)
+            if stall:
+                # Injected stall window (an interrupt hits before the op
+                # issues): the operation is late, never lost, so program
+                # semantics are untouched.
+                self.sim.schedule(stall, self.controller.execute,
+                                  op, process.resume)
+                return
+        self.controller.execute(op, process.resume)
+
+
+# Operation type -> interpretation.
+_HANDLERS = {
+    Think: Processor._think,
+    MagicBarrier: Processor._barrier,
+    ContendBegin: Processor._contend_begin,
+    ContendEnd: Processor._contend_end,
+    **dict.fromkeys(
+        (Load, Store, LoadExclusive, DropCopy, FetchAndPhi, CompareAndSwap,
+         LoadLinked, StoreConditional),
+        Processor._memory_op),
+}

@@ -53,20 +53,23 @@ class Process:
 
     def start(self) -> None:
         """Advance the generator to its first yield."""
-        self._step(None, first=True)
+        self._blocked = True  # a fresh generator waits on its first step
+        self.resume(None)
 
     def resume(self, value: Any = None) -> None:
-        """Deliver ``value`` as the result of the pending request."""
+        """Deliver ``value`` as the result of the pending request.
+
+        Steps the generator to its next yield and hands that request to
+        the interpreter (one call per operation: this is the processor's
+        hot path).
+        """
         if self.done:
             raise SimulationError(f"process {self.name!r} resumed after exit")
         if not self._blocked:
             raise SimulationError(f"process {self.name!r} resumed while not blocked")
-        self._step(value, first=False)
-
-    def _step(self, value: Any, first: bool) -> None:
         self._blocked = False
         try:
-            request = self._gen.send(None if first else value)
+            request = self._gen.send(value)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any
 
 from ..obs.latency import LatencyTracker, TxnBreakdown
 from ..obs.registry import MetricsRegistry
@@ -25,24 +24,22 @@ class MachineStats:
     serialized-message accounting, and the per-transaction latency
     breakdown tracker.
 
-    When attached to a registry (every :class:`~repro.machine.machine.
-    Machine` does this), transaction counts and chain totals are also
-    published as ``txn.<kind>.count`` / ``txn.<kind>.chain`` so they can
-    be snapshotted and exported with everything else.
+    Transaction counts and chain totals live only in the metrics
+    registry, as ``txn.<kind>.count`` / ``txn.<kind>.chain``: a private
+    one until :meth:`attach_registry` (every :class:`~repro.machine.
+    machine.Machine` attaches its own).
     """
 
     contention: ContentionTracker = field(default_factory=ContentionTracker)
     writerun: WriteRunTracker = field(default_factory=WriteRunTracker)
-    transactions: Counter = field(default_factory=Counter)
-    chain_total: Counter = field(default_factory=Counter)
     latency: LatencyTracker = field(default_factory=LatencyTracker)
 
     def __post_init__(self) -> None:
-        self._registry: Optional[MetricsRegistry] = None
+        self._registry = MetricsRegistry()
         self._txn_counters: dict[str, tuple] = {}
 
     def attach_registry(self, registry: MetricsRegistry) -> None:
-        """Mirror transaction accounting into ``registry`` (``txn.*``)."""
+        """Record transaction accounting in ``registry`` (``txn.*``)."""
         self._registry = registry
         self._txn_counters.clear()
 
@@ -52,25 +49,28 @@ class MachineStats:
 
     def note_transaction(self, kind: str, chain: int) -> None:
         """Record a completed requester transaction and its chain depth."""
-        self.transactions[kind] += 1
-        self.chain_total[kind] += chain
-        if self._registry is not None:
-            pair = self._txn_counters.get(kind)
-            if pair is None:
-                pair = self._txn_counters[kind] = (
-                    self._registry.counter(f"txn.{kind}.count"),
-                    self._registry.counter(f"txn.{kind}.chain"),
-                )
-            pair[0].value += 1
-            pair[1].value += chain
+        pair = self._txn_counters.get(kind)
+        if pair is None:
+            pair = self._txn_counters[kind] = (
+                self._registry.counter(f"txn.{kind}.count"),
+                self._registry.counter(f"txn.{kind}.chain"),
+            )
+        pair[0].value += 1
+        pair[1].value += chain
 
     def note_txn_latency(
-        self, kind: str, policy: str, breakdown: TxnBreakdown
+        self, kind: str, policy: Any, breakdown: TxnBreakdown
     ) -> None:
-        """Record one transaction's finished latency breakdown."""
+        """Record one transaction's finished latency breakdown.
+
+        ``policy`` is the block's :class:`~repro.coherence.policy.
+        SyncPolicy` (or its label); see :meth:`LatencyTracker.note`.
+        """
         self.latency.note(kind, policy, breakdown)
 
     def mean_chain(self, kind: str) -> float:
         """Mean serialized messages for transactions of ``kind``."""
-        n = self.transactions.get(kind, 0)
-        return self.chain_total.get(kind, 0) / n if n else 0.0
+        count = self._registry.get(f"txn.{kind}.count")
+        if count is None or not count.value:
+            return 0.0
+        return self._registry.get(f"txn.{kind}.chain").value / count.value

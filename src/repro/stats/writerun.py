@@ -59,8 +59,12 @@ class WriteRunTracker:
         """Observe one access in serialization order."""
         if addr not in self._registered:
             return
-        state = self._state.setdefault(addr, _RunState())
-        totals = self._totals.setdefault(addr, _RunTotals())
+        state = self._state.get(addr)
+        if state is None:
+            state = self._state[addr] = _RunState()
+        totals = self._totals.get(addr)
+        if totals is None:
+            totals = self._totals[addr] = _RunTotals()
         if is_write:
             if state.writer == pid:
                 state.length += 1

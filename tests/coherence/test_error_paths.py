@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SyncPolicy
-from repro.errors import ProtocolError
+from repro.errors import AddressError, ProtocolError
 from repro.network.message import Message, MessageType, Unit
 
 from tests.conftest import make_machine, run_one
@@ -68,6 +68,17 @@ def test_sync_req_under_plain_inv_rejected():
                   payload={"kind": "faa", "offset": 0, "addr": addr})
     with pytest.raises(ProtocolError):
         home._dispatch(bad)
+
+
+def test_negative_address_rejected_at_execute():
+    m = make_machine(4)
+
+    def prog(p):
+        yield p.load(-32)
+
+    m.spawn(0, prog)
+    with pytest.raises(AddressError, match="negative address -32"):
+        m.run()
 
 
 def test_owner_nak_retry_cap():

@@ -51,6 +51,18 @@ def test_tracker_percentiles_and_snapshot():
     assert "faa/INV" in tracker.render()
 
 
+def test_tracker_keys_policy_members_by_their_label():
+    # The controller passes SyncPolicy members; reports use the labels.
+    tracker = LatencyTracker()
+    for policy in (SyncPolicy.INVD, "INVd", SyncPolicy.INVD):
+        b = TxnBreakdown(0)
+        b.credit("memory", 10)
+        tracker.note("sync_cas", policy, b)
+    assert tracker.keys() == [("sync_cas", "INVd")]
+    assert tracker.get("sync_cas", "INVd").count == 3
+    assert list(tracker.snapshot()) == ["sync_cas/INVd"]
+
+
 def _txn_durations(recorder):
     """(node-ordered) durations of remote transactions from the event log."""
     pending = {}
