@@ -37,8 +37,8 @@ lookahead utilization, per-shard busy/blocked wall, traffic matrix,
 queue depths) into :attr:`ShardOutcome.shard`, and emits one
 ``shard.progress`` record per window on the optional ``telemetry``
 writer / ``events`` bus.  With ``obs=None`` the workers attach nothing:
-the simulators stay in their fast dispatch loop and results/metrics are
-bit-identical to an unobserved run.
+no timing shim, no heartbeat, and results/metrics are bit-identical to
+an unobserved run.
 """
 
 from __future__ import annotations

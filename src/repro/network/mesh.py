@@ -19,10 +19,8 @@ Delivery invokes a handler registered per (node, unit).
 Observability: every delivered message increments the ``net.*`` counters
 in the machine's :class:`~repro.obs.registry.MetricsRegistry`, and —
 when anyone is listening — emits ``msg.send``/``msg.deliver`` events on
-the machine's :class:`~repro.obs.events.EventBus`.  The legacy
-single-slot ``observer`` attribute is kept for backward compatibility;
-new code should subscribe to the bus instead (see
-:class:`repro.debug.trace.ProtocolTracer`).
+the machine's :class:`~repro.obs.events.EventBus` (record them with an
+:class:`~repro.obs.events.EventRecorder`).
 """
 
 from __future__ import annotations
@@ -156,8 +154,6 @@ class WormholeMesh:
         self._exit_free = [0] * machine.n_nodes
         self.stats = NetworkStats(registry)
         self.events = events if events is not None else EventBus()
-        # Legacy single-slot observer(msg, send_time, deliver_time) hook.
-        self.observer: Callable[[Message, int, int], None] | None = None
         # Fault-injection plane; the machine installs its injector here.
         # None keeps the fault-free fast path (docs/robustness.md).
         self.faults = None
@@ -195,9 +191,7 @@ class WormholeMesh:
         return self._flits_by_type[msg.mtype]
 
     def _observe(self, msg: Message, sent: int, delivered: int) -> None:
-        """Feed the legacy observer and the event bus (no sim effects)."""
-        if self.observer is not None:
-            self.observer(msg, sent, delivered)
+        """Emit the message's send/deliver events (no sim effects)."""
         bus = self.events
         if bus.active:
             fields = dict(
@@ -287,7 +281,7 @@ class WormholeMesh:
             breakdown = getattr(txn, "breakdown", None)
             if breakdown is not None:
                 breakdown.credit("network", done)
-        if self.observer is not None or self.events.active:
+        if self.events.active:
             self._observe(msg, now, done)
         sim.schedule(done - now, handler, msg)
         if (self.faults is not None and src != dst

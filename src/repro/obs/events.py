@@ -1,8 +1,7 @@
 """The structured event bus.
 
 A :class:`EventBus` hangs off the machine (``machine.events``) and fans
-simulation events out to any number of subscribers — the generalization
-of the old single-slot ``mesh.observer`` hook.  Components emit:
+simulation events out to any number of subscribers.  Components emit:
 
 ==========================  ===========================================
 kind                        meaning

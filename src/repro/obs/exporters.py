@@ -2,8 +2,8 @@
 
 Three output shapes for one list of :class:`~repro.obs.events.Event`:
 
-* :func:`render_timeline` — the human-readable text timeline (what
-  ``ProtocolTracer.render`` has always printed);
+* :func:`render_timeline` — the human-readable text timeline, one
+  line per event;
 * :func:`to_jsonl` — one JSON object per event, for ad-hoc tooling
   (``jq``, pandas);
 * :func:`to_chrome_trace` — the Chrome trace-event format: open

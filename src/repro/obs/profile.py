@@ -2,20 +2,21 @@
 
 The span/critical-path layer explains where *simulated* cycles go;
 this module explains where *host* (wall-clock) time goes while
-producing them.  A :class:`ComponentProfiler` is fed by the engine's
-observed dispatch loop (:meth:`repro.sim.engine.Simulator.run` switches
-to it whenever a profiler is attached): every executed event is timed
-with ``time.perf_counter_ns`` and attributed to a
+producing them.  A :class:`ComponentProfiler` is fed by a timing shim
+that a :class:`~repro.sim.engine.Simulator` built with a profiler
+attached wraps around every callback it schedules: every executed event
+is timed with ``time.perf_counter_ns`` and attributed to a
 ``(component, handler)`` pair derived from the callback itself —
 ``CacheController._accept``, ``MemoryModule._finish``, ``Processor
 ._resume``, ... — via a handler table built lazily per distinct
 function (no ``sys.setprofile``, no sampling).
 
 Accounting is exhaustive by construction: the profiler also measures
-the dispatch loop's own wall time, and everything not attributed to a
-handler is the engine's ``dispatch`` share (queue scans, heap pops,
-bookkeeping).  ``attributed_ns + dispatch_ns == total_ns`` exactly, so
-self-time shares always reconcile with the measured total.
+the wall time of each ``run()`` call, and everything not attributed to
+a handler is the engine's ``dispatch`` share (queue scans, heap pops,
+the shim itself, bookkeeping).  ``attributed_ns + dispatch_ns ==
+total_ns`` exactly, so self-time shares always reconcile with the
+measured total.
 
 Attachment is by session so whole experiments can be profiled without
 threading a profiler through every constructor: inside a
@@ -30,10 +31,11 @@ session's profiler.
     print(prof.render())
     print(prof.collapsed())      # flamegraph.pl-compatible
 
-With no session active and no profiler attached the engine runs its
-unmodified fast loop — the disabled mode costs one attribute check per
-``run()`` call, gated (with the telemetry hook) at ≤2% wall overhead
-by ``tests/obs/test_profile.py``.
+With no session active no shim is installed and the engine's one
+event loop runs the callbacks directly — the disabled mode costs a few
+``is None`` tests per ``run()`` call and nothing per event, gated (with
+the telemetry hook) at ≤2% wall overhead by
+``tests/obs/test_profile.py``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def handler_tag(fn: Callable) -> tuple[str, str]:
 class ComponentProfiler:
     """Aggregates per-``(component, handler)`` wall time and call counts.
 
-    Fed by the engine's observed loop via :meth:`record`; one profiler
+    Fed by the engine's timing shim via :meth:`record`; one profiler
     may be shared by any number of simulators (an experiment that builds
     a machine per sweep point aggregates them all).  Not thread-safe —
     profiling is an in-process, serial activity by design.
@@ -83,11 +85,11 @@ class ComponentProfiler:
     def __init__(self) -> None:
         #: (component, handler) -> [calls, ns]
         self.kinds: dict[tuple[str, str], list[int]] = {}
-        #: wall ns spent inside observed ``run()`` loops (incl. dispatch)
+        #: wall ns spent inside profiled ``run()`` calls (incl. dispatch)
         self.total_ns: int = 0
         #: events executed under observation
         self.events: int = 0
-        #: observed ``run()`` invocations
+        #: profiled ``run()`` invocations
         self.runs: int = 0
         # Handler table: underlying function object -> tag.  Keyed on
         # ``__func__`` so rebound methods of one class share an entry.
@@ -108,7 +110,7 @@ class ComponentProfiler:
         cell[1] += ns
 
     def finish_run(self, total_ns: int, events: int) -> None:
-        """Close one observed ``run()``: fold in its loop wall time."""
+        """Close one profiled ``run()``: fold in its wall time."""
         self.total_ns += total_ns
         self.events += events
         self.runs += 1

@@ -38,8 +38,8 @@ blocked wall per shard, cross-region traffic matrix, queue depths) in
 :func:`repro.harness.shardrun.run_shard` — see docs/observability.md.
 
 Everything here is inert unless explicitly enabled: no subscription, no
-``span_log`` hook, no heartbeat, and the engine never leaves its fast
-dispatch loop.
+``span_log`` hook, no heartbeat, and no profiler timing shim on the
+workers' simulators.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ carrying:
 Determinism discipline, mirroring the spans layer: heartbeats never
 schedule simulator events, never touch the metrics registry, and write
 only to the telemetry stream — results stay bit-identical with
-telemetry on or off, and the off path costs nothing (the engine's fast
-loop is only left when a heartbeat or profiler is attached; gated at
-≤2% by ``tests/obs/test_profile.py``).
+telemetry on or off, and the off path costs nothing (the engine fires
+beats between the chunks its event loop runs in, so with no heartbeat
+attached a ``run()`` is one chunk; gated at ≤2% by
+``tests/obs/test_profile.py``).
 
 Attachment mirrors :func:`repro.obs.profile.profiled`: inside a
 :func:`telemetry_session` block every machine built wires a heartbeat
@@ -108,7 +109,7 @@ class Heartbeat:
     Hooks :meth:`repro.sim.engine.Simulator.set_heartbeat`; each beat
     emits a ``run.progress`` event on the machine's bus and, when a
     ``writer`` is given, one JSONL record.  Detach with :meth:`detach`
-    (idempotent) to return the simulator to its fast loop.
+    (idempotent) to stop the beats.
     """
 
     def __init__(

@@ -32,6 +32,15 @@ differs between a whole-machine run and a per-region run; priority
 events are the hook the sharded mesh uses to arbitrate boundary-crossing
 arrivals in an order that does not.  The default path never calls it and
 is unaffected.
+
+One loop, :meth:`Simulator._drain`, executes every event, and
+:meth:`Simulator.run` calls it in chunks.  A chunk ends early only where
+the ``max_events`` livelock check or the next telemetry heartbeat falls
+due; both are handled between chunks.  A host-time profiler
+(:mod:`repro.obs.profile`) never touches the loop either: a simulator
+built while one is attached wraps each callback it schedules in a timing
+shim.  Observed and unobserved runs therefore execute the same events in
+the same order through the same code.
 """
 
 from __future__ import annotations
@@ -80,13 +89,16 @@ class Simulator:
         self._running: bool = False
         self.registry = registry if registry is not None else MetricsRegistry()
         self._events_processed = self.registry.counter("sim.events_processed")
-        # Host-observability hooks.  When either is attached, run()
-        # dispatches to _run_observed(); the fast loop stays untouched,
-        # so the disabled path's only cost is one check per run() call.
+        # Host-observability hooks, both outside the event loop: a
+        # profiler times callbacks through a shim installed here, and
+        # run() fires the heartbeat between drain chunks.
         self._profiler = active_profiler()
+        if self._profiler is not None:
+            self._time_callbacks(self._profiler.record)
         self._hb_every: int = 0
         self._hb_fire: Optional[Callable[[int, int, int], None]] = None
-        self._hb_countdown: int = 0
+        # Value of the event counter at which the next beat fires.
+        self._hb_due: int = 0
 
     @property
     def events_processed(self) -> int:
@@ -149,7 +161,7 @@ class Simulator:
 
         While the simulator is running, ``delay`` must be at least 1:
         a same-cycle priority event would have to cut into the bucket
-        currently being drained, which the fast loop does not support.
+        currently being drained, which the event loop does not support.
         """
         if delay < 1 and (self._running or delay < 0):
             raise SimulationError(
@@ -200,7 +212,7 @@ class Simulator:
 
         The cadence is counted in *events*, not wall time, so enabling a
         heartbeat never perturbs event ordering — the callback observes
-        the simulation, it must not schedule into it.  The countdown
+        the simulation, it must not schedule into it.  The count
         persists across :meth:`run` calls, so a machine that runs in
         many short turns still beats at the configured period.
         """
@@ -210,13 +222,38 @@ class Simulator:
             )
         self._hb_every = every
         self._hb_fire = fire
-        self._hb_countdown = every
+        self._hb_due = self._events_processed.value + every
 
     def clear_heartbeat(self) -> None:
         """Detach the heartbeat (idempotent)."""
         self._hb_every = 0
         self._hb_fire = None
-        self._hb_countdown = 0
+        self._hb_due = 0
+
+    def _time_callbacks(self, record: Callable[[Callable, int], None]) -> None:
+        """Wrap every callback this simulator schedules in a timing shim.
+
+        The shim reports each callback's wall time to ``record``.  It is
+        installed once, as instance attributes shadowing :meth:`schedule`,
+        :meth:`at` and :meth:`schedule_priority`, so the dispatch loop
+        runs timed and untimed callbacks alike and never tests for a
+        profiler.
+        """
+        clock = perf_counter_ns
+
+        def timed(fn: Callable[..., None], *args: Any) -> None:
+            t0 = clock()
+            fn(*args)
+            record(fn, clock() - t0)
+
+        def shim(method: Callable[..., None]) -> Callable[..., None]:
+            def scheduler(when: int, fn: Callable[..., None], *args: Any) -> None:
+                method(self, when, timed, fn, *args)
+            return scheduler
+
+        cls = type(self)
+        for name in ("schedule", "at", "schedule_priority"):
+            setattr(self, name, shim(getattr(cls, name)))
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
@@ -231,17 +268,58 @@ class Simulator:
 
         Returns:
             The simulation time when the run stopped.
+
+        Events execute through :meth:`_drain` in chunks that end where
+        the livelock check or the next heartbeat falls due; a beat due
+        on the event that trips the livelock check is not fired.
         """
-        if self._profiler is not None or self._hb_fire is not None:
-            return self._run_observed(until, max_events)
+        counter = self._events_processed
+        first = counter.value
+        # Cumulative event counts at which a chunk must end.
+        trip = sys.maxsize if max_events is None else first + max_events + 1
+        fire = self._hb_fire
+        every = self._hb_every
+        due = self._hb_due if fire is not None else sys.maxsize
+        profiler = self._profiler
+        if profiler is not None:
+            run_t0 = perf_counter_ns()
         self._running = True
+        try:
+            while True:
+                end = due if due < trip else trip
+                budget = end - counter.value
+                if self._drain(until, budget) < budget:
+                    break
+                if end == trip:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely livelock"
+                    )
+                due = end + every
+                fire(self._now, end, self._near + len(self._queue))
+        finally:
+            self._running = False
+            if fire is not None:
+                # Skip a beat the livelock check pre-empted, so the next
+                # run's first chunk is never empty.
+                self._hb_due = due if due > counter.value else due + every
+            if profiler is not None:
+                profiler.finish_run(perf_counter_ns() - run_t0,
+                                    counter.value - first)
+        return self._now
+
+    def _drain(self, until: Optional[int], budget: int) -> int:
+        """Execute up to ``budget`` (>= 1) events; return how many ran.
+
+        Fewer than ``budget`` run only when the queue empties or its
+        next event lies after ``until``; the clock then advances to
+        ``until``.  This is the engine's one event loop.
+        """
         executed = 0
         # Hot-loop locals: every per-event attribute lookup hoisted once.
         heap = self._queue
         buckets = self._buckets
         heappop = heapq.heappop
         stop = sys.maxsize if until is None else until
-        limit = sys.maxsize if max_events is None else max_events
         now = self._now
         cursor = self._cursor
         if cursor < now:
@@ -275,11 +353,8 @@ class Simulator:
                             cursor = now
                             entry[2](*entry[3])
                             executed += 1
-                            if executed > limit:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events}; "
-                                    f"likely livelock"
-                                )
+                            if executed == budget:
+                                return executed
                             continue
                     if time > stop:
                         if stop > now:
@@ -293,6 +368,8 @@ class Simulator:
                     # a heap entry may tie this timestamp (seq decides;
                     # no new heap entry can gain this timestamp, since a
                     # same-cycle schedule always lands in the bucket).
+                    # A chunk may end mid-bucket; the next one resumes
+                    # at the first unexecuted entry.
                     i = 0
                     try:
                         if heap and heap[0][0] == time:
@@ -306,31 +383,22 @@ class Simulator:
                                     i += 1
                                     entry[2](*entry[3])
                                 executed += 1
-                                if executed > limit:
-                                    raise SimulationError(
-                                        f"exceeded max_events={max_events}; "
-                                        f"likely livelock"
-                                    )
+                                if executed == budget:
+                                    return executed
                             while heap and heap[0][0] == time:
                                 far = heappop(heap)
                                 far[2](*far[3])
                                 executed += 1
-                                if executed > limit:
-                                    raise SimulationError(
-                                        f"exceeded max_events={max_events}; "
-                                        f"likely livelock"
-                                    )
+                                if executed == budget:
+                                    return executed
                         else:
                             while i < len(bucket):
                                 entry = bucket[i]
                                 i += 1
                                 entry[2](*entry[3])
                                 executed += 1
-                                if executed > limit:
-                                    raise SimulationError(
-                                        f"exceeded max_events={max_events}; "
-                                        f"likely livelock"
-                                    )
+                                if executed == budget:
+                                    return executed
                     finally:
                         self._near -= i
                         del bucket[:i]
@@ -345,123 +413,24 @@ class Simulator:
                     cursor = now  # all buckets empty; restart scan here
                     entry[2](*entry[3])
                     executed += 1
-                    if executed > limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
+                    if executed == budget:
+                        return executed
                 else:
                     if until is not None and now < until:
                         now = until
                     break
         finally:
-            self._running = False
             self._now = now
-            # Events scheduled between runs may land behind any scan
+            # Events scheduled between chunks may land behind any scan
             # progress past `now`, so the cursor resumes from `now`
             # (rescanning a few empty buckets is cheap; missing a
             # bucket is not).
             self._cursor = now
-            # Deferred flush: exact at run end (and on any exception)
+            # Deferred flush: exact at chunk end (and on any exception)
             # without a per-event counter call.
             if executed:
                 self._events_processed.inc(executed)
-        return now
-
-    def _run_observed(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
-        """The instrumented twin of :meth:`run`'s hot loop.
-
-        Executes events in exactly the same (time, seq) order as the
-        fast loop — each iteration picks the global minimum of the
-        calendar scan head and the heap top — but goes one event at a
-        time through a single dispatch point so each callback can be
-        timed (profiler) and counted (heartbeat).  Slower per event than
-        the fast loop's bucket drains; that cost exists only while a
-        profiler or heartbeat is attached.
-        """
-        self._running = True
-        executed = 0
-        heap = self._queue
-        buckets = self._buckets
-        heappop = heapq.heappop
-        clock = perf_counter_ns
-        profiler = self._profiler
-        record = profiler.record if profiler is not None else None
-        hb_fire = self._hb_fire
-        hb_every = self._hb_every
-        hb_left = self._hb_countdown
-        base_events = self._events_processed.value
-        stop = sys.maxsize if until is None else until
-        limit = sys.maxsize if max_events is None else max_events
-        now = self._now
-        cursor = self._cursor
-        if cursor < now:
-            cursor = now
-        run_t0 = clock()
-        try:
-            while True:
-                entry = None
-                bucket = None
-                if self._near:
-                    bucket = buckets[cursor & 255]
-                    while not bucket:
-                        cursor += 1
-                        bucket = buckets[cursor & 255]
-                    # One-timestamp-per-bucket invariant: bucket[0] is
-                    # the earliest near event (FIFO within the cycle).
-                    entry = bucket[0]
-                if heap:
-                    head = heap[0]
-                    if entry is None or (head[0], head[1]) < (entry[0], entry[1]):
-                        entry = head
-                        bucket = None
-                if entry is None:
-                    if until is not None and now < until:
-                        now = until
-                    break
-                time = entry[0]
-                if time > stop:
-                    if stop > now:
-                        now = stop
-                    break
-                if bucket is not None:
-                    del bucket[0]
-                    self._near -= 1
-                else:
-                    heappop(heap)
-                self._now = now = time
-                # The callback may schedule near events behind any scan
-                # progress past `now`; rescan from `now` next iteration.
-                cursor = now
-                fn = entry[2]
-                if record is not None:
-                    t0 = clock()
-                    fn(*entry[3])
-                    record(fn, clock() - t0)
-                else:
-                    fn(*entry[3])
-                executed += 1
-                if executed > limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely livelock"
-                    )
-                if hb_fire is not None:
-                    hb_left -= 1
-                    if hb_left <= 0:
-                        hb_left = hb_every
-                        hb_fire(now, base_events + executed,
-                                self._near + len(heap))
-        finally:
-            self._running = False
-            self._now = now
-            self._cursor = now
-            self._hb_countdown = hb_left
-            if executed:
-                self._events_processed.inc(executed)
-            if profiler is not None:
-                profiler.finish_run(clock() - run_t0, executed)
-        return now
+        return executed
 
     def pending(self) -> int:
         """Number of events currently queued."""

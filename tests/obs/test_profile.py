@@ -3,8 +3,9 @@
 The observability contract has two sides:
 
 * **Disabled** (no ``profiled()`` session, no heartbeat): the engine
-  must run its unmodified fast loop — results bit-identical, never
-  entering the observed loop, wall overhead inside the ≤2% gate.
+  must run its event loop unobserved — results bit-identical, no timing
+  shim on the callbacks, one drain chunk per ``run()``, wall overhead
+  inside the ≤2% gate.
 * **Enabled**: every executed event attributed to a ``(component,
   handler)`` pair, with ``attributed_ns + dispatch_ns == total_ns``
   exactly and the total reconciling with externally measured wall
@@ -130,42 +131,55 @@ def test_machine_handlers_attributed_to_components():
 # -------------------------------------------------------------- disabled
 
 def test_disabled_run_never_enters_observed_loop(monkeypatch):
-    """With no session and no heartbeat, ``run()`` must take the fast
-    loop — the structural guarantee behind the ≤2% gate."""
+    """With no session and no heartbeat nothing observes the event loop:
+    no timing shim wraps the callbacks and the profiler is never fed —
+    the structural guarantee behind the ≤2% gate."""
     assert active_profiler() is None
 
-    def boom(self, until=None, max_events=None):
-        raise AssertionError("observed loop entered while disabled")
+    def boom(*args):
+        raise AssertionError("observation hook used while disabled")
 
-    monkeypatch.setattr(Simulator, "_run_observed", boom)
+    monkeypatch.setattr(ComponentProfiler, "record", boom)
+    monkeypatch.setattr(Simulator, "_time_callbacks", boom)
+    sim = Simulator()
+    for name in ("schedule", "at", "schedule_priority"):
+        assert getattr(sim, name).__func__ is getattr(Simulator, name)
     proxies = _churn()
     assert proxies["events"] > 0
 
 
 def test_cleared_heartbeat_restores_fast_loop(monkeypatch):
-    """``clear_heartbeat`` must fully disarm the observed-loop switch."""
+    """``clear_heartbeat`` must fully disarm the heartbeat: no beat
+    fires, and ``run()`` drains the queue in a single chunk."""
     sim = Simulator()
-    sim.set_heartbeat(1000, lambda now, events, depth: None)
+    beats = []
+    sim.set_heartbeat(1, lambda now, events, depth: beats.append(events))
     sim.clear_heartbeat()
+    chunks = []
+    drain = Simulator._drain
 
-    def boom(self, until=None, max_events=None):
-        raise AssertionError("observed loop entered after clear_heartbeat")
+    def counted(self, until, budget):
+        chunks.append(budget)
+        return drain(self, until, budget)
 
-    monkeypatch.setattr(Simulator, "_run_observed", boom)
+    monkeypatch.setattr(Simulator, "_drain", counted)
     done = []
-    sim.schedule(1, done.append, 1)
+    for i in range(5):
+        sim.schedule(i, done.append, i)
     sim.run()
-    assert done == [1]
+    assert done == [0, 1, 2, 3, 4]
+    assert beats == []
+    assert len(chunks) == 1
 
 
 def test_disabled_overhead_within_two_percent():
     """The ≤2% wall-clock gate for the disabled path on event_churn.
 
-    Baseline and gated runs are identical *today* (both take the fast
-    loop); the gate exists so a future change that routes disabled runs
-    through the observed loop — e.g. a ``clear_heartbeat`` that leaves
-    the switch armed, or observability checks moved inside the hot loop
-    — fails loudly.  Interleaved best-of-N with retries, mirroring
+    Baseline and gated runs are identical *today* (neither is
+    observed); the gate exists so a future change that observes
+    disabled runs — e.g. a ``clear_heartbeat`` that leaves the
+    heartbeat armed, or observability checks moved inside the event
+    loop — fails loudly.  Interleaved best-of-N with retries, mirroring
     tests/obs/test_overhead.py.
     """
     def timed_disabled():

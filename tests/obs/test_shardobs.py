@@ -9,8 +9,8 @@ The contract under test (docs/observability.md, "Sharded runs"):
 * observability ships over the forked ``process`` backend and never
   masks a worker crash;
 * with observability off, the workers are provably unobserved: results
-  are bit-identical, the observed dispatch loop is never entered, and
-  the disabled path stays within the 2% overhead gate.
+  are bit-identical, no timing shim or heartbeat is installed, and the
+  disabled path stays within the 2% overhead gate.
 """
 
 import json
@@ -25,6 +25,7 @@ from repro.errors import SimulationError
 from repro.harness.shardrun import _ShardWorker, run_shard
 from repro.network.partition import make_plan
 from repro.obs.events import EVENT_KINDS, EventBus
+from repro.obs.profile import ComponentProfiler
 from repro.obs.shardobs import (
     ShardObsOptions,
     stitch_graphs,
@@ -267,14 +268,18 @@ def test_disabled_obs_outputs_bit_identical_to_unobserved():
 
 
 def test_disabled_obs_never_enters_observed_dispatch_loop(monkeypatch):
-    def boom(self, until=None, max_events=None):
-        raise AssertionError("observed loop entered without obs")
+    """Workers without obs install no timing shim and no heartbeat, and
+    never feed a profiler."""
+    def boom(*args, **kwargs):
+        raise AssertionError("worker observed without obs")
 
-    monkeypatch.setattr(Simulator, "_run_observed", boom)
+    monkeypatch.setattr(Simulator, "_time_callbacks", boom)
+    monkeypatch.setattr(Simulator, "set_heartbeat", boom)
+    monkeypatch.setattr(ComponentProfiler, "record", boom)
     outcome = run_shard(CONFIG_16, shards=2, turns=2)
     assert outcome.results["match"]
-    # Span collection subscribes to the bus but must not leave the
-    # fast dispatch loop either: emission sites are bus-guarded.
+    # Span collection subscribes to the bus but must not observe the
+    # event loop either: emission sites are bus-guarded.
     outcome = run_shard(CONFIG_16, shards=2, turns=2, obs=SPANS)
     assert outcome.results["match"]
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro import SyncPolicy
 from repro.errors import SimulationError
+from repro.obs.profile import profiled
 from repro.obs.telemetry import (
     DEFAULT_EVERY,
     Heartbeat,
@@ -131,6 +132,38 @@ def test_heartbeat_beats_are_deterministic_and_nonperturbing():
     assert on_b == plain
     assert beats_a == beats_b       # beat sequence is deterministic
     assert beats_a, "workload too small to beat"
+
+
+#: Golden (now, events, queue_depth) of every beat of a 16-node contended
+#: INV fetch_add counter (one increment per node) at ``set_heartbeat(7)``:
+#: an engine change that moves, adds or drops a beat changes this list.
+COUNTER_16_BEATS = [
+    (0, 7, 16), (0, 14, 16), (6, 21, 16), (13, 28, 16), (28, 35, 15),
+    (122, 42, 11), (262, 49, 4), (362, 56, 14), (462, 63, 9), (602, 70, 2),
+    (676, 77, 13), (802, 84, 6), (935, 91, 13), (1002, 98, 9),
+    (1142, 105, 2), (1220, 112, 11), (1342, 119, 4), (1442, 126, 10),
+    (1542, 133, 5), (1659, 140, 9), (1742, 147, 5), (1861, 154, 8),
+    (1942, 161, 4), (2042, 168, 7), (2142, 175, 2), (2220, 182, 6),
+    (2337, 189, 6), (2402, 196, 2), (2482, 203, 3), (2563, 210, 3),
+    (2641, 217, 2), (2704, 224, 2),
+]
+
+
+@pytest.mark.parametrize("profile", [False, True], ids=["plain", "profiled"])
+def test_heartbeat_sequence_matches_recorded_beats(profile):
+    def drive():
+        m = make_machine(16)
+        beats = []
+        m.sim.set_heartbeat(7, lambda *beat: beats.append(beat))
+        return _contended_counter(m, turns=1), beats
+
+    if profile:
+        with profiled():
+            outcome, beats = drive()
+    else:
+        outcome, beats = drive()
+    assert beats == COUNTER_16_BEATS
+    assert outcome[2:] == (230, 16)       # events executed, final count
 
 
 def test_detach_restores_fast_loop():

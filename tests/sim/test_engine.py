@@ -226,3 +226,61 @@ def test_next_event_time_probe():
     assert sim.next_event_time() == 300
     sim.run()
     assert sim.next_event_time() is None
+
+
+# --------------------------------------------------- heartbeat chunking
+
+def _churn(sim, log, events=400):
+    """Self-rescheduling chains mixing same-cycle, near and far (heap)
+    delays, so chunk boundaries fall mid-bucket and next to heap-first
+    events."""
+    left = [events]
+    delays = (0, 1, 3, 300, 2, 0, 511, 5)
+
+    def tick(chain):
+        log.append((sim.now, chain))
+        if left[0]:
+            left[0] -= 1
+            sim.schedule(delays[left[0] & 7], tick, chain)
+
+    for chain in range(6):
+        sim.schedule(chain & 1, tick, chain)
+
+
+def test_heartbeat_due_on_livelock_event_is_not_fired():
+    # every=4, max_events=11: the beat due on event 12 is the event that
+    # trips the livelock check, so only the earlier beats fire.
+    sim = Simulator()
+    beats = []
+    sim.set_heartbeat(4, lambda now, events, depth: beats.append(events))
+
+    def forever():
+        sim.schedule(1, forever)
+
+    sim.schedule(0, forever)
+    with pytest.raises(SimulationError, match="max_events=11"):
+        sim.run(max_events=11)
+    assert beats == [4, 8]
+    assert sim.events_processed == 12
+
+
+def test_windowed_runs_beat_on_same_events_as_one_run():
+    # Shard workers step their simulator with run(until=...) windows;
+    # the heartbeat count carries across the calls, so beats land on
+    # the same events, with the same (now, events, depth), as one run.
+    def drive(window):
+        sim = Simulator()
+        log, beats = [], []
+        sim.set_heartbeat(7, lambda *beat: beats.append(beat))
+        _churn(sim, log)
+        if window is None:
+            sim.run()
+        else:
+            while sim.pending():
+                sim.run(until=sim.now + window)
+        return log, beats, sim.events_processed
+
+    whole = drive(None)
+    assert len(whole[1]) == whole[2] // 7
+    for window in (1, 16, 300):
+        assert drive(window) == whole
