@@ -17,7 +17,7 @@ a schema-stable JSON document (envelope ``repro.run/1``; see
 :mod:`repro.obs.schema` and ``docs/observability.md``).
 
 Experiment sweeps run through the parallel executor
-(:mod:`repro.harness.parallel`): ``--jobs N`` shards their independent
+(:mod:`repro.harness.parallel`): ``--jobs N`` spreads their independent
 simulation points over ``N`` worker processes (results are byte-identical
 at any job count), and a content-addressed result cache under
 ``$REPRO_CACHE_DIR`` / ``~/.cache/repro`` (or ``--cache-dir``) makes
@@ -73,17 +73,9 @@ Host-level self-observability (see :mod:`repro.obs.profile`,
 force ``--jobs 1`` and disable the result cache for that invocation
 (a cache hit or pool worker would silently escape instrumentation).
 
-``repro shard`` wires its own observability because the simulation runs
-in region workers (see :mod:`repro.obs.shardobs`): ``--spans`` stitches
-per-region span records into the shard-count-invariant cross-shard
-critical path (the envelope's ``critpath`` section, byte-identical at
-any shard count), ``--profile``/``--telemetry`` profile and heartbeat
-*inside* each worker — over either backend — and merge at the
-coordinator, and ``--progress`` prints one ``shard.progress`` line per
-conservative window.  ``repro trend BENCH_trend.jsonl`` summarizes the
-nightly benchmark history: per-kernel wall/throughput deltas against
-the trailing median, with regression flags (``--strict`` turns flags
-into exit 1).
+``repro trend BENCH_trend.jsonl`` summarizes the nightly benchmark
+history: per-kernel wall/throughput deltas against the trailing median,
+with regression flags (``--strict`` turns flags into exit 1).
 
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
@@ -94,8 +86,7 @@ Verdicts land in the envelope's ``faults`` section; the envelope
 carries no host-dependent data, so ``repro chaos --seed S`` is
 byte-reproducible.  ``repro stats chaos`` / ``repro trace chaos``
 instrument one representative faulted run (the ``fault.inject`` events
-and ``faults.*`` counters).  ``repro shard`` exposes the self-healing
-knobs (``--retries``, ``--window-timeout``) of the process backend.
+and ``faults.*`` counters).
 
 Finally, ``repro report RUN.json [-o report.html]`` renders any
 ``repro.run/1`` document — from ``--json`` or a benchmark — into a
@@ -132,7 +123,6 @@ from .harness.htmlreport import load_payload, write_report
 from .harness.instrumented import INSTRUMENTED_EXPERIMENTS, run_instrumented
 from .harness.parallel import ResultCache, attach_progress_writer
 from .harness.report import render_histogram, render_table
-from .harness.shardwork import SHARD_WORKLOADS
 from .harness.table1 import TABLE1_EXPECTED, run_table1
 from .obs.events import EventBus
 from .obs.exporters import export_events, to_jsonl
@@ -316,48 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="kernels", metavar="NAME",
                       help="run only this kernel (repeatable; default all)")
     _add_common(perf, top_level=False)
-    shard = sub.add_parser(
-        "shard",
-        help="run one machine split across worker processes "
-             "(conservative time windows; bit-identical at any shard "
-             "count)",
-    )
-    shard.add_argument("--workload", default="golden_contention",
-                       choices=sorted(SHARD_WORKLOADS),
-                       help="shard-safe workload "
-                            "(default golden_contention)")
-    shard.add_argument("--shards", type=int, default=1,
-                       help="contiguous mesh regions / workers "
-                            "(default 1)")
-    shard.add_argument("--backend", choices=("inline", "process"),
-                       default="process",
-                       help="step regions in-process or one forked "
-                            "worker each (default process)")
-    shard.add_argument("--window", type=int, default=None,
-                       help="widen the sync window beyond the safe "
-                            "lookahead (only sound for region-local "
-                            "workloads; violations raise, never "
-                            "corrupt)")
-    shard.add_argument("--spans", action="store_true",
-                       help="collect per-region span records and stitch "
-                            "the cross-shard critical path (lands in the "
-                            "envelope's critpath section; identical at "
-                            "any shard count)")
-    shard.add_argument("--retries", type=int, default=1,
-                       help="retries after a worker crash or hang; the "
-                            "run is deterministic, so a retried run is "
-                            "identical to an unperturbed one (default 1)")
-    shard.add_argument("--retry-backoff", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="base of the capped exponential retry "
-                            "backoff (default 0.25)")
-    shard.add_argument("--window-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock watchdog per coordinator window "
-                            "(process backend): overdue workers are "
-                            "classified hang vs crash via heartbeats "
-                            "and the run is retried (default off)")
-    _add_common(shard, top_level=False)
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection verification: sweep seeds x intensity x "
@@ -716,136 +664,6 @@ def _cmd_perf(args, out) -> int:
     return 0
 
 
-def _attach_shard_progress(bus: EventBus, fmt: str) -> None:
-    """Print one stderr line per completed conservative window."""
-    from .obs.telemetry import telemetry_line
-
-    def on_window(event) -> None:
-        data = event.data
-        if fmt == "jsonl":
-            print(telemetry_line({"record": "shard.progress", **data}),
-                  file=sys.stderr)
-        else:
-            rates = "/".join(f"{rate:,.0f}"
-                             for rate in data.get("events_per_second", []))
-            print(f"shard: window {data['window']} bound={data['bound']} "
-                  f"events={sum(data.get('events', ())):,} "
-                  f"ev/s={rates} in-flight={data['in_flight']}",
-                  file=sys.stderr)
-
-    bus.subscribe(on_window, kinds=("shard.progress",))
-
-
-def _cmd_shard(args, out) -> int:
-    import time
-
-    from .harness.shardrun import run_shard
-    from .obs.profile import ComponentProfiler
-    from .obs.shardobs import ShardObsOptions
-    from .obs.telemetry import TelemetryWriter
-
-    # Shard observability runs *inside* the workers (either backend) and
-    # is merged by the coordinator, so this command wires its own
-    # sessions instead of main()'s in-process profiled()/telemetry
-    # wrappers — those would only see the coordinator.
-    obs = ShardObsOptions(
-        spans=args.spans,
-        profile=args.profile,
-        telemetry_every=(args.telemetry_every
-                         if args.telemetry is not None else 0),
-    )
-    bus = EventBus()
-    if args.progress:
-        _attach_shard_progress(bus, args.progress_format)
-    with contextlib.ExitStack() as stack:
-        writer = None
-        if args.telemetry is not None:
-            if str(args.telemetry) == "-":
-                writer = TelemetryWriter()
-            else:
-                sink = stack.enter_context(open(args.telemetry, "w"))
-                writer = TelemetryWriter(sink)
-        t0 = time.perf_counter()
-        outcome = run_shard(
-            _config(args),
-            workload=args.workload,
-            shards=args.shards,
-            turns=args.turns,
-            backend=args.backend,
-            window=args.window,
-            obs=obs,
-            telemetry=writer,
-            events=bus if bus.active else None,
-            retries=args.retries,
-            retry_backoff=args.retry_backoff,
-            window_timeout=args.window_timeout,
-        )
-        wall = time.perf_counter() - t0
-    results = outcome.results
-    info = outcome.info
-    shard_section = outcome.shard or {}
-    sync = shard_section.get("sync") or {}
-    events = results["events"]
-    lines = [
-        f"shard — {args.workload}: {args.nodes} nodes, "
-        f"{info['shards']} region(s), {args.backend} backend",
-        f"counters match: {results['match']}  "
-        f"end_time: {results['end_time']} cycles  "
-        f"events: {events:,}",
-        f"windows: {info['windows']}  lookahead: {info['lookahead']}  "
-        f"boundary messages: {info['boundary_messages']}",
-    ]
-    if info.get("attempts", 1) > 1:
-        lines.append(f"recovered after {info['attempts']} attempt(s) "
-                     f"(worker crash/hang retried)")
-    if wall > 0:
-        lines.append(f"wall: {wall:.3f}s  ({events / wall:,.0f} events/s)")
-    if sync:
-        shares = " ".join(f"{row['busy_share']:.0%}"
-                          for row in sync.get("per_shard", ()))
-        lines.append(
-            f"sync: lookahead utilization "
-            f"{sync['lookahead_utilization']:.2f}  "
-            f"busy share/shard: {shares}")
-    if outcome.critpath is not None:
-        stitch = shard_section.get("stitch") or {}
-        lines.append(
-            f"stitched: {outcome.critpath['txns']} txns, "
-            f"critical path {outcome.critpath['cycles']:,} cycles "
-            f"({stitch.get('records', 0):,} records, "
-            f"{stitch.get('orphans', 0)} orphans)")
-    text = "\n".join(lines)
-    out(text)
-    if args.profile and shard_section.get("profile"):
-        merged = ComponentProfiler()
-        merged.merge_snapshot(shard_section["profile"])
-        print(merged.render(top_n=12), file=sys.stderr)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "shard.txt").write_text(text + "\n")
-    if args.json is not None:
-        # Run shape and host timings go in the perf/shard sections,
-        # which determinism diffs strip; results/metrics — and the
-        # stitched critpath, when --spans — are bit-identical at any
-        # shard count.
-        payload = make_run_payload(
-            "shard",
-            params={"nodes": args.nodes, "turns": args.turns,
-                    "workload": args.workload, "shards": args.shards,
-                    **_machine_params(args)},
-            results=results,
-            metrics=outcome.metrics,
-            critpath=outcome.critpath,
-            perf={**info, "wall_seconds": round(wall, 6),
-                  "events_per_second":
-                      round(events / wall, 1) if wall > 0 else 0.0},
-            profile=shard_section.get("profile"),
-            shard=shard_section or None,
-        )
-        dump_run(payload, args.json)
-    return 0 if results["match"] else 1
-
-
 def _cmd_chaos(args, out) -> int:
     from .faults.chaos import render_chaos, run_chaos
     from .obs.registry import MetricsRegistry
@@ -983,7 +801,6 @@ _COMMANDS: dict[str, Callable] = {
     "ablation-dropcopy": _cmd_ablation_dropcopy,
     "ablation-directory": _cmd_ablation_directory,
     "perf": _cmd_perf,
-    "shard": _cmd_shard,
     "chaos": _cmd_chaos,
     "trend": _cmd_trend,
     "profile": _cmd_profile,
@@ -1016,11 +833,6 @@ def main(argv: Optional[Sequence[str]] = None,
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    if args.command == "shard":
-        # Sharded runs observe inside their workers (either backend);
-        # the in-process profiled()/telemetry sessions below would only
-        # see the coordinator, so the shard command wires its own.
-        return command(args, out)
     want_profile = bool(getattr(args, "profile", False))
     telemetry_out = getattr(args, "telemetry", None)
     if not want_profile and telemetry_out is None:

@@ -37,22 +37,12 @@ class DeadlockError(SimulationError):
     """The event queue drained while processors were still blocked."""
 
 
-class WorkerCrashError(SimulationError):
-    """A harness worker process died without reporting a result.
-
-    Raised by the sharded-run ``process`` backend (and wrapped by the
-    sweep executor) when a worker's pipe closes unexpectedly or its
-    process exits mid-window.  Deterministic simulations are safe to
-    retry after this; see ``docs/robustness.md``.
-    """
-
-
 class WorkerHangError(SimulationError):
-    """A harness worker exceeded its wall-clock watchdog while alive.
+    """A sweep worker exceeded its per-point wall-clock timeout.
 
-    Distinguished from :class:`WorkerCrashError` so callers can treat
-    hangs (kill, then maybe retry) differently from crashes (already
-    dead, retry immediately).
+    Raised by the sweep executor (:mod:`repro.harness.parallel`).  A
+    deterministic hang would hang again, so timed-out points are never
+    retried; see ``docs/robustness.md``.
     """
 
 

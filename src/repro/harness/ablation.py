@@ -7,7 +7,7 @@
   hurts, across write-run lengths and contention, under INV and UPD.
 
 Both sweeps run their independent points through
-:mod:`repro.harness.parallel`, so ``jobs`` shards them across worker
+:mod:`repro.harness.parallel`, so ``jobs`` spreads them across worker
 processes and ``cache`` memoizes them without changing the results.
 """
 

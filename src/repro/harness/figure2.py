@@ -7,7 +7,7 @@ write-run lengths quoted in §4.2.
 
 Each app/policy pair is an independent simulation, so the nine runs go
 through the parallel sweep executor (see
-:mod:`repro.harness.parallel`): ``jobs`` shards them across worker
+:mod:`repro.harness.parallel`): ``jobs`` spreads them across worker
 processes and ``cache`` memoizes them, with results identical to the
 serial path.
 """

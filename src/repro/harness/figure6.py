@@ -51,7 +51,7 @@ def run_figure6(
 
     Lock-application inputs default to machine-proportional sizes (see
     the application docstrings).  The variant × app points run through
-    the parallel sweep executor; ``jobs``/``cache`` shard and memoize
+    the parallel sweep executor; ``jobs``/``cache`` spread and memoize
     them without changing the results.
     """
     if variants is None:

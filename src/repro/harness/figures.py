@@ -103,7 +103,7 @@ def run_counter_figure(
     """Run one figure: every panel × every variant.
 
     Panel/variant points are independent simulations, so they go through
-    :func:`repro.harness.parallel.run_sweep` — ``jobs`` shards them over
+    :func:`repro.harness.parallel.run_sweep` — ``jobs`` spreads them over
     worker processes and ``cache`` memoizes them; results are identical
     for any ``jobs``.
     """

@@ -3,7 +3,7 @@
 ``repro report RUN.json -o report.html`` renders a single HTML file —
 inline CSS, inline SVG, zero external requests or third-party
 dependencies — that makes a finished run inspectable without
-re-simulating.  Four panels, always present (a panel whose data the
+re-simulating.  Six panels, always present (a panel whose data the
 envelope lacks renders an explanatory empty state instead of
 disappearing):
 
@@ -27,12 +27,7 @@ disappearing):
    the run: per-(component, handler) self-time bars plus the engine's
    dispatch residual, from the ``profile`` envelope section
    (``repro profile --json`` or any ``--profile`` run).
-6. **Sharded execution** — the conservative-window coordinator's sync
-   metrics from the ``shard`` envelope section (``repro shard --json``):
-   window counts and lookahead utilization, per-shard busy/blocked wall
-   split, the cross-region traffic matrix, and stitch/telemetry
-   summaries when ``--spans``/``--telemetry`` were on.
-7. **Chaos verification** — the seeded fault-injection matrix from the
+6. **Chaos verification** — the seeded fault-injection matrix from the
    ``faults`` envelope section (``repro chaos --json``): per-point
    checker verdicts (history, termination, conservation, golden
    agreement) and the injected-fault totals.
@@ -626,71 +621,7 @@ def _panel_profile(payload: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Panel 6 — sharded execution
-# ----------------------------------------------------------------------
-
-def _panel_shard(payload: Mapping[str, Any]) -> str:
-    shard = payload.get("shard")
-    if not isinstance(shard, dict) or not shard.get("sync"):
-        return ('<p class="empty">This envelope carries no sharded-run '
-                "data (run <code>repro shard --json</code>; add "
-                "<code>--spans</code>/<code>--profile</code>/"
-                "<code>--telemetry</code> for stitching, worker profiles "
-                "and heartbeats).</p>")
-    sync = shard["sync"]
-    note = (f'<p class="meta">{sync.get("shards")} region(s), '
-            f'<code>{_esc(sync.get("backend"))}</code> backend · '
-            f'{sync.get("windows"):,} window(s) of width '
-            f'{sync.get("window")} (lookahead {sync.get("lookahead")}, '
-            f'utilization {sync.get("lookahead_utilization")}) · '
-            f'{sync.get("boundary_messages"):,} boundary message(s) · '
-            f'coordinator wall {sync.get("wall_seconds")}s · '
-            f'max outbox {sync.get("max_outbox_depth")}, '
-            f'max arrival depth {sync.get("max_arrival_depth")}</p>')
-
-    per_shard = sync.get("per_shard", [])
-    bars = [(f"shard {row.get('shard')}",
-             float(row.get("busy_seconds", 0.0)) * 1e3)
-            for row in per_shard]
-    rows = [[row.get("shard"), row.get("nodes"), row.get("events"),
-             row.get("busy_seconds"), row.get("blocked_seconds"),
-             f"{100.0 * row.get('busy_share', 0.0):.1f}%"]
-            for row in per_shard]
-    split = ("<h3>per-shard wall split (busy ms)</h3>"
-             + _bar_chart(bars, slot=3, unit=" ms")
-             + _data_table(["shard", "nodes", "events", "busy s",
-                            "blocked s", "busy share"], rows))
-
-    traffic = sync.get("traffic_matrix", [])
-    matrix = ""
-    if len(traffic) > 1:
-        headers = ["src \\ dst"] + [f"to {j}" for j in range(len(traffic))]
-        matrix = ("<h3>cross-region traffic (boundary messages)</h3>"
-                  + _table(headers,
-                           [[f"from {i}"] + list(row)
-                            for i, row in enumerate(traffic)]))
-
-    extras = []
-    stitch = shard.get("stitch")
-    if isinstance(stitch, dict):
-        extras.append(
-            f'stitched {stitch.get("txns", 0):,} transaction(s) from '
-            f'{stitch.get("records", 0):,} span record(s) '
-            f'({stitch.get("orphans", 0)} orphan(s), '
-            f'{stitch.get("abandoned", 0)} abandoned) — the cross-shard '
-            "critical path feeds the waterfall panel above")
-    telemetry = shard.get("telemetry")
-    if isinstance(telemetry, dict):
-        extras.append(
-            f'{telemetry.get("beats", 0)} worker heartbeat(s) at one per '
-            f'{telemetry.get("every"):,} event(s) '
-            f'(per shard: {telemetry.get("per_shard")})')
-    extra = "".join(f'<p class="meta">{_esc(line)}</p>' for line in extras)
-    return note + split + matrix + extra
-
-
-# ----------------------------------------------------------------------
-# Panel 7 — chaos verification
+# Panel 6 — chaos verification
 # ----------------------------------------------------------------------
 
 def _panel_faults(payload: Mapping[str, Any]) -> str:
@@ -777,7 +708,6 @@ def render_report(payload: Mapping[str, Any],
          _panel_waterfalls(document)),
         ("Cache-line hotspots", _panel_hotspots(document)),
         ("Host-time profile", _panel_profile(document)),
-        ("Sharded execution", _panel_shard(document)),
         ("Chaos verification", _panel_faults(document)),
     ]
     sections = "".join(

@@ -18,7 +18,7 @@ This module turns that observation into infrastructure:
   simulator source invalidates every key at once.
 * :class:`SweepExecutor` / :func:`run_sweep` — execute a list of points
   either serially in-process (``jobs=1``, bit-identical to the historic
-  nested-loop drivers) or sharded across a
+  nested-loop drivers) or spread across a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Results always come
   back in input order, each worker's
   :class:`~repro.obs.registry.MetricsRegistry` snapshot is merged into

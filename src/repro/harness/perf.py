@@ -2,7 +2,7 @@
 
 The simulator is deterministic, so its *results* are regression-tested
 bit-for-bit elsewhere (``tools/check_bench_regression.py``); this module
-tracks how *fast* those results are produced.  It runs seven
+tracks how *fast* those results are produced.  It runs five
 fixed-workload kernels, each stressing one layer of the hot path:
 
 ``event_churn``
@@ -20,11 +20,6 @@ fixed-workload kernels, each stressing one layer of the hot path:
 ``table1_mini``
     A shrunk Table 1 sweep — the paper's flagship experiment end to end,
     including machine construction costs.
-``mesh_64_sharded``
-    One contended machine run serial and split into four inline
-    regions; the two runs must be bit-identical.
-``shard_scaling``
-    Wall-clock scaling of ``--shards`` on a region-local workload.
 ``mesh_1024``
     Construction plus two storms on a 1024-node torus, under a memory
     budget that gates the topology and directory footprint.
@@ -58,7 +53,6 @@ from ..network.message import Message, MessageType, Unit
 from ..obs.schema import make_run_payload
 from ..sim.engine import Simulator
 from .report import render_table
-from .shardrun import run_shard
 from .table1 import run_table1
 
 __all__ = [
@@ -157,79 +151,6 @@ def _table1_mini(quick: bool) -> dict[str, Any]:
     return {"chains": dict(chains)}
 
 
-def _mesh_64_sharded(quick: bool) -> dict[str, Any]:
-    """Conservative-window sharding of one contended 64-node machine.
-
-    Runs the golden contention workload serial (``shards=1``) and split
-    four ways (inline backend: pure coordination cost, no IPC), asserts
-    the two runs are bit-identical, and reports the sharded run's shape
-    (window count, boundary traffic) as deterministic proxies.
-    """
-    nodes, turns = (16, 4) if quick else (64, 8)
-    config = small_config(n_nodes=nodes)
-    serial = run_shard(config, workload="golden_contention", shards=1,
-                       turns=turns, backend="inline")
-    sharded = run_shard(config, workload="golden_contention", shards=4,
-                        turns=turns, backend="inline")
-    return {
-        "events": serial.results["events"],
-        "end_cycle": serial.results["end_time"],
-        "final_match": serial.results["match"],
-        "identical": (serial.results == sharded.results
-                      and serial.metrics == sharded.metrics),
-        "windows": sharded.info["windows"],
-        "boundary_messages": sharded.info["boundary_messages"],
-    }
-
-
-def _shard_scaling(quick: bool) -> dict[str, Any]:
-    """Wall-clock scaling of ``--shards`` on a region-local workload.
-
-    The ``local_faa`` workload has zero boundary traffic, so wide
-    windows are safe and each worker simulates an independent slice —
-    the configuration where sharding pays.  Quick mode steps the
-    regions inline (determinism check, no processes); full mode forks
-    one worker per region on a 256-node mesh and reports measured
-    walls and speedups under ``_info`` (host-dependent, never gated —
-    on a single-core host the speedup is honestly below 1).
-    """
-    if quick:
-        nodes, turns, backend, shard_counts = 64, 20, "inline", (1, 4)
-    else:
-        nodes, turns, backend, shard_counts = 256, 40, "process", (1, 2, 4)
-    config = small_config(n_nodes=nodes)
-    serial = run_shard(config, workload="local_faa", shards=1,
-                       turns=turns, backend="inline", window=1 << 20)
-    walls: dict[str, float] = {}
-    identical = True
-    for shards in shard_counts:
-        t0 = time.perf_counter()
-        outcome = run_shard(config, workload="local_faa", shards=shards,
-                            turns=turns,
-                            backend="inline" if shards == 1 else backend,
-                            window=1 << 20)
-        walls[f"x{shards}"] = time.perf_counter() - t0
-        identical = identical and (outcome.results == serial.results
-                                   and outcome.metrics == serial.metrics)
-    events = serial.results["events"]
-    info = {f"wall_{k}": round(v, 6) for k, v in walls.items()}
-    info.update({
-        f"events_per_second_{k}": round(events / v) if v else None
-        for k, v in walls.items()
-    })
-    base = walls.get("x1")
-    for k, v in walls.items():
-        if k != "x1" and base and v:
-            info[f"speedup_{k}"] = round(base / v, 3)
-    return {
-        "events": events,
-        "end_cycle": serial.results["end_time"],
-        "final_match": serial.results["match"],
-        "identical": identical,
-        "_info": info,
-    }
-
-
 def _registry_sum(machine, suffix: str) -> int:
     """Sum one per-node counter family from the machine's registry."""
     snap = machine.registry.snapshot()
@@ -301,8 +222,6 @@ PERF_KERNELS: dict[str, _Kernel] = {
     "faa_storm": _faa_storm,
     "mesh_saturation": _mesh_saturation,
     "table1_mini": _table1_mini,
-    "mesh_64_sharded": _mesh_64_sharded,
-    "shard_scaling": _shard_scaling,
     "mesh_1024": _mesh_1024,
 }
 
@@ -319,8 +238,6 @@ MEM_BUDGETS_KIB: dict[str, int] = {
     "faa_storm": 4_096,
     "mesh_saturation": 1_024,
     "table1_mini": 8_192,
-    "mesh_64_sharded": 4_096,
-    "shard_scaling": 16_384,
     "mesh_1024": 32_768,
 }
 

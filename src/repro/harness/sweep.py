@@ -17,7 +17,7 @@ exported as CSV for external plotting.
     write_csv("lockfree.csv", rows)
 
 The cross-product runs through :mod:`repro.harness.parallel`: ``jobs``
-shards points across worker processes and ``cache`` memoizes them,
+spreads points across worker processes and ``cache`` memoizes them,
 without changing the resulting rows.
 """
 

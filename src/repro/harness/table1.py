@@ -23,7 +23,7 @@ transaction.
 Rows are independent (each stages its own fresh machine), so
 :func:`run_table1` runs them through the parallel sweep executor — one
 :class:`~repro.harness.parallel.SweepPoint` per row — and ``jobs``/
-``cache`` shard and memoize them.
+``cache`` spread and memoize them.
 """
 
 from __future__ import annotations

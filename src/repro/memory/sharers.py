@@ -204,7 +204,8 @@ class CoarseVectorSet(SharerSet):
     entry's sharing epoch — dropping one copy cannot clear a region bit,
     another node of the region might still hold one — and reset when the
     entry resets, like the limited-pointer scheme.  ``region=1``
-    degenerates to the exact full bit vector.
+    degenerates to the exact full bit vector: a one-node region holds
+    only the dropping node, so its bit clears with the copy.
     """
 
     __slots__ = ("n_nodes", "region", "_regions")
@@ -225,6 +226,11 @@ class CoarseVectorSet(SharerSet):
     def overflowed(self) -> bool:
         """True when some marked region holds a non-sharer."""
         return self._region_mask() != self.mask
+
+    def discard(self, node: int) -> None:
+        self.mask &= ~(1 << node)
+        if self.region == 1:
+            self._regions &= ~(1 << node)
 
     def targets(self, exclude: int) -> list[int]:
         mask = self._region_mask() & ~(1 << exclude)

@@ -18,8 +18,7 @@ hits.
 
 A payload is never mutated after its message is sent.  Senders may
 therefore hand the same dict to several messages: a requester reissues
-its transaction's request payload as is after an OWNER_NAK, and the
-sharded mesh passes a boundary message's payload on by reference.
+its transaction's request payload as is after an OWNER_NAK.
 Handlers only read payloads; anything they keep is copied out
 (``list(msg.payload["data"])``).
 """

@@ -6,8 +6,8 @@ y-axis distance, so every topology holds just two small per-axis tables
 (``width x width`` and ``height x height``) and per-node coordinate
 lists: O(W^2 + H^2 + N) state at every machine size — 2,048 table
 entries at 1024 nodes.  Mesh and torus differ only in the one-axis
-metric; ``distance``, ``pair_distance``, the partition lookahead and
-both mesh send paths all read the same tables.
+metric; ``distance``, ``pair_distance`` and the mesh send path all
+read the same tables.
 """
 
 from __future__ import annotations

@@ -154,17 +154,6 @@ class ComponentProfiler:
             "kinds": kinds,
         }
 
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        """Fold another profiler's :meth:`snapshot` into this one."""
-        self.total_ns += snap.get("total_ns", 0)
-        self.events += snap.get("events", 0)
-        self.runs += snap.get("runs", 0)
-        for key, entry in snap.get("kinds", {}).items():
-            component, _, handler = key.rpartition(".")
-            cell = self.kinds.setdefault((component, handler), [0, 0])
-            cell[0] += entry.get("calls", 0)
-            cell[1] += entry.get("ns", 0)
-
     def render(self, top_n: int = 0) -> str:
         """An aligned text table, hottest handler first."""
         total = self.total_ns

@@ -23,15 +23,11 @@ two levels.  The engine knows nothing about multiprocessors; the machine
 model in :mod:`repro.machine` is built entirely out of scheduled
 callbacks.
 
-A second event class exists for the sharded runner
-(:mod:`repro.harness.shardrun`): :meth:`Simulator.schedule_priority`
-entries carry *negative* sequence numbers, so at any given timestamp
-they execute before every ordinary event, regardless of when either was
-scheduled.  Ordinary insertion order depends on execution history, which
-differs between a whole-machine run and a per-region run; priority
-events are the hook the sharded mesh uses to arbitrate boundary-crossing
-arrivals in an order that does not.  The default path never calls it and
-is unaffected.
+:meth:`Simulator.schedule_priority` (negative sequence numbers, so its
+entries run before every ordinary event of their cycle) has no caller in
+the simulator.  It stays only because the benchmark's layer tracer
+(``SCHEDULERS`` in ``benchmarks/e2e/tracer.py``) patches it by name;
+once the tracer drops it, the engine can too.
 
 One loop, :meth:`Simulator._drain`, executes every event, and
 :meth:`Simulator.run` calls it in chunks.  A chunk ends early only where
@@ -152,12 +148,15 @@ class Simulator:
         """Run ``fn(*args)`` ``delay`` cycles from now, before every
         ordinary event of that cycle.
 
+        No simulator code calls this.  It is kept only because the
+        benchmark's layer tracer (``SCHEDULERS`` in
+        ``benchmarks/e2e/tracer.py``) looks it up by name, through
+        ``cls.__dict__``, and would fail without it.
+
         Priority entries carry negative, decreasing sequence numbers:
         at one timestamp they all sort before ordinary entries, and
         *among themselves* run in reverse scheduling order — callers
-        must only use this for handlers that commute with each other
-        (the sharded mesh's arrival/delivery drains do; they impose
-        their own canonical order via per-node buffers).
+        must only use this for handlers that commute with each other.
 
         While the simulator is running, ``delay`` must be at least 1:
         a same-cycle priority event would have to cut into the bucket
@@ -183,26 +182,6 @@ class Simulator:
             self._near += 1
         else:
             heapq.heappush(self._queue, (time, seq, fn, args))
-
-    def next_event_time(self) -> Optional[int]:
-        """Timestamp of the earliest pending event, or ``None`` if idle.
-
-        A between-runs probe for the conservative-window shard runner
-        (it bounds how far every region may safely advance); O(window)
-        per call, never used on the per-event path.
-        """
-        best: Optional[int] = None
-        if self._near:
-            for bucket in self._buckets:
-                if bucket:
-                    time = bucket[0][0]
-                    if best is None or time < best:
-                        best = time
-        if self._queue:
-            h_time = self._queue[0][0]
-            if best is None or h_time < best:
-                best = h_time
-        return best
 
     def set_heartbeat(
         self, every: int, fire: Callable[[int, int, int], None]

@@ -9,7 +9,6 @@ from repro.coherence.policy import SyncPolicy
 from repro.config import small_config
 from repro.faults.chaos import run_chaos_point
 from repro.faults.plan import DEFAULT_CHAOS_PLAN, FaultPlan
-from repro.harness.shardrun import run_shard
 from repro.sync.variant import PrimitiveVariant
 
 
@@ -87,18 +86,3 @@ def test_chaos_point_is_deterministic():
     first = run_chaos_point(config=cfg, turns=3)
     second = run_chaos_point(config=cfg, turns=3)
     assert first == second
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_faulted_run_is_shard_invariant(shards):
-    # The per-(site, node) fault streams make a faulted machine
-    # bit-identical at any shard count, exactly like a fault-free one.
-    cfg = dataclasses.replace(
-        small_config(n_nodes=8),
-        faults=dataclasses.replace(DEFAULT_CHAOS_PLAN, seed=5),
-    )
-    solo = run_shard(cfg, shards=1, turns=3)
-    split = run_shard(cfg, shards=shards, turns=3)
-    assert split.results == solo.results
-    assert split.metrics == solo.metrics
-    assert solo.metrics["faults.net.delay"] > 0

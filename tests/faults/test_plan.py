@@ -78,9 +78,8 @@ def test_injector_streams_are_deterministic():
 
 
 def test_injector_streams_are_per_site_independent():
-    # Drawing from one site must not perturb another site's stream, or
-    # sharded machines (which interleave sites differently) would
-    # diverge from the single-machine run.
+    # Drawing from one site must not perturb another site's stream:
+    # the streams are per (site, node), not one shared sequence.
     plan = dataclasses.replace(DEFAULT_CHAOS_PLAN, seed=3)
     solo = FaultInjector(plan)
     solo_delay = [solo.net_delay(0) for _ in range(100)]

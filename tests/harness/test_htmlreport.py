@@ -161,28 +161,3 @@ def test_profile_panel_empty_state_without_section():
     html = render_report(_bench_table1_payload())
     assert "Host-time profile" in html
     assert "repro profile" in html        # the empty state names the command
-
-
-def test_shard_panel_renders_sync_metrics():
-    from repro.harness.shardrun import run_shard
-    from repro.obs.shardobs import ShardObsOptions
-
-    outcome = run_shard(small_config(n_nodes=16), shards=2, turns=2,
-                        obs=ShardObsOptions(spans=True))
-    payload = make_run_payload(
-        "shard", params={"nodes": 16, "turns": 2, "shards": 2},
-        results=outcome.results, critpath=outcome.critpath,
-        shard=outcome.shard)
-    html = render_report(payload)
-    _assert_selfcontained(html)
-    assert "Sharded execution" in html
-    assert "lookahead" in html
-    assert "cross-region traffic" in html
-    assert "busy share" in html
-    assert "stitched" in html
-
-
-def test_shard_panel_empty_state_without_section():
-    html = render_report(_bench_table1_payload())
-    assert "Sharded execution" in html
-    assert "repro shard" in html          # the empty state names the command

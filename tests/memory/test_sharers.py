@@ -125,6 +125,10 @@ class TestCoarseVector:
             s.add(node)
         assert not s.overflowed
         assert s.targets(3) == [7]
+        # A one-node region's bit goes with its only node's copy.
+        s.discard(7)
+        assert not s.overflowed
+        assert s.targets(3) == []
 
     def test_sticky_regions(self):
         s = CoarseVectorSet(16, region=4)

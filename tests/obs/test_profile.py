@@ -231,20 +231,6 @@ def test_render_and_collapsed_formats():
         assert int(ns) >= 0
 
 
-def test_merge_snapshot_accumulates():
-    with profiled() as prof:
-        _churn()
-    snap = prof.snapshot()
-    merged = ComponentProfiler()
-    merged.merge_snapshot(snap)
-    merged.merge_snapshot(snap)
-    double = merged.snapshot()
-    assert double["total_ns"] == 2 * snap["total_ns"]
-    assert double["events"] == 2 * snap["events"]
-    for key, kind in snap["kinds"].items():
-        assert double["kinds"][key]["calls"] == 2 * kind["calls"]
-
-
 def test_profiled_sessions_nest_and_restore():
     assert active_profiler() is None
     with profiled() as outer:

@@ -29,12 +29,9 @@ def _full_payload():
                  "events": 5, "runs": 1,
                  "kinds": {"Process.resume": {"calls": 5, "ns": 900,
                                               "share": 0.9}}},
-        shard={"sync": {"shards": 2, "backend": "inline", "windows": 9,
-                        "lookahead": 2, "window": 2,
-                        "lookahead_utilization": 1.5,
-                        "traffic_matrix": [[0, 3], [3, 0]],
-                        "per_shard": [{"shard": 0, "busy_seconds": 0.01}]},
-               "stitch": {"records": 40, "txns": 4, "orphans": 0}},
+        faults={"workload": "faa", "points": 1, "passed": 1, "failed": 0,
+                "verdicts": [{"seed": 1, "intensity": 1.0, "ok": True,
+                              "faults": {"faults.net.delay": 3}}]},
     )
 
 
@@ -42,9 +39,9 @@ def test_optional_sections_kept_and_validated():
     payload = _full_payload()
     assert set(payload) == {"schema", "experiment", "version", "params",
                             "results", "metrics", "latency", "critpath",
-                            "hotspots", "perf", "profile", "shard"}
+                            "hotspots", "perf", "profile", "faults"}
     assert validate_run_payload(payload) is payload
-    for key in ("critpath", "hotspots", "profile", "shard"):
+    for key in ("critpath", "hotspots", "profile", "faults"):
         bad = dict(payload)
         bad[key] = "nope"
         with pytest.raises(ValueError, match=key):
@@ -58,7 +55,8 @@ def test_all_sections_round_trip_through_json():
     assert reparsed == payload
     assert reparsed["profile"]["kinds"]["Process.resume"]["calls"] == 5
     assert reparsed["perf"]["wall_seconds"] == 0.125
-    assert reparsed["shard"]["sync"]["traffic_matrix"] == [[0, 3], [3, 0]]
+    assert reparsed["faults"]["verdicts"][0]["faults"] == {
+        "faults.net.delay": 3}
 
 
 def test_sections_absent_when_not_given():
@@ -78,7 +76,8 @@ def test_jsonl_one_record_per_line_with_discriminator():
     assert kinds.count("hotspot") == 1
     assert kinds.count("perf") == 1
     assert kinds.count("profile") == 1
-    assert kinds.count("shard") == 1
+    assert kinds.count("faults") == 1
+    assert kinds.count("chaos.verdict") == 1
     header = records[0]
     assert header["schema"] == SCHEMA
     assert header["experiment"] == "demo"
@@ -91,7 +90,9 @@ def test_jsonl_one_record_per_line_with_discriminator():
     assert by_kind["hotspot"]["block"] == 0
     assert by_kind["perf"]["wall_seconds"] == 0.125
     assert by_kind["profile"]["dispatch_ns"] == 100
-    assert by_kind["shard"]["sync"]["windows"] == 9
+    assert by_kind["faults"]["passed"] == 1
+    assert "verdicts" not in by_kind["faults"]
+    assert by_kind["chaos.verdict"]["seed"] == 1
     assert by_kind["results"]["results"] == {"answer": 42}
 
 

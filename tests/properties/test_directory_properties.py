@@ -9,7 +9,7 @@ must produce identical final values.
 
 import dataclasses
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coherence.policy import SyncPolicy
 from repro.config import SimConfig
@@ -18,12 +18,14 @@ from repro.memory.directory import Directory, DirState
 
 N_MAX = 64
 
+EXACT_COARSE = {"representation": "coarse", "region": 1}
+
 REPRESENTATIONS = (
     {"representation": "full"},
     {"representation": "limited", "pointers": 2},
     {"representation": "limited", "pointers": 8},
     {"representation": "coarse", "region": 4},
-    {"representation": "coarse", "region": 1},
+    EXACT_COARSE,
 )
 
 # One random op on a directory entry.  Transitions mirror what the home
@@ -37,6 +39,8 @@ ops = st.sampled_from(["add", "remove", "exclusive", "share_wb", "uncache"])
     n=st.integers(min_value=1, max_value=N_MAX),
     seq=st.lists(st.tuples(ops, st.integers(0, N_MAX - 1)), max_size=40),
 )
+# A dropped copy followed by a fan-out from another node.
+@example(n=16, seq=[("add", 3), ("add", 7), ("remove", 7), ("add", 3)])
 def test_identical_state_transitions(n, seq):
     dirs = [
         Directory(0, n_nodes=n, **kwargs) for kwargs in REPRESENTATIONS
@@ -56,7 +60,7 @@ def test_identical_state_transitions(n, seq):
                 entry.set_shared([node])
             elif op == "uncache":
                 entry.set_uncached()
-        for entry in entries[1:]:
+        for kwargs, entry in zip(REPRESENTATIONS[1:], entries[1:]):
             # Identical protocol-visible state after every transition.
             assert entry.state is reference.state
             assert entry.owner == reference.owner
@@ -68,6 +72,9 @@ def test_identical_state_transitions(n, seq):
             assert targets == sorted(targets)
             assert node not in targets
             assert set(reference.targets(node)) <= set(targets)
+            if kwargs is EXACT_COARSE:
+                # One node per region is the full bit vector exactly.
+                assert targets == reference.targets(node)
 
 
 @settings(max_examples=12, deadline=None)

@@ -152,7 +152,7 @@ def test_far_event_scheduling_near_work_behind_the_scan():
 
 
 # ----------------------------------------------------------------------
-# Priority events (used by the sharded mesh's arrival drains).
+# Priority events (kept for the benchmark tracer, which patches them).
 # ----------------------------------------------------------------------
 
 def test_priority_runs_before_ordinary_at_same_timestamp():
@@ -205,27 +205,13 @@ def test_priority_negative_delay_rejected():
 
 def test_zero_delay_priority_allowed_before_run():
     # Outside the event loop the current bucket is not being drained,
-    # so a same-cycle priority event is safe (shard workers inject
-    # boundary messages between windows this way).
+    # so a same-cycle priority event is safe.
     sim = Simulator()
     order = []
     sim.schedule(0, lambda: order.append("ordinary"))
     sim.schedule_priority(0, lambda: order.append("priority"))
     sim.run()
     assert order == ["priority", "ordinary"]
-
-
-def test_next_event_time_probe():
-    sim = Simulator()
-    assert sim.next_event_time() is None
-    sim.schedule(300, lambda: None)  # far (heap)
-    assert sim.next_event_time() == 300
-    sim.schedule(4, lambda: None)  # near (bucket)
-    assert sim.next_event_time() == 4
-    sim.run(until=10)
-    assert sim.next_event_time() == 300
-    sim.run()
-    assert sim.next_event_time() is None
 
 
 # --------------------------------------------------- heartbeat chunking
@@ -265,9 +251,9 @@ def test_heartbeat_due_on_livelock_event_is_not_fired():
 
 
 def test_windowed_runs_beat_on_same_events_as_one_run():
-    # Shard workers step their simulator with run(until=...) windows;
-    # the heartbeat count carries across the calls, so beats land on
-    # the same events, with the same (now, events, depth), as one run.
+    # A caller may step a simulator with run(until=...) windows; the
+    # heartbeat count carries across the calls, so beats land on the
+    # same events, with the same (now, events, depth), as one run.
     def drive(window):
         sim = Simulator()
         log, beats = [], []

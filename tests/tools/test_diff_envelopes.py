@@ -15,12 +15,12 @@ spec.loader.exec_module(diff)
 def envelope(**overrides):
     doc = {
         "schema": "repro.run/1",
-        "experiment": "shard",
+        "experiment": "figure3",
         "version": "1.0.0",
-        "params": {"nodes": 64, "turns": 8, "shards": 1},
-        "results": {"counters": [7, 7], "match": True, "end_time": 5633},
+        "params": {"nodes": 64, "turns": 8, "directory": "full"},
+        "results": {"counters": [7, 7], "match": True, "end_time": 4978},
         "metrics": {"net.messages": 1006},
-        "perf": {"wall_seconds": 0.41, "windows": 2023},
+        "perf": {"wall_seconds": 0.41, "events_per_second": 81000.0},
     }
     doc.update(overrides)
     return doc
@@ -46,13 +46,12 @@ def test_host_time_sections_are_always_stripped(tmp_path):
     b = envelope(perf={"wall_seconds": 99.0})
     c = envelope()
     c.pop("perf")
-    c["profile"] = {"total_ns": 123}
-    c["shard"] = {"sync": {"wall_seconds": 9.0, "windows": 2023}}
+    c["profile"] = {"total_ns": 123, "dispatch_ns": 45}
     assert diff.main(write_all(tmp_path, a, b, c)) == 0
 
 
 def test_stitched_critpath_is_not_stripped(tmp_path, capsys):
-    """The cross-shard blame gate: critpath differences must fail."""
+    """The blame gate: critpath differences must fail."""
     a = envelope(critpath={"txns": 8, "cycles": 640})
     b = envelope(critpath={"txns": 8, "cycles": 641})
     assert diff.main(write_all(tmp_path, a, b)) == 1
@@ -62,7 +61,7 @@ def test_stitched_critpath_is_not_stripped(tmp_path, capsys):
 def test_simulation_divergence_fails_with_leaf_report(tmp_path, capsys):
     a = envelope()
     b = envelope(results={"counters": [7, 8], "match": True,
-                          "end_time": 5633})
+                          "end_time": 4978})
     assert diff.main(write_all(tmp_path, a, b)) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -72,10 +71,10 @@ def test_simulation_divergence_fails_with_leaf_report(tmp_path, capsys):
 def test_ignore_strips_dotted_paths(tmp_path):
     a = envelope()
     b = envelope()
-    b["params"]["shards"] = 4
+    b["params"]["directory"] = "limited:64"
     paths = write_all(tmp_path, a, b)
     assert diff.main(paths) == 1
-    assert diff.main(["--ignore", "params.shards", *paths]) == 0
+    assert diff.main(["--ignore", "params.directory", *paths]) == 0
 
 
 def test_ignore_tolerates_absent_paths(tmp_path):
