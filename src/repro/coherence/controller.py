@@ -573,7 +573,7 @@ class CacheController:
         chain = txn.chain + (1 if home != self.node else 0)
         txn.note_chain(chain)
         self.mesh.send(
-            Message.acquire(
+            Message(
                 txn.request_mtype, self.node, home, _HOME, txn.block,
                 txn=txn, chain=chain, requester=self.node,
                 payload=txn.request_payload,
@@ -583,8 +583,8 @@ class CacheController:
     def _send_unsolicited(self, mtype: MessageType, block: int, **payload) -> None:
         home = self.machine.home_of(block)
         self.mesh.send(
-            Message.acquire(mtype, self.node, home, Unit.HOME, block,
-                            chain=0, requester=self.node, payload=payload)
+            Message(mtype, self.node, home, Unit.HOME, block,
+                    chain=0, requester=self.node, payload=payload)
         )
 
     def _reply_to(
@@ -592,9 +592,9 @@ class CacheController:
     ) -> None:
         chain = msg.chain + (1 if dst != self.node else 0)
         self.mesh.send(
-            Message.acquire(mtype, self.node, dst, unit, msg.block,
-                            txn=msg.txn, chain=chain,
-                            requester=msg.requester, payload=payload)
+            Message(mtype, self.node, dst, unit, msg.block,
+                    txn=msg.txn, chain=chain,
+                    requester=msg.requester, payload=payload)
         )
 
     # ==================================================================
@@ -605,20 +605,15 @@ class CacheController:
         """Delivery point for all CACHE-unit messages at this node."""
         mtype = msg.mtype
         if mtype in _REPLIES:
-            # Replies are parked in txn.reply — never pooled here.
             self._on_reply(msg)
         elif mtype in _ACKS:
             self._on_ack(msg)
-            Message.release(msg)
         elif mtype is MessageType.OWNER_NAK:
             self._on_owner_nak(msg)
-            Message.release(msg)
         elif mtype is MessageType.INV:
             self._on_inv(msg)
-            Message.release(msg)
         elif mtype is MessageType.UPDATE:
             self._on_update(msg)
-            Message.release(msg)
         elif mtype in _RECALLS:
             txn = self.mshr.current
             if (txn is not None and txn.block == msg.block

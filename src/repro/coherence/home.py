@@ -46,20 +46,6 @@ _REQUESTS = frozenset(
         MessageType.SC_REQ,
     }
 )
-
-# Home-bound message types that are fully consumed by their dispatch
-# handler: never parked in ``entry.pending`` (that holds the *request*),
-# ``entry.waiters`` (requests only), or an MSHR — so their shells can go
-# back to the message pool immediately after dispatch.
-_CONSUMED = frozenset(
-    {
-        MessageType.FLUSH_REPLY,
-        MessageType.SHARE_WB,
-        MessageType.FLUSH_NAK,
-        MessageType.WB,
-        MessageType.DROP,
-    }
-)
 _DROP = MessageType.DROP
 _INV = SyncPolicy.INV
 
@@ -180,11 +166,7 @@ class HomeNode:
                     )
                 entry.waiters.append(msg)
                 return
-            self._dispatch(msg)
-        else:
-            self._dispatch(msg)
-            if mtype in _CONSUMED:
-                Message.release(msg)
+        self._dispatch(msg)
 
     def _dispatch(self, msg: Message) -> None:
         handler = _HANDLERS.get(msg.mtype)
@@ -211,7 +193,7 @@ class HomeNode:
         """
         chain = prev.chain + (1 if dst != self.node else 0)
         self.mesh.send(
-            Message.acquire(
+            Message(
                 mtype, self.node, dst, unit, prev.block,
                 txn=prev.txn, chain=chain, requester=prev.requester,
                 payload=payload,
@@ -547,7 +529,9 @@ class HomeNode:
         requester = msg.requester
         result, wrote = self._apply_op(msg, kind)
         self._note(msg, self._op_is_write(kind, result))
-        others = entry.targets(requester)
+        # The fan-out is taken before add_sharer, and only when it is
+        # sent: most contended UPD attempts fail and write nothing.
+        others = entry.targets(requester) if wrote else ()
         if wrote and self._imprecise:
             self._account_fanout(entry, others, requester)
         entry.add_sharer(requester)

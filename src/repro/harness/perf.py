@@ -13,7 +13,7 @@ fixed-workload kernels, each stressing one layer of the hot path:
 ``faa_storm``
     A full machine under total contention: every processor hammers one
     ``fetch_and_add`` counter (INV policy), exercising the coherence
-    controller, directory, memory queue, and message pool together.
+    controller, directory, memory queue, and network together.
 ``mesh_saturation``
     The wormhole mesh alone: rounds of all-to-all message blasts through
     the entry/exit port model, no coherence on top.
@@ -120,7 +120,6 @@ def _mesh_saturation(quick: bool) -> dict[str, Any]:
 
     def sink(msg: Message) -> None:
         delivered[0] += 1
-        Message.release(msg)
 
     for node in range(n_nodes):
         mesh.register(node, Unit.HOME, sink)
@@ -128,9 +127,7 @@ def _mesh_saturation(quick: bool) -> dict[str, Any]:
     def blast(r: int) -> None:
         for src in range(n_nodes):
             dst = (src + r + 1) % n_nodes
-            mesh.send(
-                Message.acquire(MessageType.GETX, src, dst, Unit.HOME, src)
-            )
+            mesh.send(Message(MessageType.GETX, src, dst, Unit.HOME, src))
 
     for r in range(rounds):
         sim.schedule(r * 3, blast, r)

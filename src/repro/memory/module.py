@@ -88,7 +88,7 @@ class MemoryModule:
         # frozen service time, resolved once.
         self._c_accesses = self.stats._accesses
         self._c_queue_wait = self.stats._total_queue_wait
-        self._observe_wait = self.stats.queue_wait_hist.observe
+        self._wait_samples = self.stats.queue_wait_hist.samples
         self._t_service = config.timing.memory_service
 
     # ------------------------------------------------------------------
@@ -142,8 +142,9 @@ class MemoryModule:
         Models the FIFO memory queue: the request waits until the module is
         free, then occupies it for ``memory_service`` cycles (or
         ``service_time``, for directory-only work).  When the request
-        belongs to a requester transaction, pass it as ``txn`` so the
-        queue wait and service occupancy are attributed in its latency
+        belongs to a requester transaction, pass its
+        :class:`~repro.cache.mshr.Transaction` as ``txn`` so the queue
+        wait and service occupancy are attributed in its latency
         breakdown.  ``block``/``mtype``/``requester`` only describe the
         request on the ``mem.service`` event stream (when anyone listens).
         """
@@ -158,12 +159,23 @@ class MemoryModule:
         self._c_accesses.value += 1
         wait = start - now
         self._c_queue_wait.value += wait
-        self._observe_wait(wait)
+        # Histogram.observe without the call: start >= now.
+        samples = self._wait_samples
+        samples[wait] = samples.get(wait, 0) + 1
         if txn is not None:
-            breakdown = getattr(txn, "breakdown", None)
+            # TxnBreakdown.credit("queue", start), then ("memory", end),
+            # inlined.
+            breakdown = txn.breakdown
             if breakdown is not None:
-                breakdown.credit("queue", start)
-                breakdown.credit("memory", end)
+                cursor = breakdown.cursor
+                parts = breakdown.parts
+                if start > cursor:
+                    parts["queue"] = parts.get("queue", 0) + start - cursor
+                    cursor = start
+                if end > cursor:
+                    parts["memory"] = parts.get("memory", 0) + end - cursor
+                    cursor = end
+                breakdown.cursor = cursor
         events = self.events
         if events is not None and events.active:
             events.emit(

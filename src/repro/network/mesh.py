@@ -110,17 +110,6 @@ class NetworkStats:
             )
         return counter
 
-    def record(self, msg: Message, flits: int, latency: int, local: bool) -> None:
-        """Account one delivered message."""
-        if local:
-            self._local_messages.inc()
-        else:
-            self._messages.inc()
-            self._flits.inc(flits)
-            self._total_latency.inc(latency)
-            self._latency_hist.observe(latency)
-        self.type_counter(msg.mtype.value).inc()  # type: ignore[union-attr]
-
     @property
     def mean_latency(self) -> float:
         """Mean network latency of non-local messages."""
@@ -178,7 +167,7 @@ class WormholeMesh:
         self._c_local = stats._local_messages
         self._c_flits = stats._flits
         self._c_latency = stats._total_latency
-        self._latency_hist = stats._latency_hist
+        self._latency_samples = stats._latency_hist.samples
         self._type_counters: dict[MessageType, Any] = {}
 
     def register(self, node: int, unit: Unit, handler: Handler) -> None:
@@ -268,7 +257,9 @@ class WormholeMesh:
             self._c_messages.value += 1
             self._c_flits.value += flits
             self._c_latency.value += latency
-            self._latency_hist.observe(latency)
+            # Histogram.observe without the call: latency >= 0 here.
+            samples = self._latency_samples
+            samples[latency] = samples.get(latency, 0) + 1
         type_counter = self._type_counters.get(mtype)
         if type_counter is None:
             type_counter = self._type_counters[mtype] = (
@@ -278,9 +269,13 @@ class WormholeMesh:
 
         txn = msg.txn
         if txn is not None:
-            breakdown = getattr(txn, "breakdown", None)
-            if breakdown is not None:
-                breakdown.credit("network", done)
+            # TxnBreakdown.credit("network", done), inlined.
+            breakdown = txn.breakdown
+            if breakdown is not None and done > breakdown.cursor:
+                parts = breakdown.parts
+                parts["network"] = (parts.get("network", 0)
+                                    + done - breakdown.cursor)
+                breakdown.cursor = done
         if self.events.active:
             self._observe(msg, now, done)
         sim.schedule(done - now, handler, msg)
@@ -290,7 +285,7 @@ class WormholeMesh:
             # Duplicate delivery of the idempotent drop notice: a fresh
             # message one serialize slot behind the original, so it can
             # never overtake a later request from the same source.
-            self.send(Message.acquire(
+            self.send(Message(
                 mtype, src, dst, msg.unit, msg.block,
                 chain=msg.chain, requester=msg.requester,
             ))

@@ -7,14 +7,12 @@ paper's Table 1 reports.  When a component forwards or answers a message it
 constructs the successor with ``chain = incoming.chain + 1``; messages sent
 in parallel (e.g. an invalidation multicast) share the same chain value.
 
-``Message`` is a ``__slots__`` class with a free-list pool
-(:meth:`Message.acquire` / :meth:`Message.release`): the coherence layers
-churn through short-lived messages at a rate where allocator pressure
-shows up in profiles, so handlers that *know* a message holds no live
-references return it to the pool (see ``docs/performance.md`` for the
-safety argument).  ``msg_id`` always comes off the global counter, so
-ids — and therefore traces — are identical whether or not the pool ever
-hits.
+``Message`` is a ``__slots__`` class built once per hop and never reused:
+a handler may keep a message it received (a reply parked in
+``txn.reply``, a request queued on a directory entry or deferred in an
+MSHR) for as long as it likes.  ``msg_id`` comes off one global counter,
+so ids, and therefore traces, depend only on the order messages are
+built.
 
 A payload is never mutated after its message is sent.  Senders may
 therefore hand the same dict to several messages: a requester reissues
@@ -128,12 +126,7 @@ class Message:
     """
 
     __slots__ = ("mtype", "src", "dst", "unit", "block", "txn", "chain",
-                 "requester", "payload", "msg_id", "_pooled")
-
-    #: Shared free list.  Bounded so a pathological burst cannot pin an
-    #: unbounded amount of memory after the burst subsides.
-    _pool: "list[Message]" = []
-    _pool_max = 1024
+                 "requester", "payload", "msg_id")
 
     def __init__(
         self,
@@ -158,75 +151,6 @@ class Message:
         self.requester = requester
         self.payload = {} if payload is None else payload
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
-        self._pooled = False
-
-    # ------------------------------------------------------------------
-    # Free-list pool.
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def acquire(
-        cls,
-        mtype: MessageType,
-        src: int,
-        dst: int,
-        unit: Unit,
-        block: int,
-        txn: Any = None,
-        chain: int = 1,
-        requester: int = -1,
-        payload: Optional[dict[str, Any]] = None,
-    ) -> "Message":
-        """Construct a message, reusing a pooled shell when one exists.
-
-        Always draws a fresh ``msg_id``, so acquired messages are
-        indistinguishable from directly constructed ones.
-        """
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-            self.mtype = mtype
-            self.src = src
-            self.dst = dst
-            self.unit = unit
-            self.block = block
-            self.txn = txn
-            self.chain = chain
-            self.requester = requester
-            self.payload = {} if payload is None else payload
-            self.msg_id = next(_msg_ids)
-            self._pooled = False
-            return self
-        return cls(mtype, src, dst, unit, block, txn, chain, requester, payload)
-
-    @classmethod
-    def release(cls, msg: "Message") -> None:
-        """Return ``msg`` to the free list (idempotent).
-
-        The caller asserts that no component retains a reference — in
-        this machine that is every message type that is consumed
-        synchronously by its handler and never parked in ``txn.reply``,
-        a directory entry, or an MSHR.  Reference-holding fields are
-        cleared so pooled shells keep nothing alive.
-        """
-        if msg._pooled:
-            return
-        msg._pooled = True
-        msg.txn = None
-        msg.payload = {}
-        pool = cls._pool
-        if len(pool) < cls._pool_max:
-            pool.append(msg)
-
-    @classmethod
-    def pool_size(cls) -> int:
-        """Messages currently parked on the free list."""
-        return len(cls._pool)
-
-    @classmethod
-    def pool_clear(cls) -> None:
-        """Drop every pooled shell (test isolation hook)."""
-        cls._pool.clear()
 
     # ------------------------------------------------------------------
     # Transaction chaining.
@@ -241,7 +165,7 @@ class Message:
         **payload: Any,
     ) -> "Message":
         """Build the next serialized message in this transaction."""
-        return Message.acquire(
+        return Message(
             mtype, src, dst, unit, self.block,
             txn=self.txn, chain=self.chain + 1,
             requester=self.requester, payload=payload,

@@ -45,6 +45,9 @@ class TxnBreakdown:
 
         Only the span beyond the current cursor is credited; calls whose
         interval is already covered (parallel messages) add nothing.
+        ``WormholeMesh.send`` and ``MemoryModule.service`` apply this
+        rule inline, once per message, so a change here must be made
+        there too.
         """
         if end > self.cursor:
             self.parts[category] = self.parts.get(category, 0) + end - self.cursor

@@ -84,17 +84,26 @@ class Histogram:
     holds values in ``[2**(b-1), 2**b - 1]``.  This gives a compact,
     schema-stable representation of latency distributions whose upper
     range is not known in advance.
+
+    Recording only counts exact values in ``samples`` (value -> count);
+    every read first folds ``samples`` into the bucketed aggregate, so
+    the per-sample cost is one dict update.  Hot writers may hold on to
+    ``samples`` and update it directly: it is the same dict for the
+    histogram's whole life, and a negative value written there raises on
+    the next read.
     """
 
-    __slots__ = ("name", "buckets", "count", "total", "min", "max")
+    __slots__ = ("name", "samples", "_buckets", "_count", "_total", "_min",
+                 "_max")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.buckets: dict[int, int] = {}
-        self.count = 0
-        self.total = 0
-        self.min: int | None = None
-        self.max: int | None = None
+        self.samples: dict[int, int] = {}
+        self._buckets: dict[int, int] = {}
+        self._count = 0
+        self._total = 0
+        self._min: int | None = None
+        self._max: int | None = None
 
     @staticmethod
     def bucket_of(value: int) -> int:
@@ -114,15 +123,61 @@ class Histogram:
         """Record one sample (bucketed as :meth:`bucket_of` does)."""
         if value < 0:
             raise ValueError(f"histogram samples must be >= 0, got {value}")
-        b = value.bit_length()
-        buckets = self.buckets
-        buckets[b] = buckets.get(b, 0) + 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        samples = self.samples
+        samples[value] = samples.get(value, 0) + 1
+
+    def _fold(self) -> None:
+        """Move ``samples`` into the aggregate; all or nothing."""
+        samples = self.samples
+        if not samples:
+            return
+        lo, hi = min(samples), max(samples)
+        if lo < 0:
+            raise ValueError(f"histogram samples must be >= 0, got {lo}")
+        buckets = self._buckets
+        count = total = 0
+        for value, n in samples.items():
+            b = value.bit_length()
+            buckets[b] = buckets.get(b, 0) + n
+            count += n
+            total += value * n
+        samples.clear()
+        self._count += count
+        self._total += total
+        if self._min is None or lo < self._min:
+            self._min = lo
+        if self._max is None or hi > self._max:
+            self._max = hi
+
+    @property
+    def buckets(self) -> dict[int, int]:
+        """Sample count per bucket index."""
+        self._fold()
+        return self._buckets
+
+    @property
+    def count(self) -> int:
+        """Number of samples."""
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> int:
+        """Sum of all samples."""
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> int | None:
+        """Smallest sample, or None when empty."""
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> int | None:
+        """Largest sample, or None when empty."""
+        self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
@@ -154,17 +209,18 @@ class Histogram:
 
     def merge_summary(self, summary: dict) -> None:
         """Fold another histogram's :meth:`snapshot` into this one."""
+        self._fold()
+        buckets = self._buckets
         for bucket, n in summary.get("buckets", {}).items():
             b = int(bucket)
-            self.buckets[b] = self.buckets.get(b, 0) + n
-        self.count += summary.get("count", 0)
-        self.total += summary.get("total", 0)
-        for bound, pick in (("min", min), ("max", max)):
-            other = summary.get(bound)
-            if other is None:
-                continue
-            ours = getattr(self, bound)
-            setattr(self, bound, other if ours is None else pick(ours, other))
+            buckets[b] = buckets.get(b, 0) + n
+        self._count += summary.get("count", 0)
+        self._total += summary.get("total", 0)
+        lo, hi = summary.get("min"), summary.get("max")
+        if lo is not None and (self._min is None or lo < self._min):
+            self._min = lo
+        if hi is not None and (self._max is None or hi > self._max):
+            self._max = hi
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, n={self.count})"

@@ -1,12 +1,12 @@
 """Golden seeded-run determinism across the simulation fast path.
 
-The kernel optimizations (calendar-queue event core, message pooling,
-hot-path counter caches) must be *invisible*: every seeded run stays
-bit-identical to the values captured before the fast path landed, with
-observability on or off, at any sweep job count.  These goldens pin a
-contention storm per primitive family and policy; if an optimization
-ever changes a cycle count or message count, this file fails before the
-benchmark gate does.
+The kernel optimizations (calendar-queue event core, inline
+per-message bookkeeping, hot-path counter caches) must be *invisible*:
+every seeded run stays bit-identical to the values captured before the
+fast path landed, with observability on or off, at any sweep job count.
+These goldens pin a contention storm per primitive family and policy;
+if an optimization ever changes a cycle count or message count, this
+file fails before the benchmark gate does.
 """
 
 import pytest

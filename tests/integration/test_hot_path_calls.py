@@ -6,13 +6,29 @@
 one Python frame per event.  The same lock-free counter bars run at two
 lengths under ``sys.setprofile``; the counts of those calls must not
 grow with the length, i.e. they are spent once per run, not per event.
+
+Python frames are what a simulated event costs on the host, so the
+number of them per executed event is pinned too, on 16-node proxies of
+the benchmark's four workloads.  The count is exact and host-independent.
 """
 
 import enum
+import os
 import sys
 
-from repro import SimConfig, SyncPolicy
-from repro.apps.synthetic import SyntheticSpec, run_lockfree_counter
+import repro
+from repro import SimConfig, SyncPolicy, build_machine
+from repro.apps.synthetic import (
+    SyntheticSpec,
+    run_lockfree_counter,
+    run_mcs_counter,
+    run_tts_counter,
+)
+from repro.apps.tclosure import run_transitive_closure
+from repro.coherence.home import HomeNode
+from repro.config import scale_config
+from repro.harness.configs import figure_variants
+from repro.memory.directory import DirectoryEntry
 from repro.stats import writerun
 from repro.sync.variant import PrimitiveVariant
 
@@ -60,3 +76,164 @@ def test_hot_path_call_counts_do_not_grow_with_run_length():
     grown = {name: (short[name], long[name])
              for name in short if long[name] > short[name]}
     assert not grown, f"per-event Python calls (turns 2 -> 4): {grown}"
+
+
+# ----------------------------------------------------------------------
+# Python frames per executed event.
+# ----------------------------------------------------------------------
+
+CONFIG16 = SimConfig().with_nodes(16)
+LOCKFREE_BARS = [PrimitiveVariant(family, policy)
+                 for policy in (SyncPolicy.UNC, SyncPolicy.INV, SyncPolicy.UPD)
+                 for family in ("fap", "llsc", "cas")]
+LOCKFREE_BARS += [PrimitiveVariant("cas", SyncPolicy.INVD),
+                  PrimitiveVariant("cas", SyncPolicy.INVS)]
+
+
+def lockfree_c16(observe):
+    """``contention_c64``'s 11 lock-free counter bars at c=16."""
+    for variant in LOCKFREE_BARS:
+        run_lockfree_counter(variant, SyntheticSpec(contention=16, turns=2),
+                             CONFIG16, observe=observe)
+
+
+def tclosure(observe):
+    """One ``apps_fig6`` application."""
+    run_transitive_closure(PrimitiveVariant("cas", SyncPolicy.INV), size=8,
+                           config=CONFIG16, observe=observe)
+
+
+def writerun_c1(observe):
+    """``writerun_c1``'s bars at one write run, for all three counters."""
+    spec = SyntheticSpec(contention=1, write_run=1.5, turns=4)
+    for runner in (run_lockfree_counter, run_tts_counter, run_mcs_counter):
+        for variant in figure_variants():
+            runner(variant, spec, CONFIG16, observe=observe)
+
+
+def limited_storm(observe):
+    """``scale_1024``'s phases on a torus whose 2-pointer directory the
+    reader crowd overflows: a UNC storm, then readers and one writer of
+    an INV and a UPD variable."""
+    machine = build_machine(scale_config(16, topology="torus",
+                                         directory="limited", dir_pointers=2))
+    observe(machine)
+    unc = machine.alloc_sync(SyncPolicy.UNC, home=0)
+    inv = machine.alloc_sync(SyncPolicy.INV, home=1)
+    upd = machine.alloc_sync(SyncPolicy.UPD, home=2)
+
+    def storm(p):
+        for _ in range(8):
+            yield p.fetch_add(unc, 1)
+
+    def reader(p):
+        yield p.load(inv)
+        yield p.load(upd)
+
+    def writer(p):
+        for _ in range(8):
+            yield p.fetch_add(inv, 1)
+            yield p.fetch_add(upd, 1)
+
+    machine.spawn_all(storm)
+    machine.run()
+    for pid in range(2, 14):
+        machine.spawn(pid, reader)
+    machine.run()
+    machine.spawn(0, writer)
+    machine.run()
+
+
+#: Proxy -> most Python calls per executed event it may make.  Set to
+#: the counts measured when the gate was added (rounded up); a change
+#: that lowers a count may lower its ceiling.
+CEILINGS = {
+    lockfree_c16: 14.32,
+    tclosure: 12.26,
+    writerun_c1: 17.68,
+    limited_storm: 14.60,
+}
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+
+
+def python_calls_per_event(proxy) -> float:
+    """Python calls into ``repro`` per event executed by ``proxy``.
+
+    A call is a ``call`` profile event (a frame started, or a generator
+    resumed) whose code lives in the ``repro`` package.  Code named
+    ``<...>`` is left out: Python 3.12 inlines comprehensions (PEP 709),
+    so counting them would make the number depend on the version.
+    """
+    machines = []
+    ours: dict = {}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code
+            hit = ours.get(code)
+            if hit is None:
+                hit = ours[code] = (code.co_filename.startswith(PACKAGE)
+                                    and not code.co_name.startswith("<"))
+            calls += hit
+
+    sys.setprofile(profile)
+    try:
+        proxy(machines.append)
+    finally:
+        sys.setprofile(None)
+    return calls / sum(m.sim.events_processed for m in machines)
+
+
+def test_python_calls_per_event_stay_under_their_ceilings():
+    over = {}
+    for proxy, ceiling in CEILINGS.items():
+        per_event = python_calls_per_event(proxy)
+        if per_event > ceiling:
+            over[proxy.__name__] = (round(per_event, 4), ceiling)
+    assert not over, f"Python calls per event (measured, ceiling): {over}"
+
+
+# ----------------------------------------------------------------------
+# UPD fan-out.
+# ----------------------------------------------------------------------
+
+
+def test_upd_fanout_is_built_only_for_writes(monkeypatch):
+    """A memory-side UPD op builds its update fan-out only when it wrote:
+    at c=16 most LL/SC and CAS attempts fail and send no updates."""
+    inside = [False]
+    counts = {"ops": 0, "writes": 0, "targets": 0}
+    sync_upd = HomeNode._sync_upd
+    apply_op = HomeNode._apply_op
+    targets = DirectoryEntry.targets
+
+    def counting_sync_upd(self, msg, kind):
+        inside[0] = True
+        try:
+            sync_upd(self, msg, kind)
+        finally:
+            inside[0] = False
+
+    def counting_apply_op(self, msg, kind):
+        result, wrote = apply_op(self, msg, kind)
+        if inside[0]:
+            counts["ops"] += 1
+            counts["writes"] += wrote
+        return result, wrote
+
+    def counting_targets(self, exclude):
+        if inside[0]:
+            counts["targets"] += 1
+        return targets(self, exclude)
+
+    monkeypatch.setattr(HomeNode, "_sync_upd", counting_sync_upd)
+    monkeypatch.setattr(HomeNode, "_apply_op", counting_apply_op)
+    monkeypatch.setattr(DirectoryEntry, "targets", counting_targets)
+    for family in ("llsc", "cas"):
+        run_lockfree_counter(PrimitiveVariant(family, SyncPolicy.UPD),
+                             SyntheticSpec(contention=16, turns=2), CONFIG16)
+    assert 0 < counts["writes"] < counts["ops"], counts
+    assert counts["targets"] == counts["writes"], counts

@@ -46,3 +46,14 @@ def test_carries_data_classification():
     assert not MessageType.INV.carries_data
     assert not MessageType.INV_ACK.carries_data
     assert not MessageType.OWNER_NAK.carries_data
+
+
+def test_successor_keeps_chain_and_txn():
+    txn = object()
+    msg = Message(mtype=MessageType.GETS, src=0, dst=1, unit=Unit.HOME,
+                  block=7, txn=txn, chain=2, requester=3)
+    nxt = msg.successor(MessageType.DATA_X, 1, 0, Unit.CACHE, acks=1)
+    assert nxt.chain == 3
+    assert nxt.txn is txn
+    assert nxt.payload == {"acks": 1}
+    assert nxt.requester == msg.requester

@@ -1,6 +1,7 @@
 """Metrics registry: snapshot/diff round-trip, histogram buckets, JSON."""
 
 import json
+import random
 
 import pytest
 
@@ -190,3 +191,84 @@ def test_registry_merge_snapshot_respects_existing_gauge():
     target.merge_snapshot(source.snapshot())
     assert isinstance(target._metrics["ticks"], Gauge)
     assert target.snapshot()["ticks"] == 2
+
+
+def _eager(values):
+    """Snapshot, mean and nearest-rank percentile of ``values``, computed
+    directly: the reference for the fold-on-read histogram."""
+    buckets = {}
+    for v in values:
+        buckets[v.bit_length()] = buckets.get(v.bit_length(), 0) + 1
+    snap = {"count": len(values), "total": sum(values),
+            "min": min(values, default=None), "max": max(values, default=None),
+            "buckets": {str(b): n for b, n in sorted(buckets.items())}}
+
+    def percentile(p):
+        if not values:
+            return 0
+        rank = max(1, int(round(p / 100.0 * len(values))))
+        seen = 0
+        for b in sorted(buckets):
+            seen += buckets[b]
+            if seen >= rank:
+                return min(Histogram.bucket_bounds(b)[1], max(values))
+
+    mean = sum(values) / len(values) if values else 0.0
+    return snap, mean, percentile
+
+
+def _assert_matches_eager(reg, hist, values):
+    snap, mean, percentile = _eager(values)
+    assert hist.snapshot() == snap
+    assert hist.mean == mean
+    for p in (0, 1, 25, 50, 90, 99, 100):
+        assert hist.percentile(p) == percentile(p)
+    assert reg.render() == (
+        f"{hist.name:40s} n={len(values)} mean={mean:.1f} "
+        f"min={snap['min'] if values else '-'} "
+        f"max={snap['max'] if values else '-'}")
+
+
+def test_histogram_fold_on_read_matches_eager_arithmetic():
+    rng = random.Random(5)
+    reg = MetricsRegistry()
+    hist = reg.histogram("lat")
+    seen = []
+    _assert_matches_eager(reg, hist, seen)
+    for _ in range(6):
+        # Observe, write samples directly as the hot paths do, read,
+        # merge another histogram's summary, and observe again.
+        for v in (rng.choice((0, 1, 7, 8, 1000)) for _ in range(20)):
+            hist.observe(v)
+            seen.append(v)
+        for v in (rng.randrange(5000) for _ in range(5)):
+            hist.samples[v] = hist.samples.get(v, 0) + 1
+            seen.append(v)
+        _assert_matches_eager(reg, hist, seen)
+        other = Histogram("other")
+        extra = [rng.randrange(300) for _ in range(rng.randrange(4))]
+        for v in extra:
+            other.observe(v)
+        hist.merge_summary(other.snapshot())
+        seen.extend(extra)
+        hist.observe(3)
+        seen.append(3)
+        _assert_matches_eager(reg, hist, seen)
+    assert hist.samples == {}
+
+
+def test_histogram_negative_sample_raises_on_next_read():
+    h = Histogram("h")
+    for v in (2, 9):
+        h.observe(v)
+    with pytest.raises(ValueError):
+        h.observe(-1)
+    h.samples[-3] = 1
+    with pytest.raises(ValueError):
+        h.snapshot()
+    with pytest.raises(ValueError):
+        h.count
+    # A failed fold changes nothing: once the bad value is gone, the
+    # histogram reads as if it had never been written.
+    del h.samples[-3]
+    assert h.snapshot() == _eager([2, 9])[0]
