@@ -18,6 +18,7 @@ from .line import CacheLine, LineState
 __all__ = ["Cache", "Eviction", "CacheStats"]
 
 _INVALID = LineState.INVALID
+_CACHE_FIELDS = {"hits": "hits", "misses": "misses", "evictions": "evictions"}
 
 
 @dataclass
@@ -31,49 +32,27 @@ class Eviction:
 
 
 class CacheStats:
-    """Hit/miss counters for one cache (registry-backed).
+    """Hit/miss counters for one cache.
 
-    The counters live in the metrics registry under
-    ``<prefix>.hits`` / ``.misses`` / ``.evictions``; the attribute
-    spelling (``cache.stats.hits``) remains as property shims.
+    The attributes are the counters; the registry reads them as
+    ``<prefix>.hits`` / ``.misses`` / ``.evictions``.
     """
+
+    __slots__ = ("hits", "misses", "evictions")
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         prefix: str = "cache",
     ) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        self._hits = reg.counter(f"{prefix}.hits")
-        self._misses = reg.counter(f"{prefix}.misses")
-        self._evictions = reg.counter(f"{prefix}.evictions")
-
-    @property
-    def hits(self) -> int:
-        """Lookups that found a valid line."""
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        """Lookups that found nothing."""
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    @property
-    def evictions(self) -> int:
-        """Installs that pushed out a victim line."""
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
+        #: Lookups that found a valid line.
+        self.hits = 0
+        #: Lookups that found nothing.
+        self.misses = 0
+        #: Installs that pushed out a victim line.
+        self.evictions = 0
+        if registry is not None:
+            registry.attach(prefix, self, _CACHE_FIELDS)
 
     @property
     def hit_rate(self) -> float:
@@ -97,10 +76,6 @@ class Cache:
         self._sets: dict[int, dict[int, CacheLine]] = {}
         self._tick = 0
         self.stats = CacheStats(registry, prefix=name)
-        # Raw registry counters behind the stats shims (lookup is on the
-        # per-operation fast path).
-        self._c_hits = self.stats._hits
-        self._c_misses = self.stats._misses
 
     def _set_for(self, block: int) -> dict[int, CacheLine]:
         index = block % self.n_sets
@@ -121,10 +96,10 @@ class Cache:
         line = group.get(block) if group is not None else None
         if line is None or line.state is _INVALID:
             if touch:
-                self._c_misses.value += 1
+                self.stats.misses += 1
             return None
         if touch:
-            self._c_hits.value += 1
+            self.stats.hits += 1
             tick = self._tick + 1
             self._tick = tick
             line.last_use = tick

@@ -78,6 +78,9 @@ _HOME = Unit.HOME
 _SHARED = LineState.SHARED
 _EXCLUSIVE = LineState.EXCLUSIVE
 _INV = SyncPolicy.INV
+_CONTROLLER_FIELDS = {name: name for name in (
+    "ops", "local_hits", "sc_local_failures", "spurious_losses",
+    "nak_retries")}
 
 
 @dataclass
@@ -116,75 +119,36 @@ class LocalReservation:
 
 
 class ControllerStats:
-    """Per-controller counters (registry-backed, ``ctrl.<node>.*``).
+    """Per-controller counters, read by the registry as ``ctrl.<node>.*``.
 
-    Scalar counters keep their historical attribute spelling as property
-    shims; ``chains`` (summed serialized-chain depth per transaction
-    kind) is materialized from the ``<prefix>.chain.<kind>`` counters.
+    The scalar attributes are the counters.  ``chains`` (summed
+    serialized-chain depth per transaction kind) is materialized from
+    the ``<prefix>.chain.<kind>`` registry counters.
     """
 
-    _SCALARS = ("ops", "local_hits", "sc_local_failures",
-                "spurious_losses", "nak_retries")
+    __slots__ = ("ops", "local_hits", "sc_local_failures", "spurious_losses",
+                 "nak_retries", "_registry", "_prefix", "_chains")
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         prefix: str = "ctrl",
     ) -> None:
+        #: Operations executed by this controller.
+        self.ops = 0
+        #: Operations satisfied without leaving the node.
+        self.local_hits = 0
+        #: store_conditionals failed locally with no network traffic.
+        self.sc_local_failures = 0
+        #: Reservations lost to the spurious-invalidation model.
+        self.spurious_losses = 0
+        #: Transactions reissued after an OWNER_NAK.
+        self.nak_retries = 0
         reg = registry if registry is not None else MetricsRegistry()
+        reg.attach(prefix, self, _CONTROLLER_FIELDS)
         self._registry = reg
         self._prefix = prefix
-        self._ops = reg.counter(f"{prefix}.ops")
-        self._local_hits = reg.counter(f"{prefix}.local_hits")
-        self._sc_local_failures = reg.counter(f"{prefix}.sc_local_failures")
-        self._spurious_losses = reg.counter(f"{prefix}.spurious_losses")
-        self._nak_retries = reg.counter(f"{prefix}.nak_retries")
         self._chains: dict[str, Any] = {}
-
-    @property
-    def ops(self) -> int:
-        """Operations executed by this controller."""
-        return self._ops.value
-
-    @ops.setter
-    def ops(self, value: int) -> None:
-        self._ops.value = value
-
-    @property
-    def local_hits(self) -> int:
-        """Operations satisfied without leaving the node."""
-        return self._local_hits.value
-
-    @local_hits.setter
-    def local_hits(self, value: int) -> None:
-        self._local_hits.value = value
-
-    @property
-    def sc_local_failures(self) -> int:
-        """store_conditionals failed locally with no network traffic."""
-        return self._sc_local_failures.value
-
-    @sc_local_failures.setter
-    def sc_local_failures(self, value: int) -> None:
-        self._sc_local_failures.value = value
-
-    @property
-    def spurious_losses(self) -> int:
-        """Reservations lost to the spurious-invalidation model."""
-        return self._spurious_losses.value
-
-    @spurious_losses.setter
-    def spurious_losses(self, value: int) -> None:
-        self._spurious_losses.value = value
-
-    @property
-    def nak_retries(self) -> int:
-        """Transactions reissued after an OWNER_NAK."""
-        return self._nak_retries.value
-
-    @nak_retries.setter
-    def nak_retries(self, value: int) -> None:
-        self._nak_retries.value = value
 
     def note_chain(self, kind: str, chain: int) -> None:
         """Accumulate the serialized-chain depth of one transaction."""
@@ -228,15 +192,11 @@ class CacheController:
             if self._spurious_rate else None
         )
         # Hot-path caches (cProfile-guided): timing constants off the
-        # frozen config, raw registry counters behind the stats shims,
-        # the address geometry and the machine's block -> policy map,
-        # all resolved once.
+        # frozen config, the address geometry and the machine's
+        # block -> policy map, all resolved once.
         timing = config.timing
         self._t_hit = timing.cache_hit
         self._t_occ = timing.controller_occupancy
-        self._c_ops = self.stats._ops
-        self._c_local_hits = self.stats._local_hits
-        self._c_sc_local_failures = self.stats._sc_local_failures
         self._block_bits = machine.address.block_bits
         self._offset_of = machine.address.offset_of
         self._policies = machine._policies
@@ -289,7 +249,7 @@ class CacheController:
         The block's sync policy picks a route table (:data:`_ROUTES`)
         and the operation's type picks the route within it.
         """
-        self._c_ops.value += 1
+        self.stats.ops += 1
         addr = op.addr
         if addr < 0:
             raise AddressError(f"negative address {addr}")
@@ -353,13 +313,13 @@ class CacheController:
             if res.doomed:
                 # Over-limit reservation: guaranteed failure, no traffic.
                 self._revoke_reservation("doomed")
-                self._c_sc_local_failures.value += 1
+                self.stats.sc_local_failures += 1
                 self._hit_result(False, callback)
                 return
         if token is None and not (res.valid and res.addr == op.addr):
             # No reservation was ever established and no explicit token:
             # the store_conditional cannot succeed; fail locally.
-            self._c_sc_local_failures.value += 1
+            self.stats.sc_local_failures += 1
             self._hit_result(False, callback)
             return
         if res.valid and res.addr == op.addr:
@@ -457,7 +417,7 @@ class CacheController:
         self._spurious_reservation_loss()
         res = self.reservation
         if not (res.valid and res.addr == op.addr):
-            self._c_sc_local_failures.value += 1
+            self.stats.sc_local_failures += 1
             self._hit_result(False, callback)
             return
         if line is not None and line.state is _EXCLUSIVE:
@@ -475,7 +435,7 @@ class CacheController:
         # Line gone; the invalidation should have killed the reservation,
         # but be defensive: fail locally.
         self._revoke_reservation("line_gone")
-        self._c_sc_local_failures.value += 1
+        self.stats.sc_local_failures += 1
         self._hit_result(False, callback)
 
     # ------------------------------------------------------------------
@@ -515,7 +475,7 @@ class CacheController:
         atomic: bool = False,
     ) -> None:
         """Complete an operation that was satisfied locally."""
-        self._c_local_hits.value += 1
+        self.stats.local_hits += 1
         self.last_chain = 0
         self.machine.stats.note_access(addr, self.node, is_write)
         delay = self._t_occ if atomic else self._t_hit

@@ -48,6 +48,7 @@ _REQUESTS = frozenset(
 )
 _DROP = MessageType.DROP
 _INV = SyncPolicy.INV
+_HOME_FIELDS = {"requests": "requests", "queued": "queued"}
 
 
 class HomeNode:
@@ -73,8 +74,11 @@ class HomeNode:
         if registry is None:
             from ..obs.registry import MetricsRegistry
             registry = MetricsRegistry()
-        self._requests = registry.counter(f"home.{node}.requests")
-        self._queued = registry.counter(f"home.{node}.queued")
+        #: Messages delivered to this home (``home.<node>.requests``).
+        self.requests = 0
+        #: Requests that found their entry busy (``home.<node>.queued``).
+        self.queued = 0
+        registry.attach(f"home.{node}", self, _HOME_FIELDS)
         self._registry = registry
         # Imprecise sharer representations (limited-pointer, coarse
         # vector) can fan invalidations/updates out beyond the true
@@ -99,7 +103,7 @@ class HomeNode:
         Drop notices only touch directory state (no DRAM data), so they
         occupy the module for the shorter directory-service time.
         """
-        self._requests.value += 1
+        self.requests += 1
         mtype = msg.mtype
         faults = self.faults
         if (faults is not None and mtype in _REQUESTS
@@ -154,7 +158,7 @@ class HomeNode:
         if mtype in _REQUESTS:
             entry = self.directory.entry(msg.block)
             if entry.busy:
-                self._queued.value += 1
+                self.queued += 1
                 if self.events.active:
                     holder = (entry.pending.requester
                               if entry.pending is not None else None)

@@ -213,8 +213,7 @@ class Machine:
 
     def proc_handle(self, pid: int) -> Proc:
         """The program-facing API object for processor ``pid``."""
-        processor = self.nodes[pid].processor
-        return Proc(pid, self.n_nodes, processor.rng)
+        return Proc(pid, self.n_nodes, self.nodes[pid].processor)
 
     def spawn(self, pid: int, program_fn: Callable[..., Any], *args: Any) -> None:
         """Start ``program_fn(proc, *args)`` on processor ``pid``."""

@@ -22,42 +22,31 @@ from ..sim.engine import Simulator
 
 __all__ = ["MemoryModule", "MemoryStats"]
 
+_MEMORY_FIELDS = {"accesses": "accesses", "queue_wait": "total_queue_wait"}
+
 
 class MemoryStats:
-    """Counters for one memory module (registry-backed, ``mem.<node>.*``).
+    """Counters for one memory module, read by the registry as ``mem.<node>.*``.
 
-    ``accesses`` and ``total_queue_wait`` remain readable/writable via
-    the historical attributes; the registry additionally keeps a
-    log-bucketed ``queue_wait_hist`` of per-request waits.
+    ``accesses`` and ``total_queue_wait`` are the counters
+    (``<prefix>.accesses`` and ``<prefix>.queue_wait``); the registry
+    also keeps a log-bucketed ``queue_wait_hist`` of per-request waits.
     """
+
+    __slots__ = ("accesses", "total_queue_wait", "queue_wait_hist")
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         prefix: str = "mem",
     ) -> None:
+        #: Requests serviced.
+        self.accesses = 0
+        #: Summed cycles spent waiting for service.
+        self.total_queue_wait = 0
         reg = registry if registry is not None else MetricsRegistry()
-        self._accesses = reg.counter(f"{prefix}.accesses")
-        self._total_queue_wait = reg.counter(f"{prefix}.queue_wait")
         self.queue_wait_hist = reg.histogram(f"{prefix}.queue_wait_hist")
-
-    @property
-    def accesses(self) -> int:
-        """Requests serviced (``<prefix>.accesses``)."""
-        return self._accesses.value
-
-    @accesses.setter
-    def accesses(self, value: int) -> None:
-        self._accesses.value = value
-
-    @property
-    def total_queue_wait(self) -> int:
-        """Summed cycles spent waiting for service (``<prefix>.queue_wait``)."""
-        return self._total_queue_wait.value
-
-    @total_queue_wait.setter
-    def total_queue_wait(self, value: int) -> None:
-        self._total_queue_wait.value = value
+        reg.attach(prefix, self, _MEMORY_FIELDS)
 
     @property
     def mean_queue_wait(self) -> float:
@@ -84,10 +73,8 @@ class MemoryModule:
         self._blocks: dict[int, list[int]] = {}
         self._next_free = 0
         self.stats = MemoryStats(registry, prefix=f"mem.{node}")
-        # Hot-path caches: raw counters behind the stats shims and the
+        # Hot-path caches: the wait histogram's sample dict and the
         # frozen service time, resolved once.
-        self._c_accesses = self.stats._accesses
-        self._c_queue_wait = self.stats._total_queue_wait
         self._wait_samples = self.stats.queue_wait_hist.samples
         self._t_service = config.timing.memory_service
 
@@ -156,9 +143,10 @@ class MemoryModule:
         service = self._t_service if service_time is None else service_time
         end = start + service
         self._next_free = end
-        self._c_accesses.value += 1
+        stats = self.stats
+        stats.accesses += 1
         wait = start - now
-        self._c_queue_wait.value += wait
+        stats.total_queue_wait += wait
         # Histogram.observe without the call: start >= now.
         samples = self._wait_samples
         samples[wait] = samples.get(wait, 0) + 1

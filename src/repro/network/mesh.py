@@ -39,62 +39,34 @@ __all__ = ["WormholeMesh", "NetworkStats"]
 
 Handler = Callable[[Message], None]
 
+_NETWORK_FIELDS = {name: name for name in (
+    "messages", "local_messages", "flits", "total_latency")}
+
 
 class NetworkStats:
-    """Aggregate network counters (registry-backed, ``net.*``).
+    """Aggregate network counters, read by the registry as ``net.*``.
 
-    The historical attribute spelling (``mesh.stats.messages``,
-    ``mesh.stats.by_type``) keeps working as property shims over the
-    registry counters.
+    The scalar attributes are the counters; ``by_type`` is materialized
+    from the ``net.by_type.<TYPE>`` registry counters.
     """
 
+    __slots__ = ("messages", "local_messages", "flits", "total_latency",
+                 "registry", "latency_hist", "_by_type")
+
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        #: Non-local messages delivered.
+        self.messages = 0
+        #: Node-local messages delivered.
+        self.local_messages = 0
+        #: Flits injected by non-local messages.
+        self.flits = 0
+        #: Summed non-local message latency.
+        self.total_latency = 0
         reg = registry if registry is not None else MetricsRegistry()
+        reg.attach("net", self, _NETWORK_FIELDS)
         self.registry = reg
-        self._messages = reg.counter("net.messages")
-        self._local_messages = reg.counter("net.local_messages")
-        self._flits = reg.counter("net.flits")
-        self._total_latency = reg.counter("net.total_latency")
-        self._latency_hist = reg.histogram("net.latency")
+        self.latency_hist = reg.histogram("net.latency")
         self._by_type: dict[str, object] = {}
-
-    # -- property shims over the registry ------------------------------
-
-    @property
-    def messages(self) -> int:
-        """Non-local messages delivered (``net.messages``)."""
-        return self._messages.value
-
-    @messages.setter
-    def messages(self, value: int) -> None:
-        self._messages.value = value
-
-    @property
-    def local_messages(self) -> int:
-        """Node-local messages delivered (``net.local_messages``)."""
-        return self._local_messages.value
-
-    @local_messages.setter
-    def local_messages(self, value: int) -> None:
-        self._local_messages.value = value
-
-    @property
-    def flits(self) -> int:
-        """Flits injected by non-local messages (``net.flits``)."""
-        return self._flits.value
-
-    @flits.setter
-    def flits(self, value: int) -> None:
-        self._flits.value = value
-
-    @property
-    def total_latency(self) -> int:
-        """Summed non-local message latency (``net.total_latency``)."""
-        return self._total_latency.value
-
-    @total_latency.setter
-    def total_latency(self, value: int) -> None:
-        self._total_latency.value = value
 
     @property
     def by_type(self) -> dict[str, int]:
@@ -113,8 +85,8 @@ class NetworkStats:
     @property
     def mean_latency(self) -> float:
         """Mean network latency of non-local messages."""
-        messages = self._messages.value
-        return self._total_latency.value / messages if messages else 0.0
+        messages = self.messages
+        return self.total_latency / messages if messages else 0.0
 
 
 class WormholeMesh:
@@ -132,9 +104,8 @@ class WormholeMesh:
         machine = config.machine
         timing = config.timing
         self.topology = make_topology(machine)
-        self._handlers: dict[tuple[int, Unit], Handler] = {}
         # Per-unit handler vectors: one dict probe + one list index on
-        # the send fast path instead of a tuple-keyed dict lookup.
+        # the send fast path.
         self._unit_handlers: dict[Unit, list[Optional[Handler]]] = {
             unit: [None] * machine.n_nodes for unit in Unit
         }
@@ -147,10 +118,9 @@ class WormholeMesh:
         # None keeps the fault-free fast path (docs/robustness.md).
         self.faults = None
         # Hot-path caches: flit sizes per message type, timing constants,
-        # the topology's coordinates and per-axis hop tables, and the raw
-        # registry counters (bypassing the NetworkStats property shims).
-        # All are pure derivations of frozen config / construction-time
-        # state.
+        # the topology's coordinates and per-axis hop tables, and the
+        # latency histogram's sample dict.  All are pure derivations of
+        # frozen config / construction-time state.
         data_flits = machine.data_flits(timing)
         self._flits_by_type = {
             mtype: data_flits if mtype.carries_data else timing.header_flits
@@ -162,17 +132,11 @@ class WormholeMesh:
         topology = self.topology
         self._x, self._y = topology._x, topology._y
         self._xd, self._yd = topology._xd, topology._yd
-        stats = self.stats
-        self._c_messages = stats._messages
-        self._c_local = stats._local_messages
-        self._c_flits = stats._flits
-        self._c_latency = stats._total_latency
-        self._latency_samples = stats._latency_hist.samples
+        self._latency_samples = self.stats.latency_hist.samples
         self._type_counters: dict[MessageType, Any] = {}
 
     def register(self, node: int, unit: Unit, handler: Handler) -> None:
         """Install the delivery handler for ``unit`` at ``node``."""
-        self._handlers[(node, unit)] = handler
         self._unit_handlers[unit][node] = handler
 
     def message_flits(self, msg: Message) -> int:
@@ -225,7 +189,7 @@ class WormholeMesh:
         if src == dst:
             # Node-local: cache <-> local memory over the node bus.
             done = now + self._local_access
-            self._c_local.value += 1
+            self.stats.local_messages += 1
         else:
             flit_cycles = self._flit_cycles
             serialize = flits * flit_cycles
@@ -254,9 +218,10 @@ class WormholeMesh:
                 done += faults.net_delay(dst)
             exit_free[dst] = done
             latency = done - now
-            self._c_messages.value += 1
-            self._c_flits.value += flits
-            self._c_latency.value += latency
+            stats = self.stats
+            stats.messages += 1
+            stats.flits += flits
+            stats.total_latency += latency
             # Histogram.observe without the call: latency >= 0 here.
             samples = self._latency_samples
             samples[latency] = samples.get(latency, 0) + 1

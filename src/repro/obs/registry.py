@@ -19,10 +19,12 @@ Three metric types:
 * :class:`Histogram` — log-bucketed (powers of two) distribution of
   non-negative integer samples, for latency/queue-wait distributions.
 
-Component stats objects (``CacheStats``, ``MemoryStats``, ...) are thin
-property shims over these metrics, so the historical attribute spelling
-(``cache.stats.hits``) keeps working while the registry remains the
-single source of truth.
+Per-node counters are not :class:`Counter` objects: a component keeps
+them as plain attributes of its stats record (``cache.stats.hits``) and
+increments them directly, and :meth:`MetricsRegistry.attach` tells the
+registry which attribute holds which metric.  The registry reads those
+attributes by name only when asked, through live :class:`Counter` views,
+so every reader sees one namespace of counters, gauges and histograms.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (may be negative for property-shim writes)."""
+        """Add ``amount`` (may be negative)."""
         self.value += amount
 
     def snapshot(self) -> int:
@@ -54,6 +56,26 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
+
+
+class _AttributeCounter(Counter):
+    """A live :class:`Counter` view of one attribute of an attached record."""
+
+    __slots__ = ("_record", "_attr")
+
+    def __init__(self, name: str, record: object, attr: str) -> None:
+        self.name = name
+        self._record = record
+        self._attr = attr
+
+    @property
+    def value(self) -> int:  # type: ignore[override]
+        """The attribute's current value."""
+        return getattr(self._record, self._attr)
+
+    @value.setter
+    def value(self, value: int) -> None:
+        setattr(self._record, self._attr, value)
 
 
 class Gauge:
@@ -230,18 +252,52 @@ class MetricsRegistry:
     """All metrics of one machine, keyed by hierarchical dotted name.
 
     ``counter``/``gauge``/``histogram`` create-or-return, so components
-    may be constructed in any order and stats shims can share metrics.
+    may be constructed in any order.  Per-node counters are attached
+    instead (:meth:`attach`): their values stay attributes of the
+    component's stats record, and the registry reads them by name.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        # prefix -> (record, {metric suffix: attribute of record}).
+        self._records: dict[str, tuple[object, dict[str, str]]] = {}
+        # Counter views of attached names, built when first read.
+        self._views: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Creation and lookup.
     # ------------------------------------------------------------------
 
+    def attach(self, prefix: str, record: object, fields: dict[str, str]) -> None:
+        """Publish attributes of ``record`` as counters ``<prefix>.<suffix>``.
+
+        ``fields`` maps each metric suffix to the attribute of ``record``
+        that holds its value.  The component increments its attributes
+        directly; readers of the registry get live :class:`Counter`
+        views of them.  Attach a record before anything creates an
+        ordinary metric under one of its names.
+        """
+        if prefix in self._records:
+            raise ValueError(f"metric prefix {prefix!r} is already attached")
+        self._records[prefix] = (record, fields)
+
+    def _view(self, name: str) -> Counter | None:
+        """The counter view of the attached ``name``, or None."""
+        view = self._views.get(name)
+        if view is None:
+            prefix, _, suffix = name.rpartition(".")
+            attached = self._records.get(prefix)
+            if attached is None or suffix not in attached[1]:
+                return None
+            record, fields = attached
+            view = _AttributeCounter(name, record, fields[suffix])
+            self._views[name] = view
+        return view
+
     def _make(self, name: str, cls: type) -> Metric:
         metric = self._metrics.get(name)
+        if metric is None and name.rpartition(".")[0] in self._records:
+            metric = self._view(name)
         if metric is None:
             metric = cls(name)
             self._metrics[name] = metric
@@ -266,23 +322,26 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Metric | None:
         """The metric named ``name``, or None."""
-        return self._metrics.get(name)
+        metric = self._metrics.get(name)
+        return metric if metric is not None else self._view(name)
 
     def names(self, prefix: str = "") -> list[str]:
         """Sorted metric names, optionally filtered by dotted prefix."""
+        names = list(self._metrics)
+        for record_prefix, (_, fields) in self._records.items():
+            names += [f"{record_prefix}.{suffix}" for suffix in fields]
         if not prefix:
-            return sorted(self._metrics)
+            return sorted(names)
         dotted = prefix if prefix.endswith(".") else prefix + "."
-        return sorted(
-            n for n in self._metrics if n == prefix or n.startswith(dotted)
-        )
+        return sorted(n for n in names if n == prefix or n.startswith(dotted))
 
     def __iter__(self) -> Iterator[Metric]:
-        for name in sorted(self._metrics):
-            yield self._metrics[name]
+        for name in self.names():
+            yield self.get(name)  # type: ignore[misc]
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._metrics) + sum(
+            len(fields) for _, fields in self._records.values())
 
     # ------------------------------------------------------------------
     # Snapshot / diff / export.
@@ -290,9 +349,16 @@ class MetricsRegistry:
 
     def snapshot(self, prefix: str = "") -> dict[str, object]:
         """A plain-data view of every metric (scalars and bucket dicts)."""
-        return {
-            name: self._metrics[name].snapshot() for name in self.names(prefix)
-        }
+        return {name: self._read(name) for name in self.names(prefix)}
+
+    def _read(self, name: str) -> object:
+        """The snapshot value of ``name``; attached ones read directly."""
+        metric = self._metrics.get(name)
+        if metric is not None:
+            return metric.snapshot()
+        prefix, _, suffix = name.rpartition(".")
+        record, fields = self._records[prefix]
+        return getattr(record, fields[suffix])
 
     @staticmethod
     def diff(before: dict[str, object], after: dict[str, object]) -> dict[str, object]:
@@ -339,7 +405,7 @@ class MetricsRegistry:
             if isinstance(value, dict):
                 self.histogram(name).merge_summary(value)
             else:
-                existing = self._metrics.get(name)
+                existing = self.get(name)
                 if isinstance(existing, Gauge) or (
                     existing is None and isinstance(value, float)
                 ):
@@ -355,7 +421,7 @@ class MetricsRegistry:
         """A readable text listing of the registry (for ``repro stats``)."""
         lines = []
         for name in self.names(prefix):
-            metric = self._metrics[name]
+            metric = self._metrics.get(name)
             if isinstance(metric, Histogram):
                 lines.append(
                     f"{name:40s} n={metric.count} mean={metric.mean:.1f} "
@@ -363,5 +429,5 @@ class MetricsRegistry:
                     f"max={metric.max if metric.max is not None else '-'}"
                 )
             else:
-                lines.append(f"{name:40s} {metric.value}")
+                lines.append(f"{name:40s} {self._read(name)}")
         return "\n".join(lines)

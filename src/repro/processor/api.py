@@ -18,7 +18,7 @@ Composite synchronization operations (locks, barriers, counters) in
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Any, Optional
 
 from ..primitives.ops import (
     CompareAndSwap,
@@ -40,12 +40,23 @@ __all__ = ["Proc"]
 
 
 class Proc:
-    """Operation factory bound to one processor."""
+    """Operation factory bound to one processor.
 
-    def __init__(self, pid: int, nprocs: int, rng: random.Random) -> None:
+    ``processor`` is anything with an ``rng`` attribute (the
+    :class:`~repro.processor.processor.Processor`); :attr:`rng` reads
+    through to it, so the processor's RNG is built only if the program
+    draws from it.
+    """
+
+    def __init__(self, pid: int, nprocs: int, processor: Any) -> None:
         self.pid = pid
         self.nprocs = nprocs
-        self.rng = rng
+        self._processor = processor
+
+    @property
+    def rng(self) -> random.Random:
+        """The processor's deterministic RNG, for backoff and think times."""
+        return self._processor.rng
 
     # ------------------------------------------------------------------
     # Ordinary accesses.

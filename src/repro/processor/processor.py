@@ -12,7 +12,8 @@ are generators yielding operation objects (see
 * the contend hooks feed the contention tracker in zero simulated time.
 
 The processor also keeps the per-processor deterministic RNG used by
-backoff code, seeded from the machine seed and the pid.
+backoff code, seeded from the machine seed and the pid alone and built
+on first use, so processors whose programs never draw pay nothing.
 """
 
 from __future__ import annotations
@@ -49,11 +50,20 @@ class Processor:
         self.machine = machine
         self.sim = machine.sim
         self.controller = machine.nodes[pid].controller
-        self.rng = random.Random((machine.config.seed << 20) ^ pid)
+        self._rng: random.Random | None = None
         self.faults = getattr(machine, "faults", None)
         self.process: Process | None = None
         self.ops_issued = 0
         self.finish_time: int | None = None
+
+    @property
+    def rng(self) -> random.Random:
+        """This processor's deterministic RNG (built on first read)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(
+                (self.machine.config.seed << 20) ^ self.pid)
+        return rng
 
     def run_program(self, generator) -> Process:
         """Attach and start a program generator."""

@@ -18,7 +18,7 @@ class MachineStats:
     """All cross-cutting counters of one simulation.
 
     Component-local counters (cache hit rates, memory queue waits, network
-    flits) live on the components (registry-backed; see
+    flits) live on the components (attached to the registry; see
     :mod:`repro.obs.registry`); this object holds the sharing-pattern
     statistics the paper's evaluation is built on, per-transaction
     serialized-message accounting, and the per-transaction latency

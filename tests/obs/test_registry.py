@@ -272,3 +272,106 @@ def test_histogram_negative_sample_raises_on_next_read():
     # histogram reads as if it had never been written.
     del h.samples[-3]
     assert h.snapshot() == _eager([2, 9])[0]
+
+
+# ----------------------------------------------------------------------
+# Attached records.
+# ----------------------------------------------------------------------
+
+
+class _Record:
+    __slots__ = ("hits", "misses", "total_wait")
+
+    def __init__(self, hits, misses, total_wait):
+        self.hits = hits
+        self.misses = misses
+        self.total_wait = total_wait
+
+
+FIELDS = {"hits": "hits", "misses": "misses", "wait": "total_wait"}
+
+
+def _attached_and_plain():
+    """The same counters twice: attached records, and plain Counters."""
+    attached, plain = MetricsRegistry(), MetricsRegistry()
+    for reg in (attached, plain):
+        reg.counter("net.flits").inc(9)
+        reg.histogram("cache.1.wait_hist").observe(6)
+        reg.gauge("cache.10.load").set(0.25)
+    for node, values in ((1, (3, 1, 40)), (10, (0, 7, 2)), (2, (5, 0, 0))):
+        attached.attach(f"cache.{node}", _Record(*values), FIELDS)
+        for suffix, value in zip(FIELDS, values):
+            plain.counter(f"cache.{node}.{suffix}").inc(value)
+    return attached, plain
+
+
+def test_attached_view_reads_and_writes_the_live_attribute():
+    reg = MetricsRegistry()
+    record = _Record(3, 1, 40)
+    reg.attach("cache.0", record, FIELDS)
+    view = reg.get("cache.0.wait")
+    assert isinstance(view, Counter)
+    assert (view.name, view.value) == ("cache.0.wait", 40)
+    record.total_wait += 2
+    assert view.value == 42
+    view.value = 7
+    assert record.total_wait == 7
+    assert reg.get("cache.0.total_wait") is None
+    assert reg.get("cache.0.other") is None
+
+
+def test_counter_on_attached_name_returns_the_view():
+    reg = MetricsRegistry()
+    record = _Record(3, 1, 40)
+    reg.attach("cache.0", record, FIELDS)
+    view = reg.counter("cache.0.hits")
+    assert view is reg.get("cache.0.hits") is reg.counter("cache.0.hits")
+    view.inc()
+    view.inc(4)
+    assert record.hits == 8
+    assert reg.snapshot("cache.0.hits") == {"cache.0.hits": 8}
+    assert len(reg) == 3
+
+
+def test_attached_name_type_mismatch_and_double_attach_rejected():
+    reg = MetricsRegistry()
+    reg.attach("cache.0", _Record(0, 0, 0), FIELDS)
+    with pytest.raises(TypeError):
+        reg.histogram("cache.0.hits")
+    with pytest.raises(TypeError):
+        reg.gauge("cache.0.misses")
+    with pytest.raises(ValueError):
+        reg.attach("cache.0", _Record(0, 0, 0), FIELDS)
+    # Other names under an attached prefix are ordinary metrics.
+    assert isinstance(reg.histogram("cache.0.wait_hist"), Histogram)
+
+
+def test_attached_registry_reads_like_a_plain_one():
+    attached, plain = _attached_and_plain()
+    assert attached.names() == plain.names()
+    assert attached.names("cache.1") == plain.names("cache.1") == [
+        "cache.1.hits", "cache.1.misses", "cache.1.wait", "cache.1.wait_hist"]
+    assert len(attached) == len(plain) == 12
+    assert ([(m.name, m.snapshot()) for m in attached]
+            == [(m.name, m.snapshot()) for m in plain])
+    assert attached.snapshot() == plain.snapshot()
+    assert list(attached.snapshot()) == list(plain.snapshot())
+    assert attached.snapshot("cache.10") == plain.snapshot("cache.10")
+    assert attached.render() == plain.render()
+    assert attached.to_json() == plain.to_json()
+
+
+def test_merge_snapshot_of_attached_registry_matches_plain():
+    attached, plain = _attached_and_plain()
+    into_attached, into_plain = MetricsRegistry(), MetricsRegistry()
+    for _ in range(2):
+        into_attached.merge_snapshot(attached.snapshot())
+        into_plain.merge_snapshot(plain.snapshot())
+    assert into_attached.snapshot() == into_plain.snapshot()
+    assert into_attached.snapshot()["cache.1.wait"] == 80
+    # Merging into an attached registry accumulates into the records.
+    record = _Record(1, 0, 0)
+    target = MetricsRegistry()
+    target.attach("cache.1", record, FIELDS)
+    target.merge_snapshot(attached.snapshot())
+    assert (record.hits, record.misses, record.total_wait) == (4, 1, 40)

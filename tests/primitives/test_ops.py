@@ -1,6 +1,7 @@
 """Unit tests for operation objects and the Proc factory."""
 
 import random
+from types import SimpleNamespace
 
 from repro.primitives.ops import (
     CasResult,
@@ -19,7 +20,7 @@ from repro.processor.api import Proc
 
 
 def make_proc(pid=0, nprocs=4):
-    return Proc(pid, nprocs, random.Random(0))
+    return Proc(pid, nprocs, SimpleNamespace(rng=random.Random(0)))
 
 
 def test_cas_result_truthiness():

@@ -1,8 +1,13 @@
 """Tests of the processor shell: think, barriers, errors, stats hooks."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro import SimConfig, build_machine
 from repro.errors import ProgramError
+from repro.processor import processor as processor_module
 
 from tests.conftest import make_machine, run_one
 
@@ -57,6 +62,36 @@ def test_rng_is_deterministic_per_pid():
     assert a == b
     c = m1.nodes[3].processor.rng.randrange(1 << 30)
     assert a != c
+
+
+def test_rng_is_built_on_first_use_with_the_same_stream(monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(processor_module, "random",
+                        SimpleNamespace(Random=CountingRandom))
+    m = build_machine(SimConfig().with_nodes(64))
+    assert built == []
+
+    def prog(p):
+        yield p.think(1)
+
+    m.spawn_all(prog)
+    m.run()
+    assert built == []
+    seed = m.config.seed
+    pids = (0, 5, 63)
+    for pid in pids:
+        rng = m.proc_handle(pid).rng
+        assert rng is m.nodes[pid].processor.rng
+        reference = random.Random((seed << 20) ^ pid)
+        assert ([rng.randrange(1 << 30) for _ in range(4)]
+                == [reference.randrange(1 << 30) for _ in range(4)])
+    assert built == [(seed << 20) ^ pid for pid in pids]
 
 
 def test_double_spawn_rejected_while_running():
