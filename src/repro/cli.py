@@ -119,7 +119,7 @@ from .harness.figures import (
     run_figure4,
     run_figure5,
 )
-from .harness.htmlreport import load_payload, write_report
+from .harness.htmlreport import write_report
 from .harness.instrumented import INSTRUMENTED_EXPERIMENTS, run_instrumented
 from .harness.parallel import ResultCache, attach_progress_writer
 from .harness.report import render_histogram, render_table
@@ -129,6 +129,7 @@ from .obs.exporters import export_events, to_jsonl
 from .obs.profile import profiled
 from .obs.schema import (
     dump_run,
+    load_run,
     make_run_payload,
     run_payload_to_jsonl,
     validate_run_payload,
@@ -755,7 +756,7 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    payload = load_payload(args.run)
+    payload = load_run(args.run)
     target = (args.output if args.output is not None
               else args.run.with_suffix(".html"))
     write_report(payload, target, title=args.title)

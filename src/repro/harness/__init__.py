@@ -7,7 +7,6 @@ from .parallel import (
     SweepExecutor,
     SweepPoint,
     code_fingerprint,
-    derive_point_seed,
     make_point,
     point_key,
     run_sweep,
@@ -39,7 +38,6 @@ __all__ = [
     "SweepExecutor",
     "SweepPoint",
     "code_fingerprint",
-    "derive_point_seed",
     "make_point",
     "point_key",
     "run_sweep",

@@ -41,14 +41,13 @@ dark-mode variant selected via ``prefers-color-scheme``.
 from __future__ import annotations
 
 import html
-import json
 import pathlib
 from typing import Any, Mapping, Optional, Sequence
 
 from ..obs.schema import validate_run_payload
 from ..obs.spans import SPAN_KINDS
 
-__all__ = ["render_report", "write_report", "load_payload"]
+__all__ = ["render_report", "write_report"]
 
 # CVD-validated categorical slots (light, dark) in fixed order; span
 # kinds map onto them positionally so a kind keeps its hue everywhere.
@@ -686,12 +685,6 @@ def _panel_faults(payload: Mapping[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Assembly
 # ----------------------------------------------------------------------
-
-def load_payload(path) -> dict[str, Any]:
-    """Read and validate a ``repro.run/1`` JSON document from disk."""
-    text = pathlib.Path(path).read_text()
-    return validate_run_payload(json.loads(text))
-
 
 def render_report(payload: Mapping[str, Any],
                   title: Optional[str] = None) -> str:

@@ -28,11 +28,7 @@ This module turns that observation into infrastructure:
 
 Because every point carries its own config (including its RNG seed),
 ``jobs=1`` and ``jobs=N`` produce byte-identical results; scheduling
-order can never leak into measurements.  :func:`derive_point_seed`
-additionally offers deterministic per-point seeds derived from the
-point's stable content hash, for sweeps that want decorrelated RNG
-streams per point regardless of execution order (the paper panels keep
-the config's own seed so historic numbers are unchanged).
+order can never leak into measurements.
 
 .. code-block:: python
 
@@ -80,7 +76,6 @@ __all__ = [
     "runner_ref",
     "resolve_runner",
     "point_key",
-    "derive_point_seed",
     "code_fingerprint",
     "default_cache_dir",
     "attach_progress_printer",
@@ -145,8 +140,6 @@ class SweepPoint:
             when present.
         kwargs: Extra keyword arguments as a sorted tuple of pairs
             (kept picklable and content-hashable).
-        seed: Optional per-point seed override; when set (and a config
-            is present) the runner sees ``replace(config, seed=seed)``.
     """
 
     runner: str
@@ -155,7 +148,6 @@ class SweepPoint:
     spec: Any = None
     config: Optional[SimConfig] = None
     kwargs: tuple[tuple[str, Any], ...] = ()
-    seed: Optional[int] = None
 
 
 def make_point(
@@ -165,7 +157,6 @@ def make_point(
     spec: Any = None,
     config: Optional[SimConfig] = None,
     label: str = "",
-    seed: Optional[int] = None,
     **kwargs: Any,
 ) -> SweepPoint:
     """Build a :class:`SweepPoint`, deriving a label when none is given."""
@@ -185,7 +176,6 @@ def make_point(
         spec=spec,
         config=config,
         kwargs=tuple(sorted(kwargs.items())),
-        seed=seed,
     )
 
 
@@ -254,30 +244,6 @@ def point_key(point: SweepPoint, fingerprint: Optional[str] = None) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-def derive_point_seed(point: SweepPoint, base_seed: Optional[int] = None) -> int:
-    """A deterministic per-point seed from the point's content hash.
-
-    Mixes the point descriptor (minus any seed override) with
-    ``base_seed`` (default: the point config's seed), so each point of a
-    sweep gets a reproducible, execution-order-independent RNG stream
-    that still varies with the user's chosen seed.  Pass
-    ``reseed=True`` to :func:`run_sweep` to apply it; the paper drivers
-    keep the config's own seed so historic numbers are unchanged.
-    """
-    if base_seed is None:
-        base_seed = point.config.seed if point.config is not None else 0
-    material = json.dumps(
-        {
-            "base": base_seed,
-            "point": _canonical(dataclasses.replace(point, seed=None)),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(material.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # ----------------------------------------------------------------------
@@ -419,17 +385,14 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
     JSON-able data.
     """
     fn = resolve_runner(point.runner)
-    config = point.config
-    if point.seed is not None and config is not None:
-        config = dataclasses.replace(config, seed=point.seed)
     args: list[Any] = []
     if point.variant is not None:
         args.append(point.variant)
     if point.spec is not None:
         args.append(point.spec)
     kwargs = dict(point.kwargs)
-    if config is not None:
-        kwargs["config"] = config
+    if point.config is not None:
+        kwargs["config"] = point.config
     holder: dict[str, Any] = {}
     if _accepts_observe(fn):
         kwargs["observe"] = holder.setdefault("machines", []).append
@@ -527,17 +490,9 @@ class SweepExecutor:
         self.point_timeout = point_timeout
         self.quarantine = quarantine
 
-    def run(
-        self,
-        points: Iterable[SweepPoint],
-        reseed: bool = False,
-    ) -> list[PointOutcome]:
+    def run(self, points: Iterable[SweepPoint]) -> list[PointOutcome]:
         """Resolve every point; see the class docstring for guarantees."""
         plan = list(points)
-        if reseed:
-            plan = [
-                dataclasses.replace(p, seed=derive_point_seed(p)) for p in plan
-            ]
         total = len(plan)
         self.events.emit("sweep.start", ts=0, total=total, jobs=self.jobs)
         keys = [point_key(p) for p in plan]
@@ -830,7 +785,6 @@ def run_sweep(
     cache: ResultCache | str | os.PathLike | None = None,
     events: Optional[EventBus] = None,
     registry: Optional[MetricsRegistry] = None,
-    reseed: bool = False,
     retries: int = 0,
     retry_backoff: float = 0.25,
     point_timeout: Optional[float] = None,
@@ -842,7 +796,7 @@ def run_sweep(
         retries=retries, retry_backoff=retry_backoff,
         point_timeout=point_timeout, quarantine=quarantine,
     )
-    return executor.run(points, reseed=reseed)
+    return executor.run(points)
 
 
 # ----------------------------------------------------------------------

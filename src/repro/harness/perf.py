@@ -1,9 +1,10 @@
 """Wall-clock performance harness for the simulation kernel.
 
 The simulator is deterministic, so its *results* are regression-tested
-bit-for-bit elsewhere (``tools/check_bench_regression.py``); this module
-tracks how *fast* those results are produced.  It runs five
-fixed-workload kernels, each stressing one layer of the hot path:
+bit-for-bit elsewhere (``tools/diff_envelopes.py`` against the committed
+``BENCH_*.json``); this module tracks how *fast* those results are
+produced.  It runs five fixed-workload kernels, each stressing one
+layer of the hot path:
 
 ``event_churn``
     The bare :class:`~repro.sim.engine.Simulator`: self-rescheduling
@@ -29,7 +30,8 @@ message counts, end cycles, final values).  The harness replays every
 kernel ``reps`` times, asserts the proxies are identical on every rep
 (catching nondeterminism the moment an optimization introduces it), and
 reports best-of-``reps`` wall seconds plus events/second.  One extra
-untimed rep runs under :mod:`tracemalloc` to record peak allocations.
+untimed rep runs under :mod:`tracemalloc`, with the cyclic collector
+off, to record peak allocations.
 
 ``repro perf [--quick] [--json OUT]`` drives this from the CLI; the JSON
 output is a standard ``repro.run/1`` envelope (``BENCH_PERF.json`` in
@@ -264,15 +266,21 @@ def run_perf(
         fn = PERF_KERNELS[name]
         # One untimed rep under tracemalloc: allocation tracking slows
         # execution several-fold, so it never shares a rep with timing.
-        # Collect first so the peak doesn't depend on whether a GC pass
-        # happens to reclaim earlier kernels' garbage mid-measurement —
         # peak_alloc_kib is gated at ±10% by
-        # tools/check_perf_regression.py and must be stable run to run.
+        # tools/check_perf_regression.py and must be stable run to run,
+        # so the rep starts from a collected heap and runs with the
+        # cyclic collector off: whether and when a collection frees
+        # garbage cycles (a finished machine) mid-rep differs between
+        # interpreter versions.
         gc.collect()
+        gc.disable()
         tracemalloc.start()
-        proxies = fn(quick)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            proxies = fn(quick)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
         # A kernel may stash host-side measurements (wall-based speedup
         # ratios, per-variant throughput) under "_info"; they are
         # reported alongside the proxies but excluded from the

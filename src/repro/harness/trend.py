@@ -8,8 +8,7 @@ The nightly workflow appends one dated record per run to
     {"date": "2026-08-08T03:47:00Z", "sha": "…",
      "kernels": {"event_core": {"wall_seconds": 1.2,
                                 "events_per_second": 800000.0,
-                                "peak_alloc_kib": 512, "info": "…"}},
-     "benchmarks": {"table1": {"wall_seconds": 3.4, "…": "…"}}}
+                                "peak_alloc_kib": 512, "info": "…"}}}
 
 ``repro trend BENCH_trend.jsonl`` turns that history into a per-kernel
 delta table: the latest record against the **median of all prior
@@ -18,7 +17,7 @@ baseline).  A kernel is *flagged* when its wall time grew — or its
 throughput dropped — by more than ``threshold_pct`` percent; flags are
 advisory by default (``--strict`` makes them exit 1) because nightly
 runners are noisy and the bit-exact gates live elsewhere
-(``tools/check_bench_regression.py``).
+(``tools/diff_envelopes.py``, ``tools/check_perf_regression.py``).
 
 Stdlib only, tolerant of the realities of an append-only history file:
 blank and corrupt lines are skipped (and counted), kernels may appear
@@ -85,9 +84,8 @@ def _delta_pct(latest: Any, baseline: Optional[float]) -> Optional[float]:
     return round(100.0 * (float(latest) - baseline) / baseline, 2)
 
 
-def _series(records: list[dict[str, Any]], section: str, name: str,
-            field: str) -> list[float]:
-    return [rec.get(section, {}).get(name, {}).get(field)
+def _series(records: list[dict[str, Any]], name: str, field: str) -> list[float]:
+    return [rec.get("kernels", {}).get(name, {}).get(field)
             for rec in records]
 
 
@@ -96,7 +94,7 @@ def summarize_trend(
 ) -> dict[str, Any]:
     """Latest record vs the median of the prior ones, per kernel.
 
-    Returns a JSON-able summary: ``kernels`` / ``benchmarks`` maps of
+    Returns a JSON-able summary: a ``kernels`` map of
     ``{latest fields, *_median, *_delta_pct, samples, flagged}`` plus a
     flat ``regressions`` list of human-readable flag strings (empty when
     clean, or when there is no history to compare against).
@@ -108,7 +106,6 @@ def summarize_trend(
         "last_date": records[-1].get("date") if records else None,
         "sha": records[-1].get("sha") if records else None,
         "kernels": {},
-        "benchmarks": {},
         "regressions": [],
     }
     if not records:
@@ -126,7 +123,7 @@ def summarize_trend(
         }
         for field in ("wall_seconds", "events_per_second",
                       "peak_alloc_kib"):
-            series = [v for v in _series(prior, "kernels", name, field)
+            series = [v for v in _series(prior, name, field)
                       if isinstance(v, (int, float))]
             median = _median(series)
             row[f"{field}_median"] = median
@@ -147,26 +144,6 @@ def summarize_trend(
                 f"kernel {name}: throughput {eps_down}% vs median of "
                 f"{row['samples']} prior run(s)")
         summary["kernels"][name] = row
-
-    for name in sorted(latest.get("benchmarks", {})):
-        bench = latest["benchmarks"][name]
-        series = [v for v in _series(prior, "benchmarks", name,
-                                     "wall_seconds")
-                  if isinstance(v, (int, float))]
-        median = _median(series)
-        delta = _delta_pct(bench.get("wall_seconds"), median)
-        row = {
-            "wall_seconds": bench.get("wall_seconds"),
-            "wall_seconds_median": median,
-            "wall_seconds_delta_pct": delta,
-            "samples": len(series),
-            "flagged": delta is not None and delta > threshold_pct,
-        }
-        if row["flagged"]:
-            summary["regressions"].append(
-                f"benchmark {name}: wall +{delta}% vs median of "
-                f"{len(series)} prior run(s)")
-        summary["benchmarks"][name] = row
     return summary
 
 
@@ -205,17 +182,6 @@ def render_trend(summary: dict[str, Any]) -> str:
             ["kernel", "wall s", "Δwall", "ev/s", "Δev/s", "peak KiB",
              "n", ""],
             rows, title="perf kernels: latest vs trailing median"))
-    if summary["benchmarks"]:
-        rows = [
-            [name, _fmt(row["wall_seconds"]),
-             _fmt_delta(row["wall_seconds_delta_pct"]),
-             str(row["samples"]),
-             "FLAG" if row["flagged"] else ""]
-            for name, row in summary["benchmarks"].items()
-        ]
-        sections.append(render_table(
-            ["benchmark", "wall s", "Δwall", "n", ""],
-            rows, title="gated benchmarks: latest vs trailing median"))
     if summary["regressions"]:
         sections.append("regressions flagged "
                         f"(>{summary['threshold_pct']:g}%):\n" +

@@ -35,6 +35,10 @@ deterministic, so chaos envelopes are byte-reproducible).
 The envelope is validated (no external dependency) by
 :func:`validate_run_payload`; bump :data:`SCHEMA` if the envelope ever
 changes shape (adding optional keys is backward-compatible).
+:func:`load_run` reads and validates one from disk, and
+:func:`diff_runs` compares two leaf by leaf, minus the host sections;
+every envelope gate (``tools/diff_envelopes.py``,
+``tools/check_perf_regression.py``) is built on the pair.
 
 For machine consumption as a stream (``repro stats --format jsonl``),
 :func:`run_payload_to_jsonl` flattens the same envelope into one JSON
@@ -45,12 +49,15 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "SCHEMA",
+    "HOST_SECTIONS",
     "make_run_payload",
     "validate_run_payload",
+    "load_run",
+    "diff_runs",
     "dump_run",
     "run_payload_to_jsonl",
 ]
@@ -59,6 +66,10 @@ SCHEMA = "repro.run/1"
 
 _OPTIONAL_SECTIONS = ("metrics", "latency", "critpath", "hotspots", "perf",
                       "profile", "faults")
+
+#: Sections that describe the host, not the simulation: :func:`diff_runs`
+#: never compares them.  ``critpath`` is simulated, so it is compared.
+HOST_SECTIONS = ("perf", "profile")
 
 
 def make_run_payload(
@@ -78,8 +89,7 @@ def make_run_payload(
     ``perf`` (wall-clock sidecar: ``wall_seconds``,
     ``events_per_second``) and ``profile`` (per-handler host-time
     attribution) are deliberately separate from ``results`` so bit-exact
-    baseline diffs (``tools/check_bench_regression.py``) never see
-    host-dependent timings.
+    baseline diffs (:func:`diff_runs`) never see host-dependent timings.
     """
     from .. import __version__
 
@@ -132,6 +142,53 @@ def validate_run_payload(
             f"expected experiment {experiment!r}, got {payload['experiment']!r}"
         )
     return payload
+
+
+def load_run(path) -> dict[str, Any]:
+    """Read and validate the envelope at ``path``.
+
+    A missing or unreadable file, invalid JSON, and a document that is
+    not a ``repro.run/1`` envelope all raise ``ValueError`` naming
+    ``path``.
+    """
+    try:
+        return validate_run_payload(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def diff_runs(
+    reference: Any, candidate: Any, ignore: Iterable[str] = ()
+) -> Iterator[str]:
+    """Yield one message per leaf where ``candidate`` differs.
+
+    :data:`HOST_SECTIONS` and every dotted path in ``ignore`` (e.g.
+    ``params.directory``) are skipped on both sides.  Leaves compare
+    exactly and by type, so ``1``, ``1.0`` and ``True`` all differ; a
+    key on one side only and lists of different length are differences.
+    """
+    return _leaf_diffs(reference, candidate, "", {*HOST_SECTIONS, *ignore})
+
+
+def _leaf_diffs(a: Any, b: Any, path: str, skip: set[str]) -> Iterator[str]:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            here = f"{path}.{key}" if path else key
+            if here in skip:
+                continue
+            if key not in b:
+                yield f"{here}: only in reference"
+            elif key not in a:
+                yield f"{here}: only in candidate"
+            else:
+                yield from _leaf_diffs(a[key], b[key], here, skip)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaf_diffs(x, y, f"{path}[{i}]", skip)
+    elif isinstance(a, list) and isinstance(b, list):
+        yield f"{path}: length {len(b)} != reference {len(a)}"
+    elif type(a) is not type(b) or a != b:
+        yield f"{path}: {b!r} != reference {a!r}"
 
 
 def dump_run(payload: Mapping[str, Any], path) -> None:

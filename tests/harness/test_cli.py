@@ -1,5 +1,7 @@
 """CLI smoke tests (small machines, captured output)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -208,7 +210,7 @@ def test_report_subcommand(tmp_path):
 def test_report_rejects_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "nope"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
         run_cli(["report", str(bad)])
 
 

@@ -6,9 +6,9 @@ import re
 import pytest
 
 from repro.config import small_config
-from repro.harness.htmlreport import load_payload, render_report, write_report
+from repro.harness.htmlreport import render_report, write_report
 from repro.harness.instrumented import run_instrumented
-from repro.obs.schema import make_run_payload
+from repro.obs.schema import load_run, make_run_payload
 
 PANEL_IDS = ("panel-1", "panel-2", "panel-3", "panel-4", "panel-5",
              "panel-6")
@@ -127,11 +127,11 @@ def test_html_escapes_untrusted_strings():
     assert "&lt;script&gt;" in html
 
 
-def test_write_report_and_load_payload_roundtrip(tmp_path):
+def test_write_report_and_load_run_roundtrip(tmp_path):
     source = tmp_path / "deep" / "run.json"
     source.parent.mkdir()
     source.write_text(json.dumps(_bench_table1_payload()))
-    payload = load_payload(source)
+    payload = load_run(source)
     target = tmp_path / "nested" / "dir" / "report.html"
     write_report(payload, target, title="demo report")
     html = target.read_text()

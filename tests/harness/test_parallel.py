@@ -13,7 +13,6 @@ from repro.harness.parallel import (
     SweepExecutor,
     attach_progress_printer,
     code_fingerprint,
-    derive_point_seed,
     execute_point,
     make_point,
     point_key,
@@ -88,19 +87,6 @@ def test_point_key_stable_and_content_sensitive():
 def test_point_key_changes_with_code_fingerprint():
     point = counter_points()[0]
     assert point_key(point) != point_key(point, fingerprint="0" * 64)
-
-
-def test_derive_point_seed_deterministic_and_per_point():
-    a, b = counter_points()[:2]
-    assert derive_point_seed(a) == derive_point_seed(a)
-    assert derive_point_seed(a) != derive_point_seed(b)
-    # The derived seed ignores any prior seed override but tracks the
-    # base seed, so reseeding is idempotent yet user-steerable.
-    import dataclasses
-
-    overridden = dataclasses.replace(a, seed=999)
-    assert derive_point_seed(overridden) == derive_point_seed(a)
-    assert derive_point_seed(a, base_seed=1) != derive_point_seed(a, base_seed=2)
 
 
 # ----------------------------------------------------------------------
@@ -231,14 +217,6 @@ def test_progress_printer_lines(capsys):
     err = capsys.readouterr().err
     assert "[sweep 1/2]" in err
     assert "[sweep] done: 0 cached, 2 simulated" in err
-
-
-def test_reseed_applies_derived_seeds():
-    points = counter_points()
-    outcomes = run_sweep(points, reseed=True)
-    assert [o.point.seed for o in outcomes] == [
-        derive_point_seed(p) for p in points
-    ]
 
 
 def test_progress_jsonl_stream(capsys):

@@ -15,7 +15,7 @@ from repro.harness.trend import (
 from repro.obs.schema import validate_run_payload
 
 
-def record(date, wall, eps, bench_wall=2.0, sha="abc123", peak=512):
+def record(date, wall, eps, sha="abc123", peak=512):
     return {
         "date": date,
         "sha": sha,
@@ -24,7 +24,6 @@ def record(date, wall, eps, bench_wall=2.0, sha="abc123", peak=512):
                            "events_per_second": eps,
                            "peak_alloc_kib": peak},
         },
-        "benchmarks": {"table1": {"wall_seconds": bench_wall}},
     }
 
 
@@ -86,7 +85,6 @@ def test_steady_history_is_clean():
     row = summary["kernels"]["event_core"]
     assert row["wall_seconds_delta_pct"] == 0.0
     assert row["samples"] == 4 and not row["flagged"]
-    assert not summary["benchmarks"]["table1"]["flagged"]
     assert summary["regressions"] == []
     assert summary["sha"] == "abc123"
 
@@ -103,16 +101,12 @@ def test_wall_regression_is_flagged_past_threshold():
     assert summarize_trend(history, threshold_pct=25.0)["regressions"] == []
 
 
-def test_throughput_drop_and_bench_wall_are_flagged():
-    history = STEADY + [record("2026-08-06", 1.0, 600_000.0,
-                               bench_wall=3.0)]
+def test_throughput_drop_is_flagged():
+    history = STEADY + [record("2026-08-06", 1.0, 600_000.0)]
     summary = summarize_trend(history)
     assert summary["kernels"]["event_core"]["flagged"]
-    bench = summary["benchmarks"]["table1"]
-    assert bench["wall_seconds_delta_pct"] == pytest.approx(50.0)
-    assert bench["flagged"]
     kinds = [line.split(":")[0] for line in summary["regressions"]]
-    assert kinds == ["kernel event_core", "benchmark table1"]
+    assert kinds == ["kernel event_core"]
 
 
 def test_one_noisy_prior_night_cannot_move_the_median_baseline():
@@ -129,7 +123,6 @@ def test_kernels_may_appear_between_nights():
         "date": "2026-08-06", "sha": "def",
         "kernels": {"brand_new": {"wall_seconds": 2.0,
                                   "events_per_second": 100.0}},
-        "benchmarks": {},
     }]
     summary = summarize_trend(history)
     assert list(summary["kernels"]) == ["brand_new"]

@@ -1,4 +1,4 @@
-"""The repro.run/1 envelope: optional sections and the JSONL flattening."""
+"""The repro.run/1 envelope: sections, JSONL, the loader and the differ."""
 
 import json
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.obs.schema import (
     SCHEMA,
+    diff_runs,
+    load_run,
     make_run_payload,
     run_payload_to_jsonl,
     validate_run_payload,
@@ -136,3 +138,84 @@ def test_perf_section_must_be_an_object():
     payload["perf"] = 0.5
     with pytest.raises(ValueError, match="perf"):
         validate_run_payload(payload)
+
+
+# ----------------------------------------------------------------------
+# load_run: every bad file is an error that names it.
+# ----------------------------------------------------------------------
+
+def test_load_run_reads_and_validates(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_full_payload()))
+    assert load_run(path) == _full_payload()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", '{"schema": "x"}'],
+                         ids=["missing", "invalid-json", "wrong-schema"])
+def test_load_run_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_run(path)
+    assert str(path) in str(info.value)
+
+
+# ----------------------------------------------------------------------
+# diff_runs: the one leaf walker behind every envelope gate.
+# ----------------------------------------------------------------------
+
+def _diffs(a, b, **kwargs):
+    return list(diff_runs(a, b, **kwargs))
+
+
+def test_diff_runs_leaves_compare_by_type():
+    leaves = [1, 1.0, True]
+    for a in leaves:
+        for b in leaves:
+            diffs = _diffs({"results": {"x": a}}, {"results": {"x": b}})
+            assert (diffs == []) == (a is b), (a, b)
+    assert _diffs({"x": 1}, {"x": True}) == ["x: True != reference 1"]
+
+
+def test_diff_runs_reports_keys_on_one_side():
+    reference = {"results": {"kept": 1, "dropped": 2}}
+    candidate = {"results": {"kept": 1, "added": 3}}
+    assert _diffs(reference, candidate) == [
+        "results.added: only in candidate",
+        "results.dropped: only in reference",
+    ]
+
+
+def test_diff_runs_lists_of_different_length():
+    reference = {"results": {"counters": [7, 7, [1, 2]]}}
+    assert _diffs(reference, {"results": {"counters": [7, 7]}}) == [
+        "results.counters: length 2 != reference 3"]
+    assert _diffs(reference, {"results": {"counters": [7, 8, [1, 3]]}}) == [
+        "results.counters[1]: 8 != reference 7",
+        "results.counters[2][1]: 3 != reference 2",
+    ]
+
+
+def test_diff_runs_skips_host_sections_but_not_critpath():
+    reference, candidate = _full_payload(), _full_payload()
+    candidate["perf"] = {"wall_seconds": 99.0}
+    del candidate["profile"]
+    assert _diffs(reference, candidate) == []
+    candidate["critpath"]["cycles"] = 21
+    assert _diffs(reference, candidate) == [
+        "critpath.cycles: 21 != reference 20"]
+
+
+def test_diff_runs_ignored_path_may_be_absent_on_one_side():
+    reference = make_run_payload("demo", params={"nodes": 4},
+                                 results={"answer": 42})
+    candidate = make_run_payload("demo", params={"nodes": 4,
+                                                 "directory": "coarse:1"},
+                                 results={"answer": 42})
+    assert _diffs(reference, candidate) == [
+        "params.directory: only in candidate"]
+    assert _diffs(reference, candidate, ignore=["params.directory"]) == []
+    assert _diffs(reference, candidate,
+                  ignore=["params.nonesuch", "no.such.section",
+                          "params.directory"]) == []

@@ -32,15 +32,12 @@ def kernel(peak_kib=100.0, **proxies):
     }
 
 
-def run_gate(tmp_path, baseline, current, mem_tolerance=None):
+def run_gate(tmp_path, baseline, current):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
     base.write_text(json.dumps(baseline))
     cur.write_text(json.dumps(current))
-    argv = ["--baseline", str(base), "--current", str(cur)]
-    if mem_tolerance is not None:
-        argv += ["--mem-tolerance", str(mem_tolerance)]
-    return gate.main(argv)
+    return gate.main(["--baseline", str(base), "--current", str(cur)])
 
 
 def test_identical_envelopes_pass(tmp_path):
@@ -87,13 +84,6 @@ def test_peak_alloc_improvement_outside_band_also_fails(tmp_path, capsys):
     assert "-20.0%" in capsys.readouterr().out
 
 
-def test_mem_tolerance_is_adjustable(tmp_path):
-    base = envelope({"event_churn": kernel(peak_kib=100.0)})
-    cur = envelope({"event_churn": kernel(peak_kib=115.0)})
-    assert run_gate(tmp_path, base, cur, mem_tolerance=0.20) == 0
-    assert run_gate(tmp_path, base, cur, mem_tolerance=0.10) == 1
-
-
 def test_pre_gate_baseline_without_peak_is_skipped(tmp_path):
     base = envelope({"event_churn": kernel()})
     del base["results"]["event_churn"]["peak_alloc_kib"]
@@ -132,46 +122,7 @@ def test_committed_baseline_gates_itself():
     for name, k in doc["results"].items():
         assert k["peak_alloc_kib"] > 0, name
         assert k["proxies"], name
-
-
-def test_update_baselines_rewrites_and_reports(tmp_path, capsys):
-    base = envelope({"event_churn": kernel(events=60_016)})
-    cur = envelope({"event_churn": kernel(events=70_000)})
-    base_path = tmp_path / "base.json"
-    cur_path = tmp_path / "cur.json"
-    base_path.write_text(json.dumps(base))
-    cur_path.write_text(json.dumps(cur))
-    code = gate.main([
-        "--baseline", str(base_path),
-        "--current", str(cur_path),
-        "--update-baselines",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "1 change(s)" in out
-    assert "event_churn.proxies.events" in out
-    rewritten = json.loads(base_path.read_text())
-    assert rewritten["results"]["event_churn"]["proxies"]["events"] == 70_000
-    # The rewritten baseline must gate its own source cleanly.
-    assert gate.main([
-        "--baseline", str(base_path), "--current", str(cur_path),
-    ]) == 0
-
-
-def test_update_baselines_with_no_divergence_refreshes_walls(tmp_path,
-                                                             capsys):
-    doc = envelope({"event_churn": kernel()})
-    base_path = tmp_path / "base.json"
-    cur_path = tmp_path / "cur.json"
-    base_path.write_text(json.dumps(doc))
-    cur_path.write_text(json.dumps(doc))
-    code = gate.main([
-        "--baseline", str(base_path),
-        "--current", str(cur_path),
-        "--update-baselines",
-    ])
-    assert code == 0
-    assert "no divergences" in capsys.readouterr().out
+    assert gate.main(["--baseline", str(baseline), "--current", str(baseline)]) == 0
 
 
 def test_absolute_budget_pass(tmp_path):

@@ -1,11 +1,14 @@
-"""The CI determinism diff (tools/diff_envelopes.py)."""
+"""The CI envelope gate (tools/diff_envelopes.py): determinism and baselines."""
 
 import importlib.util
 import json
 import pathlib
 
+from repro.obs.schema import load_run
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCRIPT = REPO_ROOT / "tools" / "diff_envelopes.py"
+BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 
 spec = importlib.util.spec_from_file_location("diff_envelopes", SCRIPT)
 diff = importlib.util.module_from_spec(spec)
@@ -39,6 +42,13 @@ def test_identical_envelopes_pass(tmp_path, capsys):
     paths = write_all(tmp_path, envelope(), envelope(), envelope())
     assert diff.main(paths) == 0
     assert "2 envelope(s) byte-identical" in capsys.readouterr().out
+    # Every committed benchmark baseline is a valid envelope that
+    # passes against itself.
+    baselines = sorted(BASELINES.glob("BENCH_*.json"))
+    assert len(baselines) >= 2
+    for path in baselines:
+        assert load_run(path)["params"]["nodes"] == 64
+        assert diff.main([str(path), str(path)]) == 0
 
 
 def test_host_time_sections_are_always_stripped(tmp_path):
@@ -66,6 +76,10 @@ def test_simulation_divergence_fails_with_leaf_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "results.counters[1]" in out
+    # A run at another size is a divergence too, however equal its results.
+    c = envelope(params={"nodes": 32, "turns": 8, "directory": "full"})
+    assert diff.main(write_all(tmp_path, a, c)) == 1
+    assert "params.nodes: 32 != reference 64" in capsys.readouterr().out
 
 
 def test_ignore_strips_dotted_paths(tmp_path):
@@ -87,6 +101,10 @@ def test_type_change_is_a_divergence(tmp_path, capsys):
     a = envelope(metrics={"net.messages": 1006})
     b = envelope(metrics={"net.messages": 1006.0})
     assert diff.main(write_all(tmp_path, a, b)) == 1
+    # bool is an int subclass; a True/1 swap is still a change.
+    c = envelope(results={"counters": [7, 7], "match": 1, "end_time": 4978})
+    assert diff.main(write_all(tmp_path, a, c)) == 1
+    assert "results.match: 1 != reference True" in capsys.readouterr().out
 
 
 def test_missing_key_is_a_divergence(tmp_path, capsys):
@@ -95,6 +113,20 @@ def test_missing_key_is_a_divergence(tmp_path, capsys):
     del b["metrics"]["net.messages"]
     assert diff.main(write_all(tmp_path, a, b)) == 1
     assert "only in reference" in capsys.readouterr().out
+    # An extra key fails too: a new metric needs a deliberate refresh.
+    c = envelope(metrics={"net.messages": 1006, "net.flits": 5000})
+    assert diff.main(write_all(tmp_path, a, c)) == 1
+    assert "metrics.net.flits: only in candidate" in capsys.readouterr().out
+
+
+def test_missing_or_non_envelope_file_fails(tmp_path, capsys):
+    reference, candidate = write_all(tmp_path, envelope(), envelope())
+    missing = str(tmp_path / "absent.json")
+    assert diff.main([reference, missing]) == 1
+    assert missing in capsys.readouterr().err
+    pathlib.Path(candidate).write_text(json.dumps({"schema": "repro.run/1"}))
+    assert diff.main([reference, candidate]) == 1
+    assert candidate in capsys.readouterr().err
 
 
 def test_ignore_topology_and_directory_params(tmp_path):

@@ -1,230 +1,130 @@
 #!/usr/bin/env python3
-"""Gate the perf microbenchmarks on their deterministic proxies.
+"""Gate ``repro perf`` envelopes on their deterministic proxies and peaks.
 
-``repro perf`` emits a ``repro.run/1`` envelope whose ``results`` hold,
-per kernel, best-of-reps wall-clock numbers *and* a ``proxies`` dict of
-deterministic outputs (event counts, message counts, end cycles, final
-values).  Wall clock depends on the host and is useless as a CI gate;
-the proxies must never move unless the simulation itself changed.  This
-script therefore:
+Per kernel, ``repro perf`` reports best-of-reps wall-clock numbers, a
+``proxies`` dict of deterministic outputs (event counts, message
+counts, end cycles, final values), the tracemalloc peak of one untimed
+rep (``peak_alloc_kib``) and its absolute ceiling (``budget_kib``).
+Against the committed baseline this gate fails on:
 
-* compares every kernel's ``proxies`` leaf-by-leaf against the committed
-  baseline with **zero tolerance** — any drift fails;
-* fails on kernels missing from either side (a silently dropped kernel
-  must not pass; a new kernel needs its baseline refreshed);
-* gates every kernel's ``peak_alloc_kib`` (tracemalloc peak during one
-  untimed rep — deterministic allocation volume, not RSS) inside a
-  ``--mem-tolerance`` band (default ±10%) around the baseline: a leak
-  or an allocation-happy change fails, and so does a big *improvement*,
-  which deserves a deliberate baseline refresh;
-* enforces each kernel's absolute ``budget_kib`` memory ceiling (the
-  machine-construction footprint budgets from
-  ``repro.harness.perf.MEM_BUDGETS_KIB``);
-* prints the wall-seconds / events-per-second deltas as an
-  **informational** report only.
+* any difference in ``params.mode`` or in a kernel's proxies, and a
+  kernel on one side only (``repro.obs.schema.diff_runs``);
+* a ``peak_alloc_kib`` more than ``MEM_TOLERANCE`` away from the
+  baseline's, in either direction: a leak fails, and so does a big
+  improvement, which deserves a deliberate baseline refresh;
+* a ``peak_alloc_kib`` over its ``budget_kib``.
 
-Stdlib only on purpose — the gate must run without installing the
-package::
+Wall-clock deltas depend on the host and are printed for information
+only::
 
-    python tools/check_perf_regression.py \\
+    PYTHONPATH=src python tools/check_perf_regression.py \\
         --baseline benchmarks/baselines/PERF_quick.json \\
         --current bench-out/BENCH_PERF.json
 
-Exit status: 0 if every proxy matches, 1 otherwise.  Refresh the
-baseline by re-running ``repro perf --quick --json`` after an intended
-behaviour change (and explain the drift in the commit message).
+Exit status 0 when the gate passes, 1 otherwise.  After an intended
+change, refresh the baseline by copying the fresh envelope over it and
+say in the commit message which lines the gate printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
-from typing import Any, Iterator, List
+from typing import Iterator
 
-SCHEMA = "repro.run/1"
+from repro.obs.schema import diff_runs, load_run
 
-
-def load_envelope(path: pathlib.Path) -> dict:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.exit(f"error: {path}: unreadable ({exc})")
-    if payload.get("schema") != SCHEMA:
-        sys.exit(
-            f"error: {path}: schema {payload.get('schema')!r}, "
-            f"expected {SCHEMA!r}"
-        )
-    for key in ("experiment", "params", "results"):
-        if key not in payload:
-            sys.exit(f"error: {path}: not a {SCHEMA} envelope (no {key!r})")
-    return payload
+#: Allowed relative drift of a kernel's ``peak_alloc_kib`` (±10%).
+MEM_TOLERANCE = 0.10
 
 
-def walk_diffs(baseline: Any, current: Any, path: str) -> Iterator[str]:
-    """Yield a message per divergent leaf (exact comparison)."""
-    if isinstance(baseline, dict) and isinstance(current, dict):
-        for key in sorted(baseline):
-            if key not in current:
-                yield f"{path}.{key}: missing from current run"
-            else:
-                yield from walk_diffs(baseline[key], current[key],
-                                      f"{path}.{key}")
-        for key in sorted(set(current) - set(baseline)):
-            yield f"{path}.{key}: not in baseline (new proxy? refresh it)"
-        return
-    if baseline != current:
-        yield f"{path}: {current!r} != baseline {baseline!r}"
+def gated(doc: dict) -> dict:
+    """The part of a perf envelope that must not move: mode and proxies."""
+    return {
+        "params": {"mode": doc["params"].get("mode")},
+        "results": {
+            name: {"proxies": kernel.get("proxies", {})}
+            for name, kernel in doc["results"].items()
+        },
+    }
 
 
-def mem_diffs(base_kernels: dict, cur_kernels: dict,
-              tolerance: float) -> Iterator[str]:
+def mem_diffs(base_kernels: dict, cur_kernels: dict) -> Iterator[str]:
     """Yield a message per kernel whose peak allocations left the band."""
-    for name in sorted(base_kernels):
-        if name not in cur_kernels:
-            continue  # already reported as a missing kernel
+    for name in sorted(set(base_kernels) & set(cur_kernels)):
         base_kib = base_kernels[name].get("peak_alloc_kib")
         cur_kib = cur_kernels[name].get("peak_alloc_kib")
-        if base_kib is None:
-            continue  # pre-gate baseline; refresh to start gating
+        if not base_kib:
+            continue  # a baseline without a peak gates nothing
         if cur_kib is None:
             yield f"{name}.peak_alloc_kib: missing from current run"
             continue
-        if base_kib <= 0:
-            continue
         delta = (cur_kib - base_kib) / base_kib
-        if abs(delta) > tolerance:
+        if abs(delta) > MEM_TOLERANCE:
             yield (
                 f"{name}.peak_alloc_kib: {cur_kib} KiB is {delta:+.1%} "
-                f"vs baseline {base_kib} KiB (tolerance ±{tolerance:.0%})"
+                f"vs baseline {base_kib} KiB (tolerance ±{MEM_TOLERANCE:.0%})"
             )
 
 
 def budget_diffs(cur_kernels: dict) -> Iterator[str]:
-    """Yield a message per kernel over its absolute memory budget.
-
-    ``repro perf`` publishes each kernel's ceiling as ``budget_kib``
-    (from ``repro.harness.perf.MEM_BUDGETS_KIB``) and enforces it at
-    measurement time; re-checking here keeps the gate meaningful for
-    envelopes produced by older harnesses or edited by hand.
-    """
-    for name in sorted(cur_kernels):
-        kernel = cur_kernels[name]
-        budget = kernel.get("budget_kib")
-        peak = kernel.get("peak_alloc_kib")
-        if budget is None or peak is None:
-            continue
-        if peak > budget:
+    """Yield a message per kernel over its absolute memory budget."""
+    for name, kernel in sorted(cur_kernels.items()):
+        budget, peak = kernel.get("budget_kib"), kernel.get("peak_alloc_kib")
+        if budget is not None and peak is not None and peak > budget:
             yield (
                 f"{name}.peak_alloc_kib: {peak} KiB exceeds its absolute "
                 f"budget of {budget} KiB"
             )
 
 
-def wall_report(base_kernels: dict, cur_kernels: dict) -> List[str]:
+def wall_report(base_kernels: dict, cur_kernels: dict) -> Iterator[str]:
     """Informational wall-clock comparison (never fails the gate)."""
-    lines = ["wall-clock (informational; host-dependent, not gated):"]
-    for name in sorted(base_kernels):
-        if name not in cur_kernels:
-            continue
-        b, c = base_kernels[name], cur_kernels[name]
-        b_wall, c_wall = b.get("wall_seconds"), c.get("wall_seconds")
-        if not b_wall or not c_wall:
-            continue
-        delta = (c_wall - b_wall) / b_wall * 100.0
-        eps = c.get("events_per_second")
-        eps_text = f", {eps:,} ev/s" if eps else ""
-        lines.append(
-            f"  {name}: {c_wall:.4f}s vs baseline {b_wall:.4f}s "
-            f"({delta:+.1f}%{eps_text})"
-        )
-    return lines
+    yield "wall-clock (informational; host-dependent, not gated):"
+    for name in sorted(set(base_kernels) & set(cur_kernels)):
+        b_wall = base_kernels[name].get("wall_seconds")
+        c_wall = cur_kernels[name].get("wall_seconds")
+        if b_wall and c_wall:
+            eps = cur_kernels[name].get("events_per_second")
+            eps_text = f", {eps:,} ev/s" if eps else ""
+            yield (
+                f"  {name}: {c_wall:.4f}s vs baseline {b_wall:.4f}s "
+                f"({(c_wall - b_wall) / b_wall:+.1%}{eps_text})"
+            )
 
 
-def main(argv: List[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Gate perf-microbenchmark proxies against a baseline.",
+        description="Gate perf-microbenchmark proxies and peaks against a baseline.",
     )
     parser.add_argument(
-        "--baseline",
-        type=pathlib.Path,
-        required=True,
-        help="committed PERF_*.json baseline envelope",
+        "--baseline", required=True, help="committed PERF_*.json baseline envelope"
     )
     parser.add_argument(
-        "--current",
-        type=pathlib.Path,
-        required=True,
-        help="freshly generated BENCH_PERF.json envelope",
-    )
-    parser.add_argument(
-        "--mem-tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative band for peak_alloc_kib per kernel "
-             "(default 0.10 = ±10%%)",
-    )
-    parser.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="rewrite --baseline from --current and print a summary of "
-             "what changed (replaces hand-editing the committed file)",
+        "--current", required=True, help="freshly generated repro perf envelope"
     )
     args = parser.parse_args(argv)
+    try:
+        baseline, current = load_run(args.baseline), load_run(args.current)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-    baseline = load_envelope(args.baseline)
-    current = load_envelope(args.current)
-
-    problems: List[str] = []
-    base_mode = baseline.get("params", {}).get("mode")
-    cur_mode = current.get("params", {}).get("mode")
-    if base_mode != cur_mode:
-        problems.append(
-            f"params.mode: {cur_mode!r} != baseline {base_mode!r} "
-            "(quick/full workloads have different proxies)"
-        )
-
-    base_kernels = baseline["results"]
-    cur_kernels = current["results"]
-    for name in sorted(base_kernels):
-        if name not in cur_kernels:
-            problems.append(f"{name}: kernel missing from current run")
-            continue
-        problems.extend(walk_diffs(
-            base_kernels[name].get("proxies", {}),
-            cur_kernels[name].get("proxies", {}),
-            f"{name}.proxies",
-        ))
-    for name in sorted(set(cur_kernels) - set(base_kernels)):
-        problems.append(f"{name}: kernel not in baseline (refresh it)")
-    problems.extend(mem_diffs(base_kernels, cur_kernels,
-                              args.mem_tolerance))
-    problems.extend(budget_diffs(cur_kernels))
-
+    base_kernels, cur_kernels = baseline["results"], current["results"]
+    problems = [
+        *diff_runs(gated(baseline), gated(current)),
+        *mem_diffs(base_kernels, cur_kernels),
+        *budget_diffs(cur_kernels),
+    ]
     print("\n".join(wall_report(base_kernels, cur_kernels)))
-    if args.update_baselines:
-        args.baseline.write_text(
-            json.dumps(current, indent=2, sort_keys=True) + "\n"
-        )
-        print()
-        if problems:
-            print(f"updated {args.baseline}: {len(problems)} change(s):")
-            for problem in problems:
-                print(f"  {problem}")
-        else:
-            print(f"updated {args.baseline}: no divergences "
-                  "(wall numbers refreshed)")
-        return 0
     if problems:
-        print()
-        print(f"FAIL: {len(problems)} divergence(s):")
+        print(f"\nFAIL: {len(problems)} divergence(s):")
         for problem in problems:
             print(f"  {problem}")
         return 1
     print(
-        f"OK: proxies and peak allocations of {len(base_kernels)} "
-        f"kernel(s) match the baseline"
+        f"\nOK: proxies and peak allocations of {len(base_kernels)} "
+        "kernel(s) match the baseline"
     )
     return 0
 
