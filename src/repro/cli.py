@@ -65,9 +65,7 @@ Host-level self-observability (see :mod:`repro.obs.profile`,
   into ``--json`` output);
 * ``--telemetry OUT`` streams ``run.progress`` heartbeat records
   (throughput, queue depth, RSS, GC) as JSONL to ``OUT`` (``-`` =
-  stderr) every ``--telemetry-every`` executed events;
-* ``--progress-format jsonl`` switches sweep progress from text lines
-  to machine-readable JSONL on the same serializer.
+  stderr) every ``--telemetry-every`` executed events.
 
 ``--profile``/``--telemetry`` are in-process measurements, so they
 force ``--jobs 1`` and disable the result cache for that invocation
@@ -121,7 +119,7 @@ from .harness.figures import (
 )
 from .harness.htmlreport import write_report
 from .harness.instrumented import INSTRUMENTED_EXPERIMENTS, run_instrumented
-from .harness.parallel import ResultCache, attach_progress_writer
+from .harness.parallel import ResultCache, attach_progress_printer
 from .harness.report import render_histogram, render_table
 from .harness.table1 import TABLE1_EXPECTED, run_table1
 from .obs.events import EventBus
@@ -141,7 +139,6 @@ __all__ = ["main", "build_parser"]
 TRACE_FORMATS = ("text", "jsonl", "chrome")
 STATS_FORMATS = ("text", "jsonl")
 PROFILE_FORMATS = ("text", "json", "collapsed")
-PROGRESS_FORMATS = ("text", "jsonl")
 TOPOLOGIES = ("mesh", "torus")
 DIRECTORIES = ("full", "limited", "coarse")
 
@@ -197,10 +194,6 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         default=default(False),
                         help="print per-point sweep progress to stderr "
                              "(implied by --jobs > 1)")
-    parser.add_argument("--progress-format", choices=PROGRESS_FORMATS,
-                        default=default("text"),
-                        help="sweep progress as human text lines or "
-                             "machine-readable JSONL (default text)")
     parser.add_argument("--profile", action="store_true",
                         default=default(False),
                         help="attribute host time per (component, "
@@ -426,7 +419,7 @@ def _sweep_opts(args: argparse.Namespace) -> dict[str, Any]:
     """
     events = EventBus()
     if args.progress or args.jobs > 1:
-        attach_progress_writer(events, args.progress_format)
+        attach_progress_printer(events)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return {"jobs": args.jobs, "cache": cache, "events": events}
 
@@ -667,9 +660,8 @@ def _cmd_perf(args, out) -> int:
 
 def _cmd_chaos(args, out) -> int:
     from .faults.chaos import render_chaos, run_chaos
-    from .obs.registry import MetricsRegistry
 
-    registry = MetricsRegistry()
+    opts = _sweep_opts(args)
     payload = run_chaos(
         args.seeds if args.seeds else [1, 2],
         intensities=args.intensities if args.intensities else [1.0],
@@ -680,18 +672,20 @@ def _cmd_chaos(args, out) -> int:
         nodes=args.nodes,
         max_events=args.max_events,
         retries=args.retries,
-        registry=registry,
-        **_sweep_opts(args),
+        **opts,
     )
     text = render_chaos(payload)
     out(text)
-    # Sweep-health counters (quarantined points, corrupt cache entries)
-    # are host/cache-state dependent, so they go to stderr — never into
-    # the byte-reproducible envelope.
-    health = registry.snapshot()
-    for name in ("sweep.quarantined", "sweep.cache.corrupt"):
-        if health.get(name):
-            print(f"chaos: {name} = {health[name]}", file=sys.stderr)
+    # Sweep-health counts depend on host and cache state, so they go to
+    # stderr — never into the byte-reproducible envelope.  Only a
+    # quarantined point's verdict carries the ``executed`` check.
+    verdicts = payload["faults"]["verdicts"]
+    quarantined = sum("executed" in verdict["checks"] for verdict in verdicts)
+    corrupt = opts["cache"].corrupt if opts["cache"] is not None else 0
+    for name, count in (("sweep.quarantined", quarantined),
+                        ("sweep.cache.corrupt", corrupt)):
+        if count:
+            print(f"chaos: {name} = {count}", file=sys.stderr)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "chaos.txt").write_text(text + "\n")
@@ -723,7 +717,7 @@ def _cmd_trend(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    config = SimConfig().with_nodes(4 if args.quick else args.nodes)
+    config = _config(args).with_nodes(4 if args.quick else args.nodes)
     with profiled() as prof:
         run = run_instrumented(args.experiment, config, turns=args.turns)
     snapshot = prof.snapshot()

@@ -201,7 +201,6 @@ def run_chaos(
     jobs: int = 1,
     cache: Any = None,
     events: Any = None,
-    registry: Any = None,
     retries: int = 1,
 ) -> dict[str, Any]:
     """Sweep seeds x intensities x policies; return the verdict envelope.
@@ -238,8 +237,8 @@ def run_chaos(
                 cells.append((seed, policy, level))
 
     outcomes = run_sweep(
-        points, jobs=jobs, cache=cache, events=events, registry=registry,
-        retries=retries, quarantine=True,
+        points, jobs=jobs, cache=cache, events=events, retries=retries,
+        quarantine=True,
     )
 
     golden: dict[tuple[int, str], Any] = {}

@@ -13,16 +13,14 @@ This module turns that observation into infrastructure:
   with a fingerprint of the ``repro`` source tree, so a key identifies
   "this exact simulation under this exact code".
 * :class:`ResultCache` — a content-addressed on-disk store mapping point
-  keys to their results and per-machine metrics snapshots.  Re-running
-  an unchanged point is a cache hit, not a re-simulation; editing any
-  simulator source invalidates every key at once.
+  keys to their encoded results.  Re-running an unchanged point is a
+  cache hit, not a re-simulation; editing any simulator source
+  invalidates every key at once.
 * :class:`SweepExecutor` / :func:`run_sweep` — execute a list of points
   either serially in-process (``jobs=1``, bit-identical to the historic
   nested-loop drivers) or spread across a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Results always come
-  back in input order, each worker's
-  :class:`~repro.obs.registry.MetricsRegistry` snapshot is merged into
-  the parent's registry, and progress is published on an
+  back in input order, and progress is published on an
   :class:`~repro.obs.events.EventBus` (``sweep.start`` / ``sweep.point``
   / ``sweep.done``).
 
@@ -63,8 +61,6 @@ from ..apps.common import AppResult
 from ..config import SimConfig
 from ..errors import ConfigError, SimulationError, WorkerHangError
 from ..obs.events import EventBus
-from ..obs.registry import MetricsRegistry
-from ..obs.telemetry import telemetry_line
 
 __all__ = [
     "SweepPoint",
@@ -79,8 +75,6 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "attach_progress_printer",
-    "attach_progress_jsonl",
-    "attach_progress_writer",
 ]
 
 CACHE_SCHEMA = "repro.cache/1"
@@ -291,14 +285,14 @@ class ResultCache:
     """Content-addressed store of point results under a root directory.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` in a small envelope
-    (schema ``repro.cache/1``) holding the encoded result plus the
-    point's metrics snapshot.  Unreadable entries are misses; *corrupt*
-    entries (unparsable JSON, wrong schema/key, missing payload) are
-    additionally quarantined — moved aside to ``<key>.json.corrupt``
-    and counted in :attr:`corrupt`, so recurring corruption is visible
-    in ``repro stats`` (``sweep.cache.corrupt``) instead of silently
-    re-simulating forever.  Writes are atomic (temp file + rename) so
-    concurrent workers cannot tear an entry.
+    (schema ``repro.cache/1``) holding the encoded result.  Unreadable
+    entries are misses; *corrupt* entries (unparsable JSON, wrong
+    schema/key, missing payload) are additionally quarantined — moved
+    aside to ``<key>.json.corrupt`` and counted in :attr:`corrupt`, so
+    recurring corruption is visible (``repro chaos`` reports it as
+    ``sweep.cache.corrupt``) instead of silently re-simulating
+    forever.  Writes are atomic (temp file + rename) so concurrent
+    workers cannot tear an entry.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
@@ -378,7 +372,7 @@ def _accepts_observe(fn: Callable) -> bool:
 
 
 def execute_point(point: SweepPoint) -> dict[str, Any]:
-    """Run one point; return its encoded result + metrics snapshot.
+    """Run one point; return its encoded result + host telemetry.
 
     This is the unit of work shipped to pool workers, so it must stay a
     module-level function (picklable by reference) and return only
@@ -393,29 +387,22 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
     kwargs = dict(point.kwargs)
     if point.config is not None:
         kwargs["config"] = point.config
-    holder: dict[str, Any] = {}
+    machines: list[Any] = []
     if _accepts_observe(fn):
-        kwargs["observe"] = holder.setdefault("machines", []).append
+        kwargs["observe"] = machines.append
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
     wall = time.perf_counter() - t0
-    merged = MetricsRegistry()
-    for machine in holder.get("machines", []):
-        registry = getattr(machine, "registry", None)
-        if registry is not None:
-            merged.merge_snapshot(registry.snapshot())
-    metrics = merged.snapshot() if len(merged) else {}
     # Per-point host telemetry: forwarded on sweep.point (live per-point
     # throughput for --progress) but never cached — wall numbers belong
     # to this host and run, not to the point's content hash.
-    events = metrics.get("sim.events_processed", 0)
+    events = sum(machine.sim.events_processed for machine in machines)
     telemetry = {
         "wall_seconds": round(wall, 6),
         "events": events,
         "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,
     }
-    return {"result": _encode_result(result), "metrics": metrics,
-            "telemetry": telemetry}
+    return {"result": _encode_result(result), "telemetry": telemetry}
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +423,6 @@ class PointOutcome:
 
     point: SweepPoint
     result: Any
-    metrics: dict[str, Any]
     cached: bool
     key: str
     telemetry: dict[str, Any] = field(default_factory=dict)
@@ -453,9 +439,7 @@ class SweepExecutor:
     """Run independent sweep points, optionally in parallel and cached.
 
     Results are returned in input order regardless of completion order,
-    per-point metrics snapshots are merged (input order, so the merged
-    registry is deterministic) into :attr:`registry`, and progress is
-    emitted on :attr:`events`.
+    and progress is emitted on :attr:`events`.
 
     Failure handling (``docs/robustness.md``): a point whose execution
     raises (or whose worker process dies) is retried up to ``retries``
@@ -473,7 +457,6 @@ class SweepExecutor:
         jobs: int = 1,
         cache: ResultCache | str | os.PathLike | None = None,
         events: Optional[EventBus] = None,
-        registry: Optional[MetricsRegistry] = None,
         retries: int = 0,
         retry_backoff: float = 0.25,
         point_timeout: Optional[float] = None,
@@ -484,7 +467,6 @@ class SweepExecutor:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.events = events if events is not None else EventBus()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
         self.point_timeout = point_timeout
@@ -515,7 +497,6 @@ class SweepExecutor:
                 done += 1
                 self._emit_point(outcomes[i], i, done, total)
         resolved = [o for o in outcomes if o is not None]
-        self._merge(resolved)
         self.events.emit(
             "sweep.done",
             ts=total,
@@ -546,7 +527,7 @@ class SweepExecutor:
                 f"attempt(s): {error}"
             ) from exc
         return PointOutcome(
-            point=point, result=None, metrics={}, cached=False, key=key,
+            point=point, result=None, cached=False, key=key,
             error=error, attempts=attempts,
         )
 
@@ -724,7 +705,6 @@ class SweepExecutor:
         return PointOutcome(
             point=point,
             result=_decode_result(payload["result"]),
-            metrics=payload.get("metrics", {}),
             cached=cached,
             key=key,
             telemetry=payload.get("telemetry", {}),
@@ -738,11 +718,7 @@ class SweepExecutor:
         if self.cache is not None:
             # Cache entries are content-addressed simulation outputs;
             # host-side wall measurements don't belong in them.
-            self.cache.put(
-                key,
-                {k: v for k, v in payload.items() if k != "telemetry"},
-                point,
-            )
+            self.cache.put(key, {"result": payload["result"]}, point)
         return self._outcome(point, key, payload, cached=False,
                              attempts=attempts)
 
@@ -765,26 +741,12 @@ class SweepExecutor:
             **extra,
         )
 
-    def _merge(self, outcomes: Sequence[PointOutcome]) -> None:
-        sweep = self.registry
-        sweep.counter("sweep.points").inc(len(outcomes))
-        for outcome in outcomes:
-            if outcome.error is not None:
-                sweep.counter("sweep.quarantined").inc()
-                continue
-            name = "sweep.cache.hits" if outcome.cached else "sweep.executed"
-            sweep.counter(name).inc()
-            sweep.merge_snapshot(outcome.metrics)
-        if self.cache is not None and self.cache.corrupt:
-            sweep.counter("sweep.cache.corrupt").value = self.cache.corrupt
-
 
 def run_sweep(
     points: Iterable[SweepPoint],
     jobs: int = 1,
     cache: ResultCache | str | os.PathLike | None = None,
     events: Optional[EventBus] = None,
-    registry: Optional[MetricsRegistry] = None,
     retries: int = 0,
     retry_backoff: float = 0.25,
     point_timeout: Optional[float] = None,
@@ -792,9 +754,9 @@ def run_sweep(
 ) -> list[PointOutcome]:
     """Convenience wrapper: build a :class:`SweepExecutor` and run it."""
     executor = SweepExecutor(
-        jobs=jobs, cache=cache, events=events, registry=registry,
-        retries=retries, retry_backoff=retry_backoff,
-        point_timeout=point_timeout, quarantine=quarantine,
+        jobs=jobs, cache=cache, events=events, retries=retries,
+        retry_backoff=retry_backoff, point_timeout=point_timeout,
+        quarantine=quarantine,
     )
     return executor.run(points)
 
@@ -843,43 +805,3 @@ def attach_progress_printer(
             )
 
     return events.subscribe(on_event, kinds=("sweep.point", "sweep.done"))
-
-
-def attach_progress_jsonl(
-    events: EventBus, stream: Optional[TextIO] = None
-) -> int:
-    """The machine-readable sibling of :func:`attach_progress_printer`.
-
-    Serializes every ``sweep.*`` event as one JSON line (via the
-    telemetry serializer, so consumers parse a single framing), with a
-    ``record`` discriminator equal to the event kind:
-
-    .. code-block:: text
-
-        {"jobs":4,"record":"sweep.start","total":63}
-        {"cached":false,"events_per_second":317204.0,...,"record":"sweep.point"}
-        {"cached":60,"executed":3,"record":"sweep.done","total":63}
-    """
-    out = stream if stream is not None else sys.stderr
-
-    def on_event(event) -> None:
-        record = {"record": event.kind, **event.data}
-        if event.kind == "sweep.point":
-            record["done"] = event.ts
-        print(telemetry_line(record), file=out, flush=True)
-
-    return events.subscribe(
-        on_event, kinds=("sweep.start", "sweep.point", "sweep.done")
-    )
-
-
-def attach_progress_writer(
-    events: EventBus, progress_format: str = "text",
-    stream: Optional[TextIO] = None,
-) -> int:
-    """Attach the progress reporter named by ``--progress-format``."""
-    if progress_format == "jsonl":
-        return attach_progress_jsonl(events, stream)
-    if progress_format == "text":
-        return attach_progress_printer(events, stream)
-    raise ConfigError(f"unknown progress format {progress_format!r}")

@@ -229,21 +229,6 @@ class Histogram:
             "buckets": {str(b): n for b, n in sorted(self.buckets.items())},
         }
 
-    def merge_summary(self, summary: dict) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one."""
-        self._fold()
-        buckets = self._buckets
-        for bucket, n in summary.get("buckets", {}).items():
-            b = int(bucket)
-            buckets[b] = buckets.get(b, 0) + n
-        self._count += summary.get("count", 0)
-        self._total += summary.get("total", 0)
-        lo, hi = summary.get("min"), summary.get("max")
-        if lo is not None and (self._min is None or lo < self._min):
-            self._min = lo
-        if hi is not None and (self._max is None or hi > self._max):
-            self._max = hi
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, n={self.count})"
 
@@ -390,28 +375,6 @@ class MetricsRegistry:
                 base = was if isinstance(was, (int, float)) else 0
                 delta[name] = now - base
         return delta
-
-    def merge_snapshot(self, snapshot: dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Used by the parallel sweep executor to aggregate per-worker
-        machine registries into the parent.  Snapshots carry values, not
-        metric types, so merging is typed by the receiving metric when
-        one exists and inferred otherwise: dict values merge as
-        histograms, integers accumulate as counters, and floats become
-        gauges keeping the last value seen.
-        """
-        for name, value in snapshot.items():
-            if isinstance(value, dict):
-                self.histogram(name).merge_summary(value)
-            else:
-                existing = self.get(name)
-                if isinstance(existing, Gauge) or (
-                    existing is None and isinstance(value, float)
-                ):
-                    self.gauge(name).set(value)
-                else:
-                    self.counter(name).inc(value)
 
     def to_json(self, prefix: str = "", indent: int | None = None) -> str:
         """The snapshot as a JSON document."""

@@ -29,9 +29,7 @@ Attachment mirrors :func:`repro.obs.profile.profiled`: inside a
 to the session's writer, so ``repro table1 --telemetry out.jsonl``
 streams progress from machines constructed deep inside the runners.
 
-:func:`telemetry_line` is the one JSON serializer shared by heartbeat
-records and the sweep progress stream (``--progress-format jsonl``),
-so every live-telemetry consumer parses a single framing: one compact
+:func:`telemetry_line` serializes each heartbeat record as one compact
 JSON object per line, discriminated by its ``record`` field.
 """
 

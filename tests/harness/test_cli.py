@@ -244,6 +244,26 @@ def test_profile_subcommand_text():
     assert "engine.dispatch" in text
 
 
+def test_profile_honours_machine_shape_flags(monkeypatch):
+    from repro import cli
+
+    configs = []
+    real = cli.run_instrumented
+
+    def spy(experiment, config, **kwargs):
+        configs.append(config)
+        return real(experiment, config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_instrumented", spy)
+    code, _ = run_cli(["--topology", "torus", "--directory", "limited",
+                       "--dir-pointers", "2", "profile", "--quick"])
+    assert code == 0
+    machine = configs[0].machine
+    assert machine.n_nodes == 4
+    assert machine.topology == "torus"
+    assert machine.directory_label == "limited:2"
+
+
 def test_profile_subcommand_json_validates(tmp_path):
     import json
 
@@ -316,24 +336,6 @@ def test_telemetry_results_bit_identical(tmp_path):
                        "--telemetry-every", "50"])
     assert code == 0
     assert base.read_text() == wired.read_text()
-
-
-def test_progress_format_jsonl(tmp_path, capsys):
-    import json
-
-    code, _ = run_cli(["table1", "--no-cache", "--progress",
-                       "--progress-format", "jsonl"])
-    assert code == 0
-    records = [json.loads(s)
-               for s in capsys.readouterr().err.splitlines() if s]
-    kinds = [r["record"] for r in records]
-    assert kinds[0] == "sweep.start" and kinds[-1] == "sweep.done"
-    assert kinds.count("sweep.point") == records[0]["total"]
-
-
-def test_progress_format_rejects_unknown():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["table1", "--progress-format", "csv"])
 
 
 def test_topology_and_directory_flags_parse():

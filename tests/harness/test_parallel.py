@@ -22,7 +22,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.table1 import TABLE1_EXPECTED, run_table1
 from repro.obs.events import EventBus
-from repro.obs.registry import MetricsRegistry
 from repro.sync.variant import PrimitiveVariant
 
 CFG = SimConfig().with_nodes(4)
@@ -42,6 +41,19 @@ def counter_points(config=CFG):
         for v in VARIANTS
         for s in SPECS
     ]
+
+
+def _two_machine_runner(config=None, observe=None):
+    """Runs two counters through ``observe``; returns their event counts."""
+    machines = []
+
+    def record(machine):
+        machines.append(machine)
+        observe(machine)
+
+    for variant in VARIANTS:
+        run_lockfree_counter(variant, SPECS[0], config, observe=record)
+    return [machine.sim.events_processed for machine in machines]
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +106,13 @@ def test_point_key_changes_with_code_fingerprint():
 # ----------------------------------------------------------------------
 
 def test_parallel_matches_serial_results_and_metrics():
-    serial_reg = MetricsRegistry()
-    parallel_reg = MetricsRegistry()
-    serial = run_sweep(counter_points(), jobs=1, registry=serial_reg)
-    fanned = run_sweep(counter_points(), jobs=4, registry=parallel_reg)
+    serial = run_sweep(counter_points(), jobs=1)
+    fanned = run_sweep(counter_points(), jobs=4)
     assert [o.result for o in serial] == [o.result for o in fanned]
-    assert serial_reg.snapshot() == parallel_reg.snapshot()
-    assert serial_reg.snapshot()["net.messages"] > 0
+    # Executed-event counts are simulation outputs, not host timings.
+    events = [o.telemetry["events"] for o in serial]
+    assert events == [o.telemetry["events"] for o in fanned]
+    assert min(events) > 0
 
 
 def test_table1_parallel_matches_serial():
@@ -109,8 +121,14 @@ def test_table1_parallel_matches_serial():
 
 def test_execute_point_reports_machine_metrics():
     payload = execute_point(counter_points()[0])
-    assert payload["metrics"]["net.messages"] > 0
+    assert set(payload) == {"result", "telemetry"}
     assert payload["result"]["__result__"] == "AppResult"
+    # The telemetry's event count sums every machine the runner built.
+    payload = execute_point(make_point(_two_machine_runner, config=CFG))
+    assert set(payload) == {"result", "telemetry"}
+    counts = payload["result"]["value"]
+    assert len(counts) == 2 and min(counts) > 0
+    assert payload["telemetry"]["events"] == sum(counts)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +144,6 @@ def test_cache_hit_returns_identical_results(tmp_path):
     assert [o.result for o in first] == [o.result for o in second]
     assert [o.cached for o in first] == [False] * 4
     assert [o.cached for o in second] == [True] * 4
-    assert [o.metrics for o in first] == [o.metrics for o in second]
 
 
 def test_cache_invalidated_by_code_fingerprint(tmp_path, monkeypatch):
@@ -192,20 +209,19 @@ def test_code_fingerprint_is_memoized_hex():
 # Events, metrics, and progress reporting.
 # ----------------------------------------------------------------------
 
-def test_sweep_events_and_registry_counters():
+def test_sweep_events_and_registry_counters(tmp_path):
     events = EventBus()
     seen = []
     events.subscribe(lambda e: seen.append(e))
-    registry = MetricsRegistry()
-    run_sweep(counter_points(), events=events, registry=registry)
+    run_sweep(counter_points(), events=events, cache=tmp_path)
     kinds = [e.kind for e in seen]
     assert kinds[0] == "sweep.start"
     assert kinds[-1] == "sweep.done"
     assert kinds.count("sweep.point") == 4
-    snap = registry.snapshot()
-    assert snap["sweep.points"] == 4
-    assert snap["sweep.executed"] == 4
-    assert "sweep.cache.hits" not in snap
+    assert seen[-1].data == {"total": 4, "cached": 0, "executed": 4}
+    seen.clear()
+    run_sweep(counter_points(), events=events, cache=tmp_path)
+    assert seen[-1].data == {"total": 4, "cached": 4, "executed": 0}
 
 
 def test_progress_printer_lines(capsys):
@@ -217,39 +233,6 @@ def test_progress_printer_lines(capsys):
     err = capsys.readouterr().err
     assert "[sweep 1/2]" in err
     assert "[sweep] done: 0 cached, 2 simulated" in err
-
-
-def test_progress_jsonl_stream(capsys):
-    import json
-    import sys
-
-    events = EventBus()
-    parallel.attach_progress_jsonl(events, stream=sys.stderr)
-    run_sweep(counter_points()[:2], events=events)
-    records = [json.loads(s) for s in capsys.readouterr().err.splitlines()]
-    kinds = [r["record"] for r in records]
-    assert kinds == ["sweep.start", "sweep.point", "sweep.point",
-                     "sweep.done"]
-    for r in records:
-        if r["record"] != "sweep.point":
-            continue
-        assert r["cached"] is False
-        assert r["done"] in (1, 2) and r["total"] == 2
-        assert r["wall_seconds"] > 0
-        assert r["events"] > 0
-        assert r["events_per_second"] > 0
-    assert records[-1] == {"record": "sweep.done", "cached": 0,
-                           "executed": 2, "total": 2}
-
-
-def test_attach_progress_writer_dispatch():
-    import io
-
-    events = EventBus()
-    parallel.attach_progress_writer(events, "text", stream=io.StringIO())
-    parallel.attach_progress_writer(events, "jsonl", stream=io.StringIO())
-    with pytest.raises(ConfigError, match="progress format"):
-        parallel.attach_progress_writer(events, "csv")
 
 
 # ----------------------------------------------------------------------
@@ -306,18 +289,13 @@ def test_failure_without_quarantine_aborts_the_sweep():
 
 
 def test_quarantined_point_does_not_abort_the_sweep():
-    registry = MetricsRegistry()
     points = [make_point(_failing_runner, tag="q"), counter_points()[0]]
-    outcomes = run_sweep(points, quarantine=True, registry=registry)
+    outcomes = run_sweep(points, quarantine=True)
     assert outcomes[0].error is not None
     assert "persistent failure q" in outcomes[0].error
     assert outcomes[0].result is None
     assert outcomes[1].error is None
     assert outcomes[1].result is not None
-    snap = registry.snapshot()
-    assert snap["sweep.quarantined"] == 1
-    assert snap["sweep.points"] == 2
-    assert snap["sweep.executed"] == 1
 
 
 def test_pool_worker_crash_is_retried(tmp_path):
@@ -338,13 +316,11 @@ def test_point_timeout_quarantines_hung_worker():
     # attempt); the poisoned pool is killed, not joined.
     import time
 
-    registry = MetricsRegistry()
     t0 = time.monotonic()
     outcomes = run_sweep(
         [make_point(_sleeping_runner, seconds=60.0),
          make_point(_sleeping_runner, seconds=0.0)],
         jobs=2, point_timeout=1.0, retries=3, quarantine=True,
-        registry=registry,
     )
     assert time.monotonic() - t0 < 20.0
     assert outcomes[0].attempts == 1
@@ -352,32 +328,36 @@ def test_point_timeout_quarantines_hung_worker():
     assert "still running after" in outcomes[0].error
     assert outcomes[1].error is None
     assert outcomes[1].result == {"value": "slept"}
-    assert registry.snapshot()["sweep.quarantined"] == 1
 
 
 def test_corrupt_cache_entry_is_quarantined_on_disk(tmp_path):
-    registry = MetricsRegistry()
     cache = ResultCache(tmp_path)
     point = counter_points()[0]
     run_sweep([point], cache=cache)
     path = cache.path_for(point_key(point))
     path.write_text("{not json")
     fresh = ResultCache(tmp_path)
-    run_sweep([point], cache=fresh, registry=registry)
-    # The corrupt entry was moved aside for inspection, counted, and
-    # surfaced through the sweep registry (repro stats shows it).
+    run_sweep([point], cache=fresh)
+    # The corrupt entry was moved aside for inspection and counted
+    # (repro chaos reports the count on stderr).
     assert fresh.corrupt == 1
     assert path.with_name(path.name + ".corrupt").exists()
-    assert registry.snapshot()["sweep.cache.corrupt"] == 1
 
 
 def test_point_telemetry_present_but_never_cached(tmp_path):
+    import json
+
     points = counter_points()[:2]
     first = run_sweep(points, cache=tmp_path / "cache")
     for outcome in first:
         assert not outcome.cached
         assert outcome.telemetry["wall_seconds"] > 0
         assert outcome.telemetry["events"] > 0
+    # An entry stores the encoded result and nothing else.
+    entries = sorted((tmp_path / "cache").rglob("*.json"))
+    assert len(entries) == 2
+    for entry in entries:
+        assert set(json.loads(entry.read_text())["payload"]) == {"result"}
     # Cache hits replay simulation outputs only — host wall numbers
     # from some earlier run must not resurface as if they were fresh.
     second = run_sweep(points, cache=tmp_path / "cache")

@@ -138,61 +138,6 @@ def test_iteration_and_len():
     assert isinstance(reg.gauge("g"), Gauge)
 
 
-def test_histogram_merge_summary():
-    a = Histogram("lat")
-    b = Histogram("lat")
-    for v in (1, 2, 100):
-        a.observe(v)
-    for v in (0, 50):
-        b.observe(v)
-    a.merge_summary(b.snapshot())
-    assert a.count == 5
-    assert a.total == 153
-    assert a.min == 0
-    assert a.max == 100
-    assert sum(a.buckets.values()) == 5
-    # Merging into an empty histogram adopts the summary wholesale.
-    c = Histogram("lat")
-    c.merge_summary(b.snapshot())
-    assert c.snapshot() == b.snapshot()
-
-
-def test_registry_merge_snapshot_types():
-    source = MetricsRegistry()
-    source.counter("net.messages").inc(7)
-    source.gauge("sim.load").set(0.5)
-    source.histogram("net.latency").observe(4)
-
-    target = MetricsRegistry()
-    target.counter("net.messages").inc(3)
-    target.merge_snapshot(source.snapshot())
-    snap = target.snapshot()
-    # ints accumulate into counters, dicts merge as histograms, and
-    # floats land as gauges keeping the last value seen.
-    assert snap["net.messages"] == 10
-    assert snap["sim.load"] == 0.5
-    assert isinstance(target._metrics["sim.load"], Gauge)
-    assert snap["net.latency"]["count"] == 1
-
-    target.merge_snapshot(source.snapshot())
-    snap = target.snapshot()
-    assert snap["net.messages"] == 17
-    assert snap["sim.load"] == 0.5
-    assert snap["net.latency"]["count"] == 2
-
-
-def test_registry_merge_snapshot_respects_existing_gauge():
-    source = MetricsRegistry()
-    source.counter("ticks").inc(2)
-    target = MetricsRegistry()
-    target.gauge("ticks").set(1)
-    # An int snapshot value folds into a pre-existing gauge, not a
-    # conflicting counter.
-    target.merge_snapshot(source.snapshot())
-    assert isinstance(target._metrics["ticks"], Gauge)
-    assert target.snapshot()["ticks"] == 2
-
-
 def _eager(values):
     """Snapshot, mean and nearest-rank percentile of ``values``, computed
     directly: the reference for the fold-on-read histogram."""
@@ -237,7 +182,7 @@ def test_histogram_fold_on_read_matches_eager_arithmetic():
     _assert_matches_eager(reg, hist, seen)
     for _ in range(6):
         # Observe, write samples directly as the hot paths do, read,
-        # merge another histogram's summary, and observe again.
+        # and observe again.
         for v in (rng.choice((0, 1, 7, 8, 1000)) for _ in range(20)):
             hist.observe(v)
             seen.append(v)
@@ -245,12 +190,6 @@ def test_histogram_fold_on_read_matches_eager_arithmetic():
             hist.samples[v] = hist.samples.get(v, 0) + 1
             seen.append(v)
         _assert_matches_eager(reg, hist, seen)
-        other = Histogram("other")
-        extra = [rng.randrange(300) for _ in range(rng.randrange(4))]
-        for v in extra:
-            other.observe(v)
-        hist.merge_summary(other.snapshot())
-        seen.extend(extra)
         hist.observe(3)
         seen.append(3)
         _assert_matches_eager(reg, hist, seen)
@@ -359,19 +298,3 @@ def test_attached_registry_reads_like_a_plain_one():
     assert attached.snapshot("cache.10") == plain.snapshot("cache.10")
     assert attached.render() == plain.render()
     assert attached.to_json() == plain.to_json()
-
-
-def test_merge_snapshot_of_attached_registry_matches_plain():
-    attached, plain = _attached_and_plain()
-    into_attached, into_plain = MetricsRegistry(), MetricsRegistry()
-    for _ in range(2):
-        into_attached.merge_snapshot(attached.snapshot())
-        into_plain.merge_snapshot(plain.snapshot())
-    assert into_attached.snapshot() == into_plain.snapshot()
-    assert into_attached.snapshot()["cache.1.wait"] == 80
-    # Merging into an attached registry accumulates into the records.
-    record = _Record(1, 0, 0)
-    target = MetricsRegistry()
-    target.attach("cache.1", record, FIELDS)
-    target.merge_snapshot(attached.snapshot())
-    assert (record.hits, record.misses, record.total_wait) == (4, 1, 40)
