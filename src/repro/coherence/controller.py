@@ -197,8 +197,10 @@ class CacheController:
         timing = config.timing
         self._t_hit = timing.cache_hit
         self._t_occ = timing.controller_occupancy
-        self._block_bits = machine.address.block_bits
-        self._offset_of = machine.address.offset_of
+        address = machine.address
+        self._block_bits = address.block_bits
+        self._n_nodes = address.n_nodes
+        self._offset_of = address.offset_of
         self._policies = machine._policies
         mesh.register(node, Unit.CACHE, self.handle)
 
@@ -267,30 +269,42 @@ class CacheController:
 
     # ------------------------------------------------------------------
     # Memory-side routes (UNC for everything, UPD for writes and LL/SC,
-    # INVd/INVs for a compare_and_swap that misses).
+    # INVd/INVs for a compare_and_swap that misses).  Each opens a
+    # SYNC_REQ transaction whose payload names the operation and the
+    # word's address and offset.
     # ------------------------------------------------------------------
 
     def _sync_load(self, op: Any, block: int, callback: Callback) -> None:
-        self._start_sync(op, block, callback, "sync_load", kind="load")
+        addr = op.addr
+        self._start_txn(op, block, callback, "sync_load", _SYNC_REQ, {
+            "kind": "load", "addr": addr, "offset": self._offset_of(addr)})
 
     def _sync_store(self, op: Store, block: int, callback: Callback) -> None:
-        self._start_sync(op, block, callback, "sync_store", kind="store",
-                         value=op.value)
+        addr = op.addr
+        self._start_txn(op, block, callback, "sync_store", _SYNC_REQ, {
+            "kind": "store", "value": op.value, "addr": addr,
+            "offset": self._offset_of(addr)})
 
     def _sync_faa(self, op: FetchAndPhi, block: int,
                   callback: Callback) -> None:
-        self._start_sync(op, block, callback, "sync_faa", kind="faa",
-                         phi=op.phi, operand=op.operand)
+        addr = op.addr
+        self._start_txn(op, block, callback, "sync_faa", _SYNC_REQ, {
+            "kind": "faa", "phi": op.phi, "operand": op.operand,
+            "addr": addr, "offset": self._offset_of(addr)})
 
     def _sync_cas(self, op: CompareAndSwap, block: int,
                   callback: Callback) -> None:
-        self._start_sync(op, block, callback, "sync_cas", kind="cas",
-                         expected=op.expected, new=op.new)
+        addr = op.addr
+        self._start_txn(op, block, callback, "sync_cas", _SYNC_REQ, {
+            "kind": "cas", "expected": op.expected, "new": op.new,
+            "addr": addr, "offset": self._offset_of(addr)})
 
     def _sync_ll(self, op: LoadLinked, block: int, callback: Callback) -> None:
         # The reservation must be set at the memory, which also has the
         # authoritative data — load_linked always travels (paper §3).
-        self._start_sync(op, block, callback, "sync_ll", kind="ll")
+        addr = op.addr
+        self._start_txn(op, block, callback, "sync_ll", _SYNC_REQ, {
+            "kind": "ll", "addr": addr, "offset": self._offset_of(addr)})
 
     def _spurious_reservation_loss(self) -> bool:
         """Model §2.1's spurious reservation invalidations, if enabled."""
@@ -322,10 +336,12 @@ class CacheController:
             self.stats.sc_local_failures += 1
             self._hit_result(False, callback)
             return
-        if res.valid and res.addr == op.addr:
+        addr = op.addr
+        if res.valid and res.addr == addr:
             self._revoke_reservation("sc_consumed")
-        self._start_sync(op, block, callback, "sync_sc", kind="sc",
-                         value=op.value, token=token)
+        self._start_txn(op, block, callback, "sync_sc", _SYNC_REQ, {
+            "kind": "sc", "value": op.value, "token": token, "addr": addr,
+            "offset": self._offset_of(addr)})
 
     # ------------------------------------------------------------------
     # Cached routes: INV-family primitives execute here on an exclusive
@@ -477,7 +493,7 @@ class CacheController:
         """Complete an operation that was satisfied locally."""
         self.stats.local_hits += 1
         self.last_chain = 0
-        self.machine.stats.note_access(addr, self.node, is_write)
+        self.machine.stats.writerun.note_access(addr, self.node, is_write)
         delay = self._t_occ if atomic else self._t_hit
         if self.events.active:
             self.events.emit("atomic.complete", self.sim.now + delay,
@@ -507,55 +523,41 @@ class CacheController:
         payloads are never mutated after send (see
         :mod:`repro.network.message`).
         """
-        txn = Transaction(op=op, block=block, callback=callback, kind=txn_kind,
-                          request_mtype=mtype, request_payload=payload,
-                          breakdown=TxnBreakdown(self.sim._now))
-        self.mshr.begin(txn)
+        mshr = self.mshr
+        if mshr.current is not None:
+            # The processor blocks on every memory operation, so this
+            # is a bug, not a resource stall.
+            raise ProtocolError(
+                f"MSHR busy with block {mshr.current.block}, "
+                f"cannot start block {block}")
+        txn = mshr.current = Transaction(op, block, callback, txn_kind, mtype,
+                                         payload, TxnBreakdown(self.sim._now))
         self._issue(txn)
 
-    def _start_sync(
-        self,
-        op: Any,
-        block: int,
-        callback: Callback,
-        txn_kind: str,
-        **payload: Any,
-    ) -> None:
-        """Open a memory-side (SYNC_REQ) transaction; ``payload`` is the
-        request's payload, completed here with the word's address."""
-        addr = op.addr
-        payload["addr"] = addr
-        payload["offset"] = self._offset_of(addr)
-        self._start_txn(op, block, callback, txn_kind, _SYNC_REQ, payload)
-
     def _issue(self, txn: Transaction) -> None:
-        home = self.machine.home_of(txn.block)
-        chain = txn.chain + (1 if home != self.node else 0)
-        txn.note_chain(chain)
-        self.mesh.send(
-            Message(
-                txn.request_mtype, self.node, home, _HOME, txn.block,
-                txn=txn, chain=chain, requester=self.node,
-                payload=txn.request_payload,
-            )
-        )
+        node = self.node
+        block = txn.block
+        # Block-interleaved memory: AddressSpace.home_of, inlined.
+        home = block % self._n_nodes
+        chain = txn.chain
+        if home != node:
+            chain += 1
+            txn.chain = chain
+        self.mesh.send(Message(txn.request_mtype, node, home, _HOME, block,
+                               txn, chain, node, txn.request_payload))
 
     def _send_unsolicited(self, mtype: MessageType, block: int, **payload) -> None:
-        home = self.machine.home_of(block)
-        self.mesh.send(
-            Message(mtype, self.node, home, Unit.HOME, block,
-                    chain=0, requester=self.node, payload=payload)
-        )
+        node = self.node
+        self.mesh.send(Message(mtype, node, block % self._n_nodes, _HOME,
+                               block, None, 0, node, payload))
 
     def _reply_to(
         self, msg: Message, mtype: MessageType, dst: int, unit: Unit, **payload
     ) -> None:
-        chain = msg.chain + (1 if dst != self.node else 0)
-        self.mesh.send(
-            Message(mtype, self.node, dst, unit, msg.block,
-                    txn=msg.txn, chain=chain,
-                    requester=msg.requester, payload=payload)
-        )
+        node = self.node
+        chain = msg.chain + (1 if dst != node else 0)
+        self.mesh.send(Message(mtype, node, dst, unit, msg.block, msg.txn,
+                               chain, msg.requester, payload))
 
     # ==================================================================
     # Network handler.
@@ -594,34 +596,47 @@ class CacheController:
         else:
             raise ProtocolError(f"cache {self.node} cannot handle {msg}")
 
-    def _current_txn(self, msg: Message) -> Transaction:
-        txn = self.mshr.current
-        if txn is None or txn.block != msg.block:
-            raise ProtocolError(
-                f"node {self.node}: {msg} matches no outstanding transaction"
-            )
-        return txn
+    # Replies, acks and NAKs run once or more per transaction, so each
+    # matches the transaction, keeps its deepest chain and tests for
+    # completion in its own frame.
+
+    def _unmatched(self, msg: Message) -> ProtocolError:
+        return ProtocolError(
+            f"node {self.node}: {msg} matches no outstanding transaction")
 
     def _on_reply(self, msg: Message) -> None:
-        txn = self._current_txn(msg)
+        txn = self.mshr.current
+        if txn is None or txn.block != msg.block:
+            raise self._unmatched(msg)
         txn.reply = msg
-        txn.acks_needed = msg.payload.get("acks", 0)
-        txn.note_chain(msg.chain)
-        self._maybe_complete()
+        acks = txn.acks_needed = msg.payload.get("acks", 0)
+        chain = msg.chain
+        if chain > txn.chain:
+            txn.chain = chain
+        if txn.acks_got == acks:
+            self._finish(txn)
 
     def _on_ack(self, msg: Message) -> None:
-        txn = self._current_txn(msg)
-        txn.acks_got += 1
-        txn.note_chain(msg.chain)
-        self._maybe_complete()
+        txn = self.mshr.current
+        if txn is None or txn.block != msg.block:
+            raise self._unmatched(msg)
+        acks = txn.acks_got = txn.acks_got + 1
+        chain = msg.chain
+        if chain > txn.chain:
+            txn.chain = chain
+        if txn.reply is not None and acks == txn.acks_needed:
+            self._finish(txn)
 
     def _on_owner_nak(self, msg: Message) -> None:
-        txn = self._current_txn(msg)
+        txn = self.mshr.current
+        if txn is None or txn.block != msg.block:
+            raise self._unmatched(msg)
         txn.retries += 1
         self.stats.nak_retries += 1
         if txn.retries > Mshr.MAX_RETRIES:
             raise ProtocolError(f"transaction for block {txn.block} livelocked")
-        txn.note_chain(msg.chain)
+        if msg.chain > txn.chain:
+            txn.chain = msg.chain
         txn.reply = None
         txn.acks_needed = None
         txn.acks_got = 0
@@ -650,7 +665,7 @@ class CacheController:
 
     def _on_recall(self, msg: Message) -> None:
         line = self.cache.lookup(msg.block, touch=False)
-        home = self.machine.home_of(msg.block)
+        home = msg.block % self._n_nodes
         if line is None or line.state is not LineState.EXCLUSIVE:
             # We dropped or evicted the line; the writeback is in flight.
             self._reply_to(msg, MessageType.FLUSH_NAK, home, Unit.HOME,
@@ -713,21 +728,23 @@ class CacheController:
     # Completion.
     # ==================================================================
 
-    def _maybe_complete(self) -> None:
-        txn = self.mshr.current
-        if txn is not None and txn.complete:
-            self._finish(txn)
-
     def _finish(self, txn: Transaction) -> None:
-        result = self._apply_completion(txn, txn.reply)
-        mshr = self.mshr
-        mshr.finish()
+        """Complete ``txn``: run its kind's completion action
+        (:data:`_COMPLETIONS`), free the MSHR slot and account for it."""
         kind = txn.kind
+        complete = _COMPLETIONS.get(kind)
+        if complete is None:
+            raise ProtocolError(f"unknown transaction kind {kind!r}")
+        reply = txn.reply
+        result = complete(self, txn, reply, reply.payload.get("data"))
+        mshr = self.mshr
+        mshr.current = None
         chain = txn.chain
         block = txn.block
         self.last_chain = chain
         self.stats.note_chain(kind, chain)
-        self.machine.stats.note_transaction(kind, chain)
+        machine_stats = self.machine.stats
+        machine_stats.note_transaction(kind, chain)
         if mshr.deferred:
             # Serve remote requests that arrived while we were in flight.
             for deferred in mshr.take_deferred(block):
@@ -736,20 +753,18 @@ class CacheController:
         policy = self._policies.get(block, _INV)
         breakdown = txn.breakdown
         if breakdown is not None:
-            breakdown.credit("controller", done)
-            self.machine.stats.note_txn_latency(kind, policy, breakdown)
+            # TxnBreakdown.credit("controller", done), inlined.
+            cursor = breakdown.cursor
+            if done > cursor:
+                parts = breakdown.parts
+                parts["controller"] = parts.get("controller", 0) + done - cursor
+                breakdown.cursor = done
+            machine_stats.latency.note(kind, policy, breakdown)
         if self.events.active:
             self.events.emit("atomic.complete", done, node=self.node,
                              block=block, op=kind, chain=chain, local=False,
                              policy=policy.value)
         self.sim.schedule(self._t_occ, txn.callback, result)
-
-    def _apply_completion(self, txn: Transaction, reply: Message) -> Any:
-        """Run the completion action of ``txn``'s kind (:data:`_COMPLETIONS`)."""
-        complete = _COMPLETIONS.get(txn.kind)
-        if complete is None:
-            raise ProtocolError(f"unknown transaction kind {txn.kind!r}")
-        return complete(self, txn, reply, reply.payload.get("data"))
 
     def _complete_load(
         self, txn: Transaction, reply: Message, data: list[int]
@@ -758,7 +773,7 @@ class CacheController:
         addr = txn.op.addr
         offset = self._offset_of(addr)
         self._install(txn.block, _SHARED, data)
-        self.machine.stats.note_access(addr, self.node, False)
+        self.machine.stats.writerun.note_access(addr, self.node, False)
         return data[offset]
 
     def _complete_ll_inv(
@@ -769,7 +784,7 @@ class CacheController:
         offset = self._offset_of(addr)
         self._install(txn.block, _SHARED, data)
         self._grant_reservation(txn.block, addr)
-        self.machine.stats.note_access(addr, self.node, False)
+        self.machine.stats.writerun.note_access(addr, self.node, False)
         return LLValue(data[offset])
 
     def _complete_exclusive(
@@ -806,7 +821,7 @@ class CacheController:
             dirty = success
             is_write = success
         self._install(txn.block, LineState.EXCLUSIVE, line_data, dirty=dirty)
-        self.machine.stats.note_access(op.addr, self.node, is_write)
+        self.machine.stats.writerun.note_access(op.addr, self.node, is_write)
         return result
 
     def _complete_sc_inv(
@@ -826,18 +841,18 @@ class CacheController:
         self._emit_transition(txn.block, line.state, LineState.EXCLUSIVE)
         line.state = LineState.EXCLUSIVE
         line.write_word(offset, op.value)
-        self.machine.stats.note_access(op.addr, self.node, True)
+        self.machine.stats.writerun.note_access(op.addr, self.node, True)
         return True
 
     def _complete_sync(self, txn: Transaction, reply: Message, data: Any) -> Any:
         """Memory-side operation finished (UNC/UPD/INVd/INVs)."""
         op = txn.op
         kind = txn.kind
-        offset = self._offset_of(op.addr)
 
         if reply.mtype is MessageType.DATA_X and reply.payload.get("cas_granted"):
             # INVd/INVs comparison succeeded: we take the line exclusive
             # and apply the new value here.
+            offset = self._offset_of(op.addr)
             line_data = list(data)
             old = reply.payload.get("old", line_data[offset])
             line_data[offset] = op.new

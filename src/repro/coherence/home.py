@@ -47,6 +47,8 @@ _REQUESTS = frozenset(
     }
 )
 _DROP = MessageType.DROP
+_INV_MSG = MessageType.INV
+_CACHE = Unit.CACHE
 _INV = SyncPolicy.INV
 _HOME_FIELDS = {"requests": "requests", "queued": "queued"}
 
@@ -170,10 +172,7 @@ class HomeNode:
                     )
                 entry.waiters.append(msg)
                 return
-        self._dispatch(msg)
-
-    def _dispatch(self, msg: Message) -> None:
-        handler = _HANDLERS.get(msg.mtype)
+        handler = _HANDLERS.get(mtype)
         if handler is None:
             raise ProtocolError(f"home {self.node} cannot handle {msg}")
         handler(self, msg)
@@ -195,14 +194,26 @@ class HomeNode:
         Node-local hops (home and destination on the same node) do not
         cross the network and do not lengthen the chain.
         """
-        chain = prev.chain + (1 if dst != self.node else 0)
-        self.mesh.send(
-            Message(
-                mtype, self.node, dst, unit, prev.block,
-                txn=prev.txn, chain=chain, requester=prev.requester,
-                payload=payload,
-            )
-        )
+        node = self.node
+        chain = prev.chain + (1 if dst != node else 0)
+        self.mesh.send(Message(mtype, node, dst, unit, prev.block, prev.txn,
+                               chain, prev.requester, payload))
+
+    def _multicast(self, prev: Message, mtype: MessageType, targets: list[int],
+                   payload: dict[str, Any]) -> None:
+        """Send ``mtype`` to every cache in ``targets``, in order.
+
+        As :meth:`_send` for each target, but every message shares the
+        one ``payload`` dict (payloads are never mutated after send).
+        """
+        node = self.node
+        send = self.mesh.send
+        block, txn, requester = prev.block, prev.txn, prev.requester
+        chain = prev.chain
+        for dst in targets:
+            send(Message(mtype, node, dst, _CACHE, block, txn,
+                         chain + 1 if dst != node else chain, requester,
+                         payload))
 
     def _unbusy(self, block: int) -> None:
         """Release the entry and replay queued requests in order.
@@ -232,7 +243,8 @@ class HomeNode:
         """Record a memory-side access for sharing-pattern statistics."""
         addr = msg.payload.get("addr")
         if addr is not None:
-            self.machine.stats.note_access(addr, msg.requester, is_write)
+            self.machine.stats.writerun.note_access(addr, msg.requester,
+                                                    is_write)
 
     # ------------------------------------------------------------------
     # Base write-invalidate protocol.
@@ -271,8 +283,7 @@ class HomeNode:
             if self._imprecise:
                 self._account_fanout(entry, others, requester)
             entry.set_exclusive(requester)
-            for sharer in others:
-                self._send(msg, MessageType.INV, sharer, Unit.CACHE)
+            self._multicast(msg, _INV_MSG, others, {})
             data = self.memory.read_block(msg.block)
             self._send(
                 msg,
@@ -415,8 +426,7 @@ class HomeNode:
             if self._imprecise:
                 self._account_fanout(entry, others, requester)
             entry.set_exclusive(requester)
-            for sharer in others:
-                self._send(msg, MessageType.INV, sharer, Unit.CACHE)
+            self._multicast(msg, _INV_MSG, others, {})
             self._note(msg, is_write=True)
             self._send(
                 msg,
@@ -542,8 +552,7 @@ class HomeNode:
         data = self.memory.read_block(msg.block)
         acks = 0
         if wrote:
-            for sharer in others:
-                self._send(msg, MessageType.UPDATE, sharer, Unit.CACHE, data=data)
+            self._multicast(msg, MessageType.UPDATE, others, {"data": data})
             acks = len(others)
         self._send(
             msg,
@@ -591,8 +600,7 @@ class HomeNode:
             if self._imprecise:
                 self._account_fanout(entry, others, requester)
             entry.set_exclusive(requester)
-            for sharer in others:
-                self._send(msg, MessageType.INV, sharer, Unit.CACHE)
+            self._multicast(msg, _INV_MSG, others, {})
             self._note(msg, is_write=True)
             data = self.memory.read_block(msg.block)
             self._send(

@@ -28,7 +28,7 @@ from ..coherence.controller import CacheController
 from ..coherence.home import HomeNode
 from ..coherence.policy import SyncPolicy
 from ..config import SimConfig
-from ..errors import AddressError, DeadlockError
+from ..errors import AddressError, DeadlockError, ProgramError
 from ..faults.plan import FaultInjector
 from ..memory.directory import Directory, DirState
 from ..memory.module import MemoryModule
@@ -213,11 +213,14 @@ class Machine:
 
     def proc_handle(self, pid: int) -> Proc:
         """The program-facing API object for processor ``pid``."""
-        return Proc(pid, self.n_nodes, self.nodes[pid].processor)
+        n = self.n_nodes
+        if not 0 <= pid < n:
+            raise ProgramError(f"processor {pid} outside machine of {n} nodes")
+        return Proc(pid, n, self.nodes[pid].processor)
 
     def spawn(self, pid: int, program_fn: Callable[..., Any], *args: Any) -> None:
         """Start ``program_fn(proc, *args)`` on processor ``pid``."""
-        proc = self.proc_handle(pid)
+        proc = self.proc_handle(pid)  # rejects a pid outside the machine
         self._running_programs += 1
         self.nodes[pid].processor.run_program(program_fn(proc, *args))
 

@@ -82,9 +82,16 @@ class MemoryModule:
     # Data access (zero latency; timing is applied via `service`).
     # ------------------------------------------------------------------
 
+    # The home reads or writes a block once or more per request, so the
+    # accessors it uses probe ``_blocks`` themselves and call ``_block``
+    # only to create a block on first touch.
+
     def read_block(self, block: int) -> list[int]:
         """Return a copy of the block's words."""
-        return list(self._block(block))
+        data = self._blocks.get(block)
+        if data is None:
+            data = self._block(block)
+        return list(data)
 
     def write_block(self, block: int, words: list[int]) -> None:
         """Replace the block's contents."""
@@ -97,11 +104,17 @@ class MemoryModule:
 
     def read_word(self, block: int, offset: int) -> int:
         """Read one word of a block (``offset`` in words)."""
-        return self._block(block)[offset]
+        data = self._blocks.get(block)
+        if data is None:
+            data = self._block(block)
+        return data[offset]
 
     def write_word(self, block: int, offset: int, value: int) -> None:
         """Write one word of a block."""
-        self._block(block)[offset] = value
+        data = self._blocks.get(block)
+        if data is None:
+            data = self._block(block)
+        data[offset] = value
 
     def _block(self, block: int) -> list[int]:
         data = self._blocks.get(block)

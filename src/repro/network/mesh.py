@@ -109,6 +109,7 @@ class WormholeMesh:
         self._unit_handlers: dict[Unit, list[Optional[Handler]]] = {
             unit: [None] * machine.n_nodes for unit in Unit
         }
+        self._n_nodes = machine.n_nodes
         # Earliest cycle at which each port can begin accepting a message.
         self._entry_free = [0] * machine.n_nodes
         self._exit_free = [0] * machine.n_nodes
@@ -172,19 +173,25 @@ class WormholeMesh:
         every constant and counter pre-resolved at construction.
         """
         dst = msg.dst
+        src = msg.src
         try:
             handler = self._unit_handlers[msg.unit][dst]
         except (KeyError, IndexError):
             handler = None
-        if handler is None:
+        # A negative id would index from the end of the port and handler
+        # vectors, reaching another node.
+        if handler is None or dst < 0:
             raise SimulationError(
                 f"no handler registered for node {dst} unit {msg.unit}"
+            )
+        if not 0 <= src < self._n_nodes:
+            raise SimulationError(
+                f"message source {src} outside the {self._n_nodes}-node mesh"
             )
         mtype = msg.mtype
         flits = self._flits_by_type[mtype]
         sim = self.sim
         now = sim._now
-        src = msg.src
 
         if src == dst:
             # Node-local: cache <-> local memory over the node bus.

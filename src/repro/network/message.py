@@ -16,7 +16,8 @@ built.
 
 A payload is never mutated after its message is sent.  Senders may
 therefore hand the same dict to several messages: a requester reissues
-its transaction's request payload as is after an OWNER_NAK.
+its transaction's request payload as is after an OWNER_NAK, and a home's
+INV or UPDATE multicast gives every target's message the same dict.
 Handlers only read payloads; anything they keep is copied out
 (``list(msg.payload["data"])``).
 """
@@ -122,7 +123,8 @@ class Message:
         chain: Serialized-message count including this message.
         requester: Node id of the transaction's originator.
         payload: Message-specific fields (operation descriptors, data
-            words, ack counts, ...).
+            words, ack counts, ...).  Never mutated after send, so the
+            messages of one multicast share one payload dict.
     """
 
     __slots__ = ("mtype", "src", "dst", "unit", "block", "txn", "chain",

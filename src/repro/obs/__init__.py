@@ -48,13 +48,12 @@ from .schema import (
     run_payload_to_jsonl,
     validate_run_payload,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Histogram, MetricsRegistry
 from .spans import SPAN_KINDS, CritStep, Span, SpanBuilder, TxnSpanGraph
 
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "EventBus",
     "Event",

@@ -45,9 +45,10 @@ class TxnBreakdown:
 
         Only the span beyond the current cursor is credited; calls whose
         interval is already covered (parallel messages) add nothing.
-        ``WormholeMesh.send`` and ``MemoryModule.service`` apply this
-        rule inline, once per message, so a change here must be made
-        there too.
+        The hot path applies this rule inline: ``WormholeMesh.send`` and
+        ``MemoryModule.service`` once per message, and
+        ``CacheController._finish`` once per transaction.  A change here
+        must be made in all three.
         """
         if end > self.cursor:
             self.parts[category] = self.parts.get(category, 0) + end - self.cursor
@@ -74,15 +75,6 @@ class LatencyStats:
     count: int = 0
     totals: list[int] = field(default_factory=list)
     by_category: dict[str, int] = field(default_factory=dict)
-
-    def note(self, breakdown: TxnBreakdown) -> None:
-        """Fold one finished transaction in."""
-        self.count += 1
-        self.totals.append(breakdown.total)
-        for category, cycles in breakdown.parts.items():
-            self.by_category[category] = (
-                self.by_category.get(category, 0) + cycles
-            )
 
     @property
     def mean(self) -> float:
@@ -132,7 +124,12 @@ class LatencyTracker:
             label = getattr(policy, "value", policy)
             stats = self._keys.setdefault((kind, label), LatencyStats())
             self._by_caller_key[(kind, policy)] = stats
-        stats.note(breakdown)
+        # Fold the breakdown in here: this runs once per transaction.
+        stats.count += 1
+        stats.totals.append(breakdown.cursor - breakdown.start)
+        by_category = stats.by_category
+        for category, cycles in breakdown.parts.items():
+            by_category[category] = by_category.get(category, 0) + cycles
 
     def get(self, kind: str, policy: str) -> LatencyStats | None:
         """The aggregate for one key, or None."""

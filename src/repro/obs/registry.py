@@ -12,10 +12,9 @@ and exported as JSON with a single call:
     delta = MetricsRegistry.diff(before, machine.registry.snapshot())
     print(machine.registry.render())
 
-Three metric types:
+Two metric types:
 
 * :class:`Counter` — a monotonically adjusted integer (``inc``);
-* :class:`Gauge` — a point-in-time value (``set``);
 * :class:`Histogram` — log-bucketed (powers of two) distribution of
   non-negative integer samples, for latency/queue-wait distributions.
 
@@ -24,7 +23,7 @@ them as plain attributes of its stats record (``cache.stats.hits``) and
 increments them directly, and :meth:`MetricsRegistry.attach` tells the
 registry which attribute holds which metric.  The registry reads those
 attributes by name only when asked, through live :class:`Counter` views,
-so every reader sees one namespace of counters, gauges and histograms.
+so every reader sees one namespace of counters and histograms.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from __future__ import annotations
 import json
 from typing import Iterator, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
-Metric = Union["Counter", "Gauge", "Histogram"]
+Metric = Union["Counter", "Histogram"]
 
 
 class Counter:
@@ -76,27 +75,6 @@ class _AttributeCounter(Counter):
     @value.setter
     def value(self, value: int) -> None:
         setattr(self._record, self._attr, value)
-
-
-class Gauge:
-    """A named point-in-time value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
-
-    def snapshot(self) -> float:
-        """The current value, as a JSON-able scalar."""
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
 
 
 class Histogram:
@@ -236,7 +214,7 @@ class Histogram:
 class MetricsRegistry:
     """All metrics of one machine, keyed by hierarchical dotted name.
 
-    ``counter``/``gauge``/``histogram`` create-or-return, so components
+    ``counter``/``histogram`` create-or-return, so components
     may be constructed in any order.  Per-node counters are attached
     instead (:meth:`attach`): their values stay attributes of the
     component's stats record, and the registry reads them by name.
@@ -296,10 +274,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The counter named ``name`` (created on first use)."""
         return self._make(name, Counter)  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name`` (created on first use)."""
-        return self._make(name, Gauge)  # type: ignore[return-value]
 
     def histogram(self, name: str) -> Histogram:
         """The histogram named ``name`` (created on first use)."""

@@ -32,7 +32,6 @@ from ..primitives.ops import (
     LoadExclusive,
     LoadLinked,
     MagicBarrier,
-    MemOp,
     Store,
     StoreConditional,
     Think,
@@ -88,6 +87,22 @@ class Processor:
         self.machine.on_processor_exit(self)
 
     def _interpret(self, process: Process, op: Any) -> None:
+        if type(op) in _MEMORY_OPS:
+            # Memory operations, most of what programs yield, go to the
+            # controller from this frame.
+            self.ops_issued += 1
+            faults = self.faults
+            if faults is not None:
+                stall = faults.cpu_stall(self.pid)
+                if stall:
+                    # Injected stall window (an interrupt hits before the
+                    # op issues): the operation is late, never lost, so
+                    # program semantics are untouched.
+                    self.sim.schedule(stall, self.controller.execute,
+                                      op, process.resume)
+                    return
+            self.controller.execute(op, process.resume)
+            return
         handler = _HANDLERS.get(type(op))
         if handler is None:
             raise ProgramError(f"program yielded a non-operation: {op!r}")
@@ -109,28 +124,16 @@ class Processor:
         self.machine.stats.contention.end(op.addr, self.pid)
         self.sim.schedule(0, process.resume, None)
 
-    def _memory_op(self, process: Process, op: MemOp) -> None:
-        self.ops_issued += 1
-        if self.faults is not None:
-            stall = self.faults.cpu_stall(self.pid)
-            if stall:
-                # Injected stall window (an interrupt hits before the op
-                # issues): the operation is late, never lost, so program
-                # semantics are untouched.
-                self.sim.schedule(stall, self.controller.execute,
-                                  op, process.resume)
-                return
-        self.controller.execute(op, process.resume)
 
+# Operation types handed to the cache controller.
+_MEMORY_OPS = frozenset(
+    {Load, Store, LoadExclusive, DropCopy, FetchAndPhi, CompareAndSwap,
+     LoadLinked, StoreConditional})
 
-# Operation type -> interpretation.
+# Any other operation type -> interpretation.
 _HANDLERS = {
     Think: Processor._think,
     MagicBarrier: Processor._barrier,
     ContendBegin: Processor._contend_begin,
     ContendEnd: Processor._contend_end,
-    **dict.fromkeys(
-        (Load, Store, LoadExclusive, DropCopy, FetchAndPhi, CompareAndSwap,
-         LoadLinked, StoreConditional),
-        Processor._memory_op),
 }

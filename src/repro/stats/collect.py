@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..obs.latency import LatencyTracker, TxnBreakdown
+from ..obs.latency import LatencyTracker
 from ..obs.registry import MetricsRegistry
 from .contention import ContentionTracker
 from .writerun import WriteRunTracker
@@ -43,10 +42,6 @@ class MachineStats:
         self._registry = registry
         self._txn_counters.clear()
 
-    def note_access(self, addr: int, pid: int, is_write: bool) -> None:
-        """Record a program-level access for write-run tracking."""
-        self.writerun.note_access(addr, pid, is_write)
-
     def note_transaction(self, kind: str, chain: int) -> None:
         """Record a completed requester transaction and its chain depth."""
         pair = self._txn_counters.get(kind)
@@ -57,16 +52,6 @@ class MachineStats:
             )
         pair[0].value += 1
         pair[1].value += chain
-
-    def note_txn_latency(
-        self, kind: str, policy: Any, breakdown: TxnBreakdown
-    ) -> None:
-        """Record one transaction's finished latency breakdown.
-
-        ``policy`` is the block's :class:`~repro.coherence.policy.
-        SyncPolicy` (or its label); see :meth:`LatencyTracker.note`.
-        """
-        self.latency.note(kind, policy, breakdown)
 
     def mean_chain(self, kind: str) -> float:
         """Mean serialized messages for transactions of ``kind``."""

@@ -15,7 +15,7 @@ def test_home_rejects_unknown_message():
     bogus = Message(mtype=MessageType.DATA_S, src=0, dst=1,
                     unit=Unit.HOME, block=3)
     with pytest.raises(ProtocolError):
-        home._dispatch(bogus)
+        home._process(bogus)
 
 
 def test_cache_rejects_unknown_message():
@@ -43,7 +43,7 @@ def test_flush_reply_without_pending_rejected():
                     unit=Unit.HOME, block=1, requester=0,
                     payload={"data": [0] * 8})
     with pytest.raises(ProtocolError):
-        home._dispatch(stray)
+        home._process(stray)
 
 
 def test_sync_req_with_bad_kind_rejected():
@@ -54,7 +54,7 @@ def test_sync_req_with_bad_kind_rejected():
                   unit=Unit.HOME, block=m.block_of(addr), requester=0,
                   payload={"kind": "frobnicate", "offset": 0, "addr": addr})
     with pytest.raises(ProtocolError):
-        home._dispatch(bad)
+        home._process(bad)
 
 
 def test_sync_req_under_plain_inv_rejected():
@@ -67,7 +67,7 @@ def test_sync_req_under_plain_inv_rejected():
                   unit=Unit.HOME, block=m.block_of(addr), requester=0,
                   payload={"kind": "faa", "offset": 0, "addr": addr})
     with pytest.raises(ProtocolError):
-        home._dispatch(bad)
+        home._process(bad)
 
 
 def test_negative_address_rejected_at_execute():
@@ -90,7 +90,7 @@ def test_owner_nak_retry_cap():
     txn = Transaction(op=None, block=1, callback=lambda r: None,
                       kind="store", request_mtype=MessageType.GETX)
     txn.retries = Mshr.MAX_RETRIES
-    controller.mshr.begin(txn)
+    controller.mshr.current = txn
     nak = Message(mtype=MessageType.OWNER_NAK, src=2, dst=0,
                   unit=Unit.CACHE, block=1, requester=0)
     with pytest.raises(ProtocolError, match="livelock"):
@@ -110,7 +110,7 @@ def test_gets_while_claiming_to_own_rejected():
     forged = Message(mtype=MessageType.GETS, src=0, dst=1, unit=Unit.HOME,
                      block=m.block_of(addr), requester=0)
     with pytest.raises(ProtocolError):
-        home._dispatch(forged)
+        home._process(forged)
 
 
 def test_unc_block_never_reaches_gets():

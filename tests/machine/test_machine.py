@@ -4,7 +4,7 @@ import pytest
 
 from repro import SimConfig, SyncPolicy, build_machine
 from repro.config import MachineConfig
-from repro.errors import AddressError, DeadlockError
+from repro.errors import AddressError, DeadlockError, ProgramError
 
 from tests.conftest import make_machine, run_one
 
@@ -22,6 +22,21 @@ def test_nodes_fully_wired():
         assert node.controller is not None
         assert node.memory is not None
         assert node.home is not None
+
+
+@pytest.mark.parametrize("pid", [-1, 4])
+def test_spawn_rejects_pid_outside_machine(pid):
+    m = make_machine(4)
+
+    def prog(p):
+        yield p.think(1)
+
+    with pytest.raises(ProgramError, match=f"processor {pid} outside "
+                                           "machine of 4 nodes"):
+        m.spawn(pid, prog)
+    with pytest.raises(ProgramError, match=f"processor {pid} outside"):
+        m.proc_handle(pid)
+    assert m.run() == 0
 
 
 def test_policy_defaults_to_inv():

@@ -26,6 +26,24 @@ def test_unregistered_handler_raises():
         mesh.send(msg(0, 1))
 
 
+def test_negative_node_ids_rejected():
+    # A negative id must not index from the end of the port and handler
+    # vectors (dst=-1 would reach node 3, src=-1 node 3's entry port).
+    sim, config, mesh = build()
+    delivered = []
+    for node in range(4):
+        mesh.register(node, Unit.HOME, delivered.append)
+    with pytest.raises(SimulationError, match="node -1"):
+        mesh.send(msg(0, -1))
+    with pytest.raises(SimulationError, match="source -1"):
+        mesh.send(msg(-1, 1))
+    with pytest.raises(SimulationError, match="source 4"):
+        mesh.send(msg(4, 1))
+    sim.run()
+    assert delivered == []
+    assert mesh._entry_free == [0] * 4
+
+
 def test_local_message_pays_bus_latency():
     sim, config, mesh = build()
     arrivals = []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 
 
 def test_counter_create_or_return():
@@ -23,8 +23,6 @@ def test_type_mismatch_rejected():
     reg.counter("x")
     with pytest.raises(TypeError):
         reg.histogram("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
 
 
 def test_names_prefix_filter():
@@ -43,20 +41,17 @@ def test_names_prefix_filter():
 def test_snapshot_diff_round_trip():
     reg = MetricsRegistry()
     reg.counter("net.messages").inc(5)
-    reg.gauge("queue.depth").set(3)
     hist = reg.histogram("net.latency")
     for v in (1, 2, 9):
         hist.observe(v)
     before = reg.snapshot()
 
     reg.counter("net.messages").inc(7)
-    reg.gauge("queue.depth").set(1)
     hist.observe(9)
     after = reg.snapshot()
 
     delta = MetricsRegistry.diff(before, after)
     assert delta["net.messages"] == 7
-    assert delta["queue.depth"] == -2
     assert delta["net.latency"]["count"] == 1
     assert delta["net.latency"]["total"] == 9
     assert delta["net.latency"]["buckets"] == {"4": 1}
@@ -135,7 +130,6 @@ def test_iteration_and_len():
     assert [m.name for m in reg] == ["a", "b"]
     assert isinstance(reg.get("a"), Counter)
     assert reg.get("missing") is None
-    assert isinstance(reg.gauge("g"), Gauge)
 
 
 def _eager(values):
@@ -236,7 +230,6 @@ def _attached_and_plain():
     for reg in (attached, plain):
         reg.counter("net.flits").inc(9)
         reg.histogram("cache.1.wait_hist").observe(6)
-        reg.gauge("cache.10.load").set(0.25)
     for node, values in ((1, (3, 1, 40)), (10, (0, 7, 2)), (2, (5, 0, 0))):
         attached.attach(f"cache.{node}", _Record(*values), FIELDS)
         for suffix, value in zip(FIELDS, values):
@@ -277,8 +270,6 @@ def test_attached_name_type_mismatch_and_double_attach_rejected():
     reg.attach("cache.0", _Record(0, 0, 0), FIELDS)
     with pytest.raises(TypeError):
         reg.histogram("cache.0.hits")
-    with pytest.raises(TypeError):
-        reg.gauge("cache.0.misses")
     with pytest.raises(ValueError):
         reg.attach("cache.0", _Record(0, 0, 0), FIELDS)
     # Other names under an attached prefix are ordinary metrics.
@@ -290,7 +281,7 @@ def test_attached_registry_reads_like_a_plain_one():
     assert attached.names() == plain.names()
     assert attached.names("cache.1") == plain.names("cache.1") == [
         "cache.1.hits", "cache.1.misses", "cache.1.wait", "cache.1.wait_hist"]
-    assert len(attached) == len(plain) == 12
+    assert len(attached) == len(plain) == 11
     assert ([(m.name, m.snapshot()) for m in attached]
             == [(m.name, m.snapshot()) for m in plain])
     assert attached.snapshot() == plain.snapshot()
