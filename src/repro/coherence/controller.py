@@ -193,14 +193,19 @@ class CacheController:
         )
         # Hot-path caches (cProfile-guided): timing constants off the
         # frozen config, the address geometry and the machine's
-        # block -> policy map, all resolved once.
+        # block -> policy map, all resolved once.  Block and word sizes
+        # are powers of two (MachineConfig checks), so a word's offset
+        # in its block is (addr & _block_mask) >> _word_shift, computed
+        # inline where it is read; execute() checks alignment first.
         timing = config.timing
         self._t_hit = timing.cache_hit
         self._t_occ = timing.controller_occupancy
         address = machine.address
         self._block_bits = address.block_bits
         self._n_nodes = address.n_nodes
-        self._offset_of = address.offset_of
+        self._block_mask = address.block_size - 1
+        self._word_shift = address.word_size.bit_length() - 1
+        self._align_mask = address.word_size - 1
         self._policies = machine._policies
         mesh.register(node, Unit.CACHE, self.handle)
 
@@ -249,12 +254,16 @@ class CacheController:
         """Perform ``op`` and eventually call ``callback(result)``.
 
         The block's sync policy picks a route table (:data:`_ROUTES`)
-        and the operation's type picks the route within it.
+        and the operation's type picks the route within it.  A word
+        operation on a misaligned address raises before it touches the
+        cache or the network; ``drop_copy`` addresses a whole block.
         """
         self.stats.ops += 1
         addr = op.addr
         if addr < 0:
             raise AddressError(f"negative address {addr}")
+        if addr & self._align_mask and type(op) is not DropCopy:
+            raise AddressError(f"address {addr:#x} is not word aligned")
         block = addr >> self._block_bits
         policy = self._policies.get(block, _INV)
         if self.events.active:
@@ -277,34 +286,38 @@ class CacheController:
     def _sync_load(self, op: Any, block: int, callback: Callback) -> None:
         addr = op.addr
         self._start_txn(op, block, callback, "sync_load", _SYNC_REQ, {
-            "kind": "load", "addr": addr, "offset": self._offset_of(addr)})
+            "kind": "load", "addr": addr,
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     def _sync_store(self, op: Store, block: int, callback: Callback) -> None:
         addr = op.addr
         self._start_txn(op, block, callback, "sync_store", _SYNC_REQ, {
             "kind": "store", "value": op.value, "addr": addr,
-            "offset": self._offset_of(addr)})
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     def _sync_faa(self, op: FetchAndPhi, block: int,
                   callback: Callback) -> None:
         addr = op.addr
         self._start_txn(op, block, callback, "sync_faa", _SYNC_REQ, {
             "kind": "faa", "phi": op.phi, "operand": op.operand,
-            "addr": addr, "offset": self._offset_of(addr)})
+            "addr": addr,
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     def _sync_cas(self, op: CompareAndSwap, block: int,
                   callback: Callback) -> None:
         addr = op.addr
         self._start_txn(op, block, callback, "sync_cas", _SYNC_REQ, {
             "kind": "cas", "expected": op.expected, "new": op.new,
-            "addr": addr, "offset": self._offset_of(addr)})
+            "addr": addr,
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     def _sync_ll(self, op: LoadLinked, block: int, callback: Callback) -> None:
         # The reservation must be set at the memory, which also has the
         # authoritative data — load_linked always travels (paper §3).
         addr = op.addr
         self._start_txn(op, block, callback, "sync_ll", _SYNC_REQ, {
-            "kind": "ll", "addr": addr, "offset": self._offset_of(addr)})
+            "kind": "ll", "addr": addr,
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     def _spurious_reservation_loss(self) -> bool:
         """Model §2.1's spurious reservation invalidations, if enabled."""
@@ -341,7 +354,7 @@ class CacheController:
             self._revoke_reservation("sc_consumed")
         self._start_txn(op, block, callback, "sync_sc", _SYNC_REQ, {
             "kind": "sc", "value": op.value, "token": token, "addr": addr,
-            "offset": self._offset_of(addr)})
+            "offset": (addr & self._block_mask) >> self._word_shift})
 
     # ------------------------------------------------------------------
     # Cached routes: INV-family primitives execute here on an exclusive
@@ -350,41 +363,45 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def _load(self, op: Any, block: int, callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is not None:
-            self._hit(op.addr, line.read_word(offset), callback,
+            addr = op.addr
+            offset = (addr & self._block_mask) >> self._word_shift
+            self._hit(addr, line.read_word(offset), callback,
                       is_write=False)
         else:
             self._start_txn(op, block, callback, "load", _GETS, {})
 
     def _load_exclusive(self, op: LoadExclusive, block: int,
                         callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is not None and line.state is _EXCLUSIVE:
-            self._hit(op.addr, line.read_word(offset), callback,
+            addr = op.addr
+            offset = (addr & self._block_mask) >> self._word_shift
+            self._hit(addr, line.read_word(offset), callback,
                       is_write=False)
         else:
             self._start_txn(op, block, callback, "lx", _GETX, {})
 
     def _store(self, op: Store, block: int, callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is not None and line.state is _EXCLUSIVE:
-            line.write_word(offset, op.value)
-            self._hit(op.addr, None, callback, is_write=True)
+            addr = op.addr
+            line.write_word((addr & self._block_mask) >> self._word_shift,
+                            op.value)
+            self._hit(addr, None, callback, is_write=True)
         else:
             self._start_txn(op, block, callback, "store", _GETX, {})
 
     def _fetch_phi(self, op: FetchAndPhi, block: int,
                    callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is not None and line.state is _EXCLUSIVE:
+            addr = op.addr
+            offset = (addr & self._block_mask) >> self._word_shift
             old = line.read_word(offset)
             line.write_word(offset, apply_phi(op.phi, old, op.operand))
-            self._hit(op.addr, old, callback, is_write=True, atomic=True)
+            self._hit(addr, old, callback, is_write=True, atomic=True)
         else:
             self._start_txn(op, block, callback, "faa", _GETX, {})
 
@@ -403,50 +420,54 @@ class CacheController:
     def _cas_hit(self, op: CompareAndSwap, block: int,
                  callback: Callback) -> bool:
         """Compare and swap on an exclusive copy; False if there is none."""
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is None or line.state is not _EXCLUSIVE:
             return False
+        addr = op.addr
+        offset = (addr & self._block_mask) >> self._word_shift
         old = line.read_word(offset)
         success = old == op.expected
         if success:
             line.write_word(offset, op.new)
-        self._hit(op.addr, CasResult(success, old), callback,
+        self._hit(addr, CasResult(success, old), callback,
                   is_write=success, atomic=True)
         return True
 
     def _load_linked(self, op: LoadLinked, block: int,
                      callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         if line is not None:
-            self._grant_reservation(block, op.addr)
-            self._hit(op.addr, LLValue(line.read_word(offset)), callback,
+            addr = op.addr
+            offset = (addr & self._block_mask) >> self._word_shift
+            self._grant_reservation(block, addr)
+            self._hit(addr, LLValue(line.read_word(offset)), callback,
                       is_write=False)
         else:
             self._start_txn(op, block, callback, "ll_inv", _GETS, {})
 
     def _store_conditional(self, op: StoreConditional, block: int,
                            callback: Callback) -> None:
-        offset = self._offset_of(op.addr)
         line = self.cache.lookup(block)
         self._spurious_reservation_loss()
         res = self.reservation
-        if not (res.valid and res.addr == op.addr):
+        addr = op.addr
+        if not (res.valid and res.addr == addr):
             self.stats.sc_local_failures += 1
             self._hit_result(False, callback)
             return
         if line is not None and line.state is _EXCLUSIVE:
             # Exclusive and reserved: succeed entirely locally.
             self._revoke_reservation("sc_consumed")
-            line.write_word(offset, op.value)
-            self._hit(op.addr, True, callback, is_write=True, atomic=True)
+            line.write_word((addr & self._block_mask) >> self._word_shift,
+                            op.value)
+            self._hit(addr, True, callback, is_write=True, atomic=True)
             return
         if line is not None and line.state is _SHARED:
             # The home arbitrates: success iff the line is still shared.
+            offset = (addr & self._block_mask) >> self._word_shift
             self._start_txn(op, block, callback, "sc_inv",
                             MessageType.SC_REQ,
-                            {"addr": op.addr, "offset": offset})
+                            {"addr": addr, "offset": offset})
             return
         # Line gone; the invalidation should have killed the reservation,
         # but be defensive: fail locally.
@@ -771,21 +792,19 @@ class CacheController:
     ) -> int:
         """A shared copy arrived for a load."""
         addr = txn.op.addr
-        offset = self._offset_of(addr)
         self._install(txn.block, _SHARED, data)
         self.machine.stats.writerun.note_access(addr, self.node, False)
-        return data[offset]
+        return data[(addr & self._block_mask) >> self._word_shift]
 
     def _complete_ll_inv(
         self, txn: Transaction, reply: Message, data: list[int]
     ) -> LLValue:
         """A shared copy arrived for an INV-policy load_linked."""
         addr = txn.op.addr
-        offset = self._offset_of(addr)
         self._install(txn.block, _SHARED, data)
         self._grant_reservation(txn.block, addr)
         self.machine.stats.writerun.note_access(addr, self.node, False)
-        return LLValue(data[offset])
+        return LLValue(data[(addr & self._block_mask) >> self._word_shift])
 
     def _complete_exclusive(
         self, txn: Transaction, reply: Message, data: list[int]
@@ -794,7 +813,7 @@ class CacheController:
         if reply.mtype is not MessageType.DATA_X:
             raise ProtocolError(f"{txn.kind} expected DATA_X, got {reply}")
         op = txn.op
-        offset = self._offset_of(op.addr)
+        offset = (op.addr & self._block_mask) >> self._word_shift
         line_data = list(data)
         kind = txn.kind
         if kind == "lx":
@@ -837,10 +856,10 @@ class CacheController:
         line = self.cache.lookup(txn.block, touch=False)
         if line is None:
             raise ProtocolError("SC granted but the shared copy vanished")
-        offset = self._offset_of(op.addr)
         self._emit_transition(txn.block, line.state, LineState.EXCLUSIVE)
         line.state = LineState.EXCLUSIVE
-        line.write_word(offset, op.value)
+        line.write_word((op.addr & self._block_mask) >> self._word_shift,
+                        op.value)
         self.machine.stats.writerun.note_access(op.addr, self.node, True)
         return True
 
@@ -852,7 +871,7 @@ class CacheController:
         if reply.mtype is MessageType.DATA_X and reply.payload.get("cas_granted"):
             # INVd/INVs comparison succeeded: we take the line exclusive
             # and apply the new value here.
-            offset = self._offset_of(op.addr)
+            offset = (op.addr & self._block_mask) >> self._word_shift
             line_data = list(data)
             old = reply.payload.get("old", line_data[offset])
             line_data[offset] = op.new

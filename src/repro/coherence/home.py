@@ -465,28 +465,35 @@ class HomeNode:
         Returns ``(result, wrote)`` where ``wrote`` is True if the stored
         word's value actually changed (a same-value store keeps copies
         coherent without any update traffic).  Reservations die on *any*
-        write, including same-value ones.
+        write, including same-value ones.  Each branch notes the access
+        (a write if the op stored, whatever the value) after any event
+        it emits.
         """
         block, offset = msg.block, msg.payload["offset"]
         old = self.memory.read_word(block, offset)
         if kind == "load":
+            self._note(msg, False)
             return old, False
         if kind == "store":
             value = msg.payload["value"]
             self.memory.write_word(block, offset, value)
             self.reservations.write(block)
+            self._note(msg, True)
             return None, value != old
         if kind == "faa":
             new = apply_phi(msg.payload["phi"], old, msg.payload["operand"])
             self.memory.write_word(block, offset, new)
             self.reservations.write(block)
+            self._note(msg, True)
             return old, new != old
         if kind == "cas":
             expected, new = msg.payload["expected"], msg.payload["new"]
             if old == expected:
                 self.memory.write_word(block, offset, new)
                 self.reservations.write(block)
+                self._note(msg, True)
                 return ("cas", True, old), new != old
+            self._note(msg, False)
             return ("cas", False, old), False
         if kind == "ll":
             grant = self.reservations.load_linked(msg.requester, block)
@@ -495,6 +502,7 @@ class HomeNode:
                                  node=self.node, block=block,
                                  requester=msg.requester, doomed=grant.doomed,
                                  memory_side=True)
+            self._note(msg, False)
             return ("ll", old, grant.token, grant.doomed), False
         if kind == "sc":
             value, token = msg.payload["value"], msg.payload.get("token")
@@ -505,23 +513,15 @@ class HomeNode:
                                      node=self.node, block=block,
                                      requester=msg.requester,
                                      reason="sc_consumed", memory_side=True)
+                self._note(msg, True)
                 return ("sc", True), value != old
+            self._note(msg, False)
             return ("sc", False), False
         raise ProtocolError(f"unknown memory-side op kind {kind!r}")
-
-    @staticmethod
-    def _op_is_write(kind: str, result: Any) -> bool:
-        """Whether the executed memory-side op counts as a write access."""
-        if kind in ("store", "faa"):
-            return True
-        if kind in ("cas", "sc"):
-            return bool(result[1])
-        return False
 
     def _sync_unc(self, msg: Message, kind: str) -> None:
         """Uncached operation: execute at memory, reply; never any copies."""
         result, _wrote = self._apply_op(msg, kind)
-        self._note(msg, self._op_is_write(kind, result))
         self._send(
             msg,
             MessageType.SYNC_REPLY,
@@ -542,7 +542,6 @@ class HomeNode:
         entry = self.directory.entry(msg.block)
         requester = msg.requester
         result, wrote = self._apply_op(msg, kind)
-        self._note(msg, self._op_is_write(kind, result))
         # The fan-out is taken before add_sharer, and only when it is
         # sent: most contended UPD attempts fail and write nothing.
         others = entry.targets(requester) if wrote else ()

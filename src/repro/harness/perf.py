@@ -8,9 +8,9 @@ layer of the hot path:
 
 ``event_churn``
     The bare :class:`~repro.sim.engine.Simulator`: self-rescheduling
-    callback chains with a realistic mix of near (calendar-bucket) and
-    far (heap) delays.  No machine model at all — this is the event
-    core's ceiling.
+    callback chains with a realistic mix of same-cycle, short and long
+    delays.  No machine model at all — this is the event core's
+    ceiling.
 ``faa_storm``
     A full machine under total contention: every processor hammers one
     ``fetch_and_add`` counter (INV policy), exercising the coherence
@@ -66,8 +66,9 @@ __all__ = [
 ]
 
 #: Delay mix for the event-churn kernel: dominated by the small delays a
-#: real machine schedules (hits, occupancies, hops), with one far delay
-#: so the heap back end and the calendar/heap merge path stay hot.
+#: real machine schedules (hits, occupancies, hops), with one same-cycle
+#: delay so the same-cycle queue and its merge with the heap stay hot,
+#: and one long delay.
 _CHURN_DELAYS = (1, 2, 4, 0, 8, 3, 300, 5)
 
 

@@ -154,38 +154,6 @@ class Message:
         self.payload = {} if payload is None else payload
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
 
-    # ------------------------------------------------------------------
-    # Transaction chaining.
-    # ------------------------------------------------------------------
-
-    def successor(
-        self,
-        mtype: MessageType,
-        src: int,
-        dst: int,
-        unit: Unit,
-        **payload: Any,
-    ) -> "Message":
-        """Build the next serialized message in this transaction."""
-        return Message(
-            mtype, src, dst, unit, self.block,
-            txn=self.txn, chain=self.chain + 1,
-            requester=self.requester, payload=payload,
-        )
-
-    def sibling(
-        self,
-        mtype: MessageType,
-        src: int,
-        dst: int,
-        unit: Unit,
-        **payload: Any,
-    ) -> "Message":
-        """Build a parallel message (same chain depth) in this transaction."""
-        msg = self.successor(mtype, src, dst, unit, **payload)
-        msg.chain = self.chain + 1
-        return msg
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message({self.mtype.value} {self.src}->{self.dst} "

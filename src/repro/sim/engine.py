@@ -6,22 +6,24 @@ queue of pending events.  Components schedule callbacks with
 timestamp order.  Ties are broken by insertion order, which makes every
 simulation fully deterministic.
 
-The queue is a two-level structure tuned for the delays this machine
-actually schedules (see ``docs/performance.md``):
+The queue is two structures (see ``docs/performance.md``):
 
-* a **calendar front end** — a ring of ``_WINDOW`` per-cycle buckets
-  covering ``[now, now + _WINDOW)``.  The small integer delays that
-  dominate (cache hits, controller occupancy, memory service, mesh
-  hops) land here with one ``list.append`` and drain with no
-  comparisons at all;
-* a **heap back end** (``heapq``) for the rare far-future events, e.g.
-  deliveries delayed behind a long network-port backlog.
+* a **heap** (``heapq``) of ``(time, seq, fn, args)`` entries for every
+  event due in a later cycle; ``seq`` is a global insertion counter, so
+  entries of one cycle pop in insertion order;
+* a **same-cycle FIFO** (a ``deque``) of ``(fn, args)`` entries for the
+  events due in the current cycle (``schedule(0, ...)`` and
+  ``at(now, ...)``).
 
-Both levels carry ``(time, seq, fn, args)`` entries, so events at the
-same cycle replay in exact insertion order even when they straddle the
-two levels.  The engine knows nothing about multiprocessors; the machine
-model in :mod:`repro.machine` is built entirely out of scheduled
-callbacks.
+One rule merges them: every heap entry due now was scheduled before the
+clock reached this cycle, so before every FIFO entry, and once the clock
+is here nothing else can join the heap at this cycle.  The drain
+therefore runs the heap's entries for the cycle first, then the FIFO.
+The machine fires one or two events per occupied cycle, several cycles
+apart, so the heap pops straight to the next event instead of stepping
+through empty cycles.  The engine knows nothing about multiprocessors;
+the machine model in :mod:`repro.machine` is built entirely out of
+scheduled callbacks.
 
 :meth:`Simulator.schedule_priority` (negative sequence numbers, so its
 entries run before every ordinary event of their cycle) has no caller in
@@ -41,8 +43,9 @@ the same order through the same code.
 
 from __future__ import annotations
 
-import heapq
 import sys
+from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter_ns
 from typing import Any, Callable, Optional
 
@@ -52,32 +55,16 @@ from ..obs.registry import MetricsRegistry
 
 __all__ = ["Simulator"]
 
-# Bucket entries are (time, seq, fn, args); within one bucket all times
-# are equal, so ordering by seq alone is a total order.
-def _entry_seq(entry: tuple) -> int:
-    return entry[1]
-
 
 class Simulator:
     """A deterministic discrete-event simulator with an integer clock."""
 
-    #: Width (in cycles) of the calendar-queue window.  Power of two so
-    #: the bucket index is a mask instead of a modulo.
-    _WINDOW = 256
-    _MASK = _WINDOW - 1
-
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._now: int = 0
-        # Far-future events (delay >= _WINDOW): a classic binary heap.
-        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
-        # Near-future events: one bucket per cycle in [now, now+_WINDOW).
-        # Invariant: all entries in one bucket share a single timestamp
-        # (two distinct times in the window cannot collide mod _WINDOW).
-        self._buckets: list[list[tuple[int, int, Callable[..., None], tuple]]]
-        self._buckets = [[] for _ in range(self._WINDOW)]
-        self._near: int = 0
-        # No bucket entry has a timestamp earlier than _cursor.
-        self._cursor: int = 0
+        # Events due after the current cycle, ordered by (time, seq).
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        # Events due in the current cycle, in insertion order.
+        self._fifo: deque[tuple[Callable[..., None], tuple]] = deque()
         self._seq: int = 0
         # Priority events count down from -1 so every priority entry
         # sorts before every ordinary entry at the same timestamp.
@@ -116,31 +103,28 @@ class Simulator:
         ``delay`` must be non-negative; zero-delay events run after all
         events already scheduled for the current cycle.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        time = self._now + delay
-        if delay < 256:
-            self._buckets[time & 255].append((time, seq, fn, args))
-            self._near += 1
+        if delay > 0:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (self._now + delay, seq, fn, args))
+        elif delay == 0:
+            self._fifo.append((fn, args))
         else:
-            heapq.heappush(self._queue, (time, seq, fn, args))
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
 
     def at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
         now = self._now
-        if time < now:
+        if time > now:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (time, seq, fn, args))
+        elif time == now:
+            self._fifo.append((fn, args))
+        else:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        if time - now < 256:
-            self._buckets[time & 255].append((time, seq, fn, args))
-            self._near += 1
-        else:
-            heapq.heappush(self._queue, (time, seq, fn, args))
 
     def schedule_priority(
         self, delay: int, fn: Callable[..., None], *args: Any
@@ -159,8 +143,10 @@ class Simulator:
         must only use this for handlers that commute with each other.
 
         While the simulator is running, ``delay`` must be at least 1:
-        a same-cycle priority event would have to cut into the bucket
-        currently being drained, which the event loop does not support.
+        a same-cycle priority event would have to cut in ahead of
+        same-cycle events already queued, which the drain does not
+        support.  Outside :meth:`run` a zero delay is allowed; the
+        entry then runs before every ordinary event of the cycle.
         """
         if delay < 1 and (self._running or delay < 0):
             raise SimulationError(
@@ -169,19 +155,7 @@ class Simulator:
             )
         seq = self._pseq
         self._pseq = seq - 1
-        time = self._now + delay
-        if delay < 256:
-            bucket = self._buckets[time & 255]
-            bucket.append((time, seq, fn, args))
-            if len(bucket) > 1:
-                # Keep priority-before-ordinary within the bucket (the
-                # drain executes in list order).  Entries share one
-                # timestamp and have unique seqs, so the tuple sort
-                # never reaches the callables.
-                bucket.sort(key=_entry_seq)
-            self._near += 1
-        else:
-            heapq.heappush(self._queue, (time, seq, fn, args))
+        heappush(self._heap, (self._now + delay, seq, fn, args))
 
     def set_heartbeat(
         self, every: int, fire: Callable[[int, int, int], None]
@@ -274,7 +248,7 @@ class Simulator:
                         f"exceeded max_events={max_events}; likely livelock"
                     )
                 due = end + every
-                fire(self._now, end, self._near + len(self._queue))
+                fire(self._now, end, len(self._heap) + len(self._fifo))
         finally:
             self._running = False
             if fire is not None:
@@ -293,118 +267,41 @@ class Simulator:
         next event lies after ``until``; the clock then advances to
         ``until``.  This is the engine's one event loop.
         """
+        now = self._now
+        stop = sys.maxsize if until is None else until
+        if stop < now:
+            # `until` is past: everything queued is due at `now` or later.
+            return 0
         executed = 0
         # Hot-loop locals: every per-event attribute lookup hoisted once.
-        heap = self._queue
-        buckets = self._buckets
-        heappop = heapq.heappop
-        stop = sys.maxsize if until is None else until
-        now = self._now
-        cursor = self._cursor
-        if cursor < now:
-            cursor = now
+        heap = self._heap
+        fifo = self._fifo
+        popleft = fifo.popleft
         try:
             while True:
-                if self._near:
-                    bucket = buckets[cursor & 255]
-                    while not bucket:
-                        cursor += 1
-                        bucket = buckets[cursor & 255]
-                    # All entries in this bucket share one timestamp
-                    # (taken from the entry, not the cursor, so the
-                    # invariant is load-bearing in exactly one place).
-                    time = bucket[0][0]
-                    if heap and heap[0][0] <= time:
-                        h_time = heap[0][0]
-                        if h_time < time or heap[0][1] < bucket[0][1]:
-                            # A far-scheduled event comes first.
-                            if h_time > stop:
-                                if stop > now:
-                                    now = stop
-                                break
-                            entry = heappop(heap)
-                            self._now = now = entry[0]
-                            # The scan above may have pushed the cursor
-                            # past `now`; this callback can schedule near
-                            # events anywhere in [now, now + _WINDOW), so
-                            # the scan must restart from `now` or those
-                            # buckets are never visited again.
-                            cursor = now
-                            entry[2](*entry[3])
-                            executed += 1
-                            if executed == budget:
-                                return executed
-                            continue
-                    if time > stop:
-                        if stop > now:
-                            now = stop
-                        break
-                    self._now = now = time
-                    if cursor < now:
-                        cursor = now
-                    # Drain the bucket by index: callbacks may append
-                    # same-cycle events to this very list mid-drain, and
-                    # a heap entry may tie this timestamp (seq decides;
-                    # no new heap entry can gain this timestamp, since a
-                    # same-cycle schedule always lands in the bucket).
-                    # A chunk may end mid-bucket; the next one resumes
-                    # at the first unexecuted entry.
-                    i = 0
-                    try:
-                        if heap and heap[0][0] == time:
-                            while i < len(bucket):
-                                entry = bucket[i]
-                                if (heap and heap[0][0] == time
-                                        and heap[0][1] < entry[1]):
-                                    far = heappop(heap)
-                                    far[2](*far[3])
-                                else:
-                                    i += 1
-                                    entry[2](*entry[3])
-                                executed += 1
-                                if executed == budget:
-                                    return executed
-                            while heap and heap[0][0] == time:
-                                far = heappop(heap)
-                                far[2](*far[3])
-                                executed += 1
-                                if executed == budget:
-                                    return executed
-                        else:
-                            while i < len(bucket):
-                                entry = bucket[i]
-                                i += 1
-                                entry[2](*entry[3])
-                                executed += 1
-                                if executed == budget:
-                                    return executed
-                    finally:
-                        self._near -= i
-                        del bucket[:i]
+                if fifo:
+                    # Heap entries due now predate every same-cycle entry.
+                    if heap and heap[0][0] == now:
+                        time, seq, fn, args = heappop(heap)
+                    else:
+                        fn, args = popleft()
                 elif heap:
-                    time = heap[0][0]
+                    time, seq, fn, args = heappop(heap)
                     if time > stop:
-                        if stop > now:
-                            now = stop
+                        heappush(heap, (time, seq, fn, args))
+                        now = stop
                         break
-                    entry = heappop(heap)
                     self._now = now = time
-                    cursor = now  # all buckets empty; restart scan here
-                    entry[2](*entry[3])
-                    executed += 1
-                    if executed == budget:
-                        return executed
                 else:
-                    if until is not None and now < until:
+                    if until is not None:
                         now = until
                     break
+                fn(*args)
+                executed += 1
+                if executed == budget:
+                    return executed
         finally:
             self._now = now
-            # Events scheduled between chunks may land behind any scan
-            # progress past `now`, so the cursor resumes from `now`
-            # (rescanning a few empty buckets is cheap; missing a
-            # bucket is not).
-            self._cursor = now
             # Deferred flush: exact at chunk end (and on any exception)
             # without a per-event counter call.
             if executed:
@@ -413,7 +310,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of events currently queued."""
-        return self._near + len(self._queue)
+        return len(self._heap) + len(self._fifo)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now}, pending={self.pending()})"

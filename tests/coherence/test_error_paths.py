@@ -81,6 +81,29 @@ def test_negative_address_rejected_at_execute():
         m.run()
 
 
+@pytest.mark.parametrize("policy, issue", [
+    (SyncPolicy.INV, lambda p, addr: p.load(addr)),
+    (SyncPolicy.UNC, lambda p, addr: p.fetch_add(addr, 1)),
+    (SyncPolicy.UNC, lambda p, addr: p.sc(addr, 1)),
+], ids=["inv_load_miss", "unc_fetch_add", "unc_sc_unreserved"])
+def test_misaligned_word_op_rejected_at_execute(policy, issue):
+    # Each would send a request or fail locally without reading the word;
+    # alignment is checked before the cache, the network or the
+    # reservation is consulted.
+    m = make_machine(4)
+    addr = m.alloc_sync(policy, home=1) + 2
+
+    def prog(p):
+        yield issue(p, addr)
+
+    m.spawn(0, prog)
+    with pytest.raises(AddressError,
+                       match=f"address {addr:#x} is not word aligned"):
+        m.run()
+    assert m.mesh.stats.messages == 0
+    assert m.mesh.stats.local_messages == 0
+
+
 def test_owner_nak_retry_cap():
     # A transaction that NAKs forever must eventually raise, not hang.
     from repro.cache.mshr import Mshr, Transaction

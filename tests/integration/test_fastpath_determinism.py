@@ -1,6 +1,6 @@
 """Golden seeded-run determinism across the simulation fast path.
 
-The kernel optimizations (calendar-queue event core, inline
+The kernel optimizations (heap + same-cycle event queue, inline
 per-message bookkeeping, hot-path counter caches) must be *invisible*:
 every seeded run stays bit-identical to the values captured before the
 fast path landed, with observability on or off, at any sweep job count.

@@ -129,10 +129,9 @@ def test_until_advances_clock_on_empty_queue():
 
 
 def test_far_event_scheduling_near_work_behind_the_scan():
-    # Regression for the calendar front end: the bucket scan advances a
-    # cursor toward the first non-empty bucket; when a far (heap) event
-    # fires earlier than that bucket, events it schedules may land in
-    # buckets *behind* the scan position and must still execute.
+    # The event at t=300 schedules work for t=302 while work scheduled
+    # earlier already waits at t=305: the later-scheduled but
+    # earlier-due event runs first.
     sim = Simulator()
     order = []
 
@@ -151,6 +150,29 @@ def test_far_event_scheduling_near_work_behind_the_scan():
     assert sim.now == 305
 
 
+def test_raising_callback_consumes_its_event_and_keeps_the_rest():
+    sim = Simulator()
+    log = []
+
+    def boom():
+        log.append("boom")
+        sim.schedule(0, log.append, "same-cycle")
+        raise RuntimeError("boom")
+
+    sim.schedule(1, log.append, "a")
+    sim.schedule(2, boom)
+    sim.schedule(2, log.append, "b")
+    sim.schedule(3, log.append, "c")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert log == ["a", "boom"]
+    assert sim.now == 2
+    assert sim.pending() == 3
+    sim.run()
+    assert log == ["a", "boom", "b", "same-cycle", "c"]
+    assert sim.pending() == 0
+
+
 # ----------------------------------------------------------------------
 # Priority events (kept for the benchmark tracer, which patches them).
 # ----------------------------------------------------------------------
@@ -166,8 +188,8 @@ def test_priority_runs_before_ordinary_at_same_timestamp():
 
 
 def test_priority_before_ordinary_for_far_events():
-    # Far events (delay >= 256) go through the heap, not the calendar
-    # buckets; the negative seq must still sort them first.
+    # Hundreds of cycles out, the negative seq still sorts a priority
+    # event before an ordinary one of the same cycle.
     sim = Simulator()
     order = []
     sim.schedule(1000, lambda: order.append("ordinary"))
