@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..network.message import Message
+from ..obs.latency import TxnBreakdown
 
 __all__ = ["Transaction", "Mshr"]
 
 
 @dataclass(slots=True)
-class Transaction:
+class Transaction(TxnBreakdown):
     """One in-flight requester-side transaction.
 
     The fields set when the transaction opens come first, so the
@@ -26,6 +27,14 @@ class Transaction:
     and all expected acks have arrived; the controller's reply and ack
     handlers test that, and keep ``chain`` at the deepest serialized
     chain any of its messages carried.
+
+    A transaction is its own latency breakdown: it inherits
+    :class:`~repro.obs.latency.TxnBreakdown`'s fields, which the
+    network, the memory module and the controller credit as it flows
+    through them.  Once it completes, nothing it refers to refers back
+    to it (the controller drops ``reply``, whose ``txn`` is this
+    transaction), so reference counting frees it as soon as the MSHR
+    slot and its last message let go.
 
     Attributes:
         op: The processor operation being performed.
@@ -37,10 +46,8 @@ class Transaction:
             OWNER_NAK can reissue it.
         request_payload: Payload of the original request, sent as is by
             the request and by every reissue.
-        breakdown: Latency attribution for this transaction (a
-            :class:`repro.obs.latency.TxnBreakdown`); components credit
-            their cycles to it as the transaction flows through them.
-        reply: The home/owner reply message, once received.
+        reply: The home/owner reply message, from its arrival until
+            the transaction completes.
         acks_needed: Invalidation/update acks to await (known on reply).
         acks_got: Acks received so far (may precede the reply).
         chain: Deepest serialized-message chain observed.
@@ -53,7 +60,6 @@ class Transaction:
     kind: str = ""
     request_mtype: Any = None
     request_payload: dict = field(default_factory=dict)
-    breakdown: Any = None
     reply: Optional[Message] = None
     acks_needed: Optional[int] = None
     acks_got: int = 0

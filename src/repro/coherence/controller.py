@@ -37,7 +37,6 @@ from ..config import SimConfig
 from ..errors import AddressError, ProtocolError
 from ..network.mesh import WormholeMesh
 from ..network.message import Message, MessageType, Unit
-from ..obs.latency import TxnBreakdown
 from ..obs.registry import MetricsRegistry
 from ..primitives.ops import (
     CasResult,
@@ -552,7 +551,8 @@ class CacheController:
                 f"MSHR busy with block {mshr.current.block}, "
                 f"cannot start block {block}")
         txn = mshr.current = Transaction(op, block, callback, txn_kind, mtype,
-                                         payload, TxnBreakdown(self.sim._now))
+                                         payload)
+        txn.start = txn.cursor = self.sim._now
         self._issue(txn)
 
     def _issue(self, txn: Transaction) -> None:
@@ -758,6 +758,9 @@ class CacheController:
             raise ProtocolError(f"unknown transaction kind {kind!r}")
         reply = txn.reply
         result = complete(self, txn, reply, reply.payload.get("data"))
+        # The reply's ``txn`` is this transaction: let go of it, so the
+        # pair is freed by reference counting, not the cyclic collector.
+        txn.reply = None
         mshr = self.mshr
         mshr.current = None
         chain = txn.chain
@@ -772,15 +775,12 @@ class CacheController:
                 self._on_recall(deferred)
         done = self.sim._now + self._t_occ
         policy = self._policies.get(block, _INV)
-        breakdown = txn.breakdown
-        if breakdown is not None:
-            # TxnBreakdown.credit("controller", done), inlined.
-            cursor = breakdown.cursor
-            if done > cursor:
-                parts = breakdown.parts
-                parts["controller"] = parts.get("controller", 0) + done - cursor
-                breakdown.cursor = done
-            machine_stats.latency.note(kind, policy, breakdown)
+        # TxnBreakdown.credit("controller", done), inlined.
+        cursor = txn.cursor
+        if done > cursor:
+            txn.controller += done - cursor
+            txn.cursor = done
+        machine_stats.latency.note(kind, policy, txn)
         if self.events.active:
             self.events.emit("atomic.complete", done, node=self.node,
                              block=block, op=kind, chain=chain, local=False,

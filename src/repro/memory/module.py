@@ -166,17 +166,14 @@ class MemoryModule:
         if txn is not None:
             # TxnBreakdown.credit("queue", start), then ("memory", end),
             # inlined.
-            breakdown = txn.breakdown
-            if breakdown is not None:
-                cursor = breakdown.cursor
-                parts = breakdown.parts
-                if start > cursor:
-                    parts["queue"] = parts.get("queue", 0) + start - cursor
-                    cursor = start
-                if end > cursor:
-                    parts["memory"] = parts.get("memory", 0) + end - cursor
-                    cursor = end
-                breakdown.cursor = cursor
+            cursor = txn.cursor
+            if start > cursor:
+                txn.queue += start - cursor
+                cursor = start
+            if end > cursor:
+                txn.memory += end - cursor
+                cursor = end
+            txn.cursor = cursor
         events = self.events
         if events is not None and events.active:
             events.emit(

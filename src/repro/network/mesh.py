@@ -242,12 +242,10 @@ class WormholeMesh:
         txn = msg.txn
         if txn is not None:
             # TxnBreakdown.credit("network", done), inlined.
-            breakdown = txn.breakdown
-            if breakdown is not None and done > breakdown.cursor:
-                parts = breakdown.parts
-                parts["network"] = (parts.get("network", 0)
-                                    + done - breakdown.cursor)
-                breakdown.cursor = done
+            cursor = txn.cursor
+            if done > cursor:
+                txn.network += done - cursor
+                txn.cursor = done
         if self.events.active:
             self._observe(msg, now, done)
         sim.schedule(done - now, handler, msg)

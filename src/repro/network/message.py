@@ -9,10 +9,10 @@ in parallel (e.g. an invalidation multicast) share the same chain value.
 
 ``Message`` is a ``__slots__`` class built once per hop and never reused:
 a handler may keep a message it received (a reply parked in
-``txn.reply``, a request queued on a directory entry or deferred in an
-MSHR) for as long as it likes.  ``msg_id`` comes off one global counter,
-so ids, and therefore traces, depend only on the order messages are
-built.
+``txn.reply`` until its transaction completes, a request queued on a
+directory entry or deferred in an MSHR) for as long as it likes.
+``msg_id`` comes off one global counter, so ids, and therefore traces,
+depend only on the order messages are built.
 
 A payload is never mutated after its message is sent.  Senders may
 therefore hand the same dict to several messages: a requester reissues
@@ -118,8 +118,12 @@ class Message:
         dst: Receiving node id.
         unit: Which unit at ``dst`` handles the message.
         block: Block number the message concerns.
-        txn: Opaque transaction descriptor owned by the requester; carried
-            so acknowledgments can complete the right transaction.
+        txn: The requester's :class:`~repro.cache.mshr.Transaction`, or
+            None for traffic no transaction waits on; carried so acks
+            complete the right transaction and each hop credits its
+            cycles to the transaction's latency breakdown.  A reply
+            parked in ``txn.reply`` is dropped when the transaction
+            completes, so the two never form a reference cycle.
         chain: Serialized-message count including this message.
         requester: Node id of the transaction's originator.
         payload: Message-specific fields (operation descriptors, data

@@ -16,6 +16,10 @@ double-counted and the categories **sum exactly** to the transaction's
 end-to-end latency — the invariant the test suite asserts.  Idle gaps
 not claimed by any component are folded into the next segment.
 
+A requester transaction (:class:`~repro.cache.mshr.Transaction`) is its
+own :class:`TxnBreakdown`: the categories are integer fields of the
+transaction, so no separate object is built per transaction.
+
 :class:`LatencyTracker` aggregates finished breakdowns per
 ``primitive × policy`` and reports p50/p95/max.
 """
@@ -30,29 +34,50 @@ __all__ = ["CATEGORIES", "TxnBreakdown", "LatencyStats", "LatencyTracker"]
 CATEGORIES = ("network", "queue", "memory", "controller")
 
 
+@dataclass(slots=True, init=False, eq=False)
 class TxnBreakdown:
-    """Cycle attribution for one in-flight transaction."""
+    """Cycle attribution for one in-flight transaction.
 
-    __slots__ = ("start", "cursor", "parts")
+    ``start`` is the cycle the transaction opened, ``cursor`` the last
+    cycle accounted for, and each of :data:`CATEGORIES` is an integer
+    field of the cycles credited to it.  A dataclass subclass's
+    generated ``__init__`` takes none of them and sets them all to 0;
+    its owner sets ``start`` and ``cursor`` when the transaction opens.
+    """
+
+    start: int = field(default=0, init=False)
+    cursor: int = field(default=0, init=False)
+    network: int = field(default=0, init=False)
+    queue: int = field(default=0, init=False)
+    memory: int = field(default=0, init=False)
+    controller: int = field(default=0, init=False)
 
     def __init__(self, start: int) -> None:
-        self.start = start
-        self.cursor = start
-        self.parts: dict[str, int] = {}
+        self.start = self.cursor = start
+        self.network = self.queue = self.memory = self.controller = 0
 
     def credit(self, category: str, end: int) -> None:
         """Attribute cycles up to ``end`` to ``category``.
 
         Only the span beyond the current cursor is credited; calls whose
         interval is already covered (parallel messages) add nothing.
-        The hot path applies this rule inline: ``WormholeMesh.send`` and
-        ``MemoryModule.service`` once per message, and
-        ``CacheController._finish`` once per transaction.  A change here
-        must be made in all three.
+        The hot path applies this rule inline, on the category's field,
+        in three places: ``WormholeMesh.send`` (``network``, once per
+        message), ``MemoryModule.service`` (``queue`` then ``memory``,
+        once per service) and ``CacheController._finish``
+        (``controller``, once per transaction).  A change here must be
+        made in all three.
         """
-        if end > self.cursor:
-            self.parts[category] = self.parts.get(category, 0) + end - self.cursor
+        cursor = self.cursor
+        if end > cursor:
+            setattr(self, category, getattr(self, category) + end - cursor)
             self.cursor = end
+
+    @property
+    def parts(self) -> dict[str, int]:
+        """``{category: cycles}`` of the categories credited so far
+        (those with nonzero cycles), in :data:`CATEGORIES` order."""
+        return {c: getattr(self, c) for c in CATEGORIES if getattr(self, c)}
 
     @property
     def total(self) -> int:
@@ -125,11 +150,24 @@ class LatencyTracker:
             stats = self._keys.setdefault((kind, label), LatencyStats())
             self._by_caller_key[(kind, policy)] = stats
         # Fold the breakdown in here: this runs once per transaction.
+        # A category is a key of ``by_category`` once it has been
+        # credited, as ``parts`` reports it.
         stats.count += 1
         stats.totals.append(breakdown.cursor - breakdown.start)
         by_category = stats.by_category
-        for category, cycles in breakdown.parts.items():
-            by_category[category] = by_category.get(category, 0) + cycles
+        cycles = breakdown.network
+        if cycles:
+            by_category["network"] = by_category.get("network", 0) + cycles
+        cycles = breakdown.queue
+        if cycles:
+            by_category["queue"] = by_category.get("queue", 0) + cycles
+        cycles = breakdown.memory
+        if cycles:
+            by_category["memory"] = by_category.get("memory", 0) + cycles
+        cycles = breakdown.controller
+        if cycles:
+            by_category["controller"] = (by_category.get("controller", 0)
+                                         + cycles)
 
     def get(self, kind: str, policy: str) -> LatencyStats | None:
         """The aggregate for one key, or None."""

@@ -28,7 +28,10 @@ class BarrierManager:
         """Block ``process`` until ``participants`` processes have arrived."""
         if participants < 1:
             raise ProgramError("barrier needs at least one participant")
-        waiting = self._waiting.setdefault(barrier_id, [])
+        # Probe first: a ``setdefault`` default is built on every call.
+        waiting = self._waiting.get(barrier_id)
+        if waiting is None:
+            waiting = self._waiting[barrier_id] = []
         waiting.append(process)
         if len(waiting) > participants:
             raise ProgramError(

@@ -25,11 +25,17 @@ class ContentionTracker:
 
     def begin(self, addr: int, pid: int) -> None:
         """Processor ``pid`` starts contending for ``addr``."""
-        active = self._active.setdefault(addr, set())
+        # Probe first: a ``setdefault`` default is built on every call.
+        active = self._active.get(addr)
+        if active is None:
+            active = self._active[addr] = set()
         active.add(pid)
         level = len(active)
         self.histogram[level] += 1
-        self.per_addr.setdefault(addr, Counter())[level] += 1
+        per_level = self.per_addr.get(addr)
+        if per_level is None:
+            per_level = self.per_addr[addr] = Counter()
+        per_level[level] += 1
 
     def end(self, addr: int, pid: int) -> None:
         """Processor ``pid`` stops contending for ``addr``."""

@@ -1,5 +1,8 @@
 """Latency breakdown: categories sum exactly to end-to-end cycles."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import SyncPolicy
@@ -7,6 +10,7 @@ from repro.obs.events import EventRecorder
 from repro.obs.latency import CATEGORIES, LatencyTracker, TxnBreakdown
 
 from tests.conftest import make_machine, run_one
+from tests.integration.test_hot_path_calls import limited_storm, lockfree_c16
 
 
 def test_breakdown_cursor_no_double_count():
@@ -128,3 +132,28 @@ def test_breakdown_sums_for_store_chain():
     # The uncontended ownership transfer spends no time queued, but does
     # flow through the network, the memory module, and the controller.
     assert {"network", "memory", "controller"} <= set(stats.by_category)
+
+
+#: SHA-256 of the JSON list of ``[snapshot(), render()]`` of
+#: ``stats.latency`` on every machine a proxy builds, in build order.
+#: Recorded while each transaction still kept its breakdown in a
+#: separate ``parts`` dict; the values must not move when the way they
+#: are accumulated does.
+RECORDED_LATENCY = {
+    "lockfree_c16":
+        "a5699352447aebeb1176ba50e1df602817a69236a0a933e0a6ecb56bac8a5c12",
+    "limited_storm":
+        "8002bd0438a8764c25ae544cfd04b65b52e7c96e86d1660be520cd2f4c3c100b",
+}
+
+
+@pytest.mark.parametrize("proxy", [lockfree_c16, limited_storm],
+                         ids=lambda proxy: proxy.__name__)
+def test_latency_snapshot_matches_recorded(proxy):
+    machines = []
+    proxy(machines.append)
+    record = [[m.stats.latency.snapshot(), m.stats.latency.render()]
+              for m in machines]
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    tables = "\n\n".join(render for _, render in record)
+    assert digest == RECORDED_LATENCY[proxy.__name__], tables
