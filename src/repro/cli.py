@@ -121,7 +121,7 @@ from .harness.htmlreport import write_report
 from .harness.instrumented import INSTRUMENTED_EXPERIMENTS, run_instrumented
 from .harness.parallel import ResultCache, attach_progress_printer
 from .harness.report import render_histogram, render_table
-from .harness.table1 import TABLE1_EXPECTED, run_table1
+from .harness.table1 import TABLE1_CONFIG, TABLE1_EXPECTED, run_table1
 from .obs.events import EventBus
 from .obs.exporters import export_events, to_jsonl
 from .obs.profile import profiled
@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_MAX_EVENTS,
                        help="cycle-budget termination watchdog "
                             f"(default {DEFAULT_MAX_EVENTS})")
-    chaos.add_argument("--retries", type=int, default=1,
-                       help="sweep-executor retries per crashed point "
-                            "before quarantining it (default 1)")
     _add_common(chaos, top_level=False)
     trend = sub.add_parser(
         "trend",
@@ -397,15 +394,17 @@ def _config(args: argparse.Namespace) -> SimConfig:
     return config
 
 
-def _machine_params(args: argparse.Namespace) -> dict[str, str]:
+def _machine_params(config: SimConfig) -> dict[str, Any]:
     """Envelope params describing the machine shape.
 
     One compact key per concern so determinism diffs can strip either
     with a single ``--ignore params.topology`` / ``params.directory``.
     """
+    machine = config.machine
     return {
-        "topology": args.topology,
-        "directory": _config(args).machine.directory_label,
+        "nodes": machine.n_nodes,
+        "topology": machine.topology,
+        "directory": machine.directory_label,
     }
 
 
@@ -434,6 +433,7 @@ def _emit(
     latency: Optional[dict[str, Any]] = None,
     critpath: Optional[dict[str, Any]] = None,
     hotspots: Optional[dict[str, Any]] = None,
+    params: Optional[dict[str, Any]] = None,
 ) -> None:
     out(text)
     if args.out is not None:
@@ -442,8 +442,8 @@ def _emit(
     if args.json is not None and results is not None:
         payload = make_run_payload(
             name,
-            params={"nodes": args.nodes, "turns": args.turns,
-                    **_machine_params(args)},
+            params=(params if params is not None else
+                    {**_machine_params(_config(args)), "turns": args.turns}),
             results=results,
             metrics=metrics,
             latency=latency,
@@ -454,6 +454,8 @@ def _emit(
 
 
 def _cmd_table1(args, out) -> int:
+    # Table 1 always runs on its own machine, whatever the machine
+    # options say; the envelope records that machine.
     measured = run_table1(**_sweep_opts(args))
     rows = [[label, TABLE1_EXPECTED[label], measured[label]]
             for label in TABLE1_EXPECTED]
@@ -464,7 +466,7 @@ def _cmd_table1(args, out) -> int:
             "expected": dict(TABLE1_EXPECTED),
             "measured": measured,
             "match": measured == TABLE1_EXPECTED,
-        })
+        }, params=_machine_params(TABLE1_CONFIG))
     return 0 if measured == TABLE1_EXPECTED else 1
 
 
@@ -671,7 +673,6 @@ def _cmd_chaos(args, out) -> int:
         turns=args.turns,
         nodes=args.nodes,
         max_events=args.max_events,
-        retries=args.retries,
         **opts,
     )
     text = render_chaos(payload)

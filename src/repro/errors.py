@@ -37,15 +37,6 @@ class DeadlockError(SimulationError):
     """The event queue drained while processors were still blocked."""
 
 
-class WorkerHangError(SimulationError):
-    """A sweep worker exceeded its per-point wall-clock timeout.
-
-    Raised by the sweep executor (:mod:`repro.harness.parallel`).  A
-    deterministic hang would hang again, so timed-out points are never
-    retried; see ``docs/robustness.md``.
-    """
-
-
 class ProgramError(ReproError):
     """A simulated program performed an illegal operation.
 

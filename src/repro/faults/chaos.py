@@ -23,7 +23,8 @@ gates the run on four independent checks:
 
 Points fan out through the parallel sweep engine
 (:func:`repro.harness.parallel.run_sweep`) with quarantine enabled, so
-a crashed point is reported in the envelope instead of aborting the
+a point that raises runs once and is reported in the envelope (its
+verdict's ``executed`` check holds the error) instead of aborting the
 matrix.  The verdict envelope is deliberately free of wall-clock data:
 ``repro chaos --seed S`` emits the same bytes on every host.
 """
@@ -201,7 +202,6 @@ def run_chaos(
     jobs: int = 1,
     cache: Any = None,
     events: Any = None,
-    retries: int = 1,
 ) -> dict[str, Any]:
     """Sweep seeds x intensities x policies; return the verdict envelope.
 
@@ -236,10 +236,8 @@ def run_chaos(
                 ))
                 cells.append((seed, policy, level))
 
-    outcomes = run_sweep(
-        points, jobs=jobs, cache=cache, events=events, retries=retries,
-        quarantine=True,
-    )
+    outcomes = run_sweep(points, jobs=jobs, cache=cache, events=events,
+                         quarantine=True)
 
     golden: dict[tuple[int, str], Any] = {}
     for outcome, (seed, policy, level) in zip(outcomes, cells):
@@ -253,7 +251,6 @@ def run_chaos(
                 "policy": policy, "workload": workload, "seed": seed,
                 "intensity": level, "ok": False,
                 "checks": {"executed": outcome.error},
-                "attempts": outcome.attempts,
             })
             continue
         verdict = dict(outcome.result)

@@ -4,7 +4,6 @@ from .configs import figure_variants, policy_survey_variants
 from .parallel import (
     PointOutcome,
     ResultCache,
-    SweepExecutor,
     SweepPoint,
     code_fingerprint,
     make_point,
@@ -35,7 +34,6 @@ __all__ = [
     "policy_survey_variants",
     "PointOutcome",
     "ResultCache",
-    "SweepExecutor",
     "SweepPoint",
     "code_fingerprint",
     "make_point",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..apps.synthetic import (
     SyntheticSpec,
@@ -44,20 +44,14 @@ from ..obs.spans import SpanBuilder
 from ..sync.variant import PrimitiveVariant
 
 __all__ = [
-    "Instruments",
     "InstrumentedRun",
     "INSTRUMENTED_EXPERIMENTS",
     "run_instrumented",
 ]
 
-
-@dataclass
-class Instruments:
-    """The observability stack attached to one machine."""
-
-    recorder: EventRecorder
-    spans: SpanBuilder
-    hotspots: HotspotTracker
+#: What a representative run calls with the machine it builds, before
+#: any program runs.
+Observe = Callable[[Machine], None]
 
 
 @dataclass
@@ -117,28 +111,11 @@ class InstrumentedRun:
         )
 
 
-def _instrument(machine: Machine,
-                blocks: Optional[Iterable[int]]) -> Instruments:
-    """Attach the full observability stack to a live machine.
-
-    The recorder honors the block filter; the span builder and hotspot
-    tracker always see everything (a filtered span graph would report
-    broken critical paths).
-    """
-    return Instruments(
-        recorder=EventRecorder(machine.events, blocks=blocks),
-        spans=SpanBuilder(machine.events),
-        hotspots=HotspotTracker(machine.events),
-    )
-
-
-def _run_table1(config: SimConfig, turns: int,
-                blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                          Instruments, str]:
+def _run_table1(config: SimConfig, turns: int, observe: Observe) -> str:
     # The richest Table 1 row: INV store to a remote-exclusive line
     # (4 serialized messages — ownership transferred through the home).
     machine = build_machine(config)
-    instruments = _instrument(machine, blocks)
+    observe(machine)
     addr = machine.alloc_sync(SyncPolicy.INV, home=1)
 
     def put(p, value):
@@ -148,93 +125,47 @@ def _run_table1(config: SimConfig, turns: int,
     machine.run()
     machine.spawn(0, put, 2)        # measure: node 0 steals ownership
     machine.run()
-    return machine, instruments, "INV store to a remote-exclusive line"
+    return "INV store to a remote-exclusive line"
 
 
 def _counter_runner(runner, label: str):
-    def run(config: SimConfig, turns: int,
-            blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                      Instruments, str]:
-        holder: dict = {}
-
-        def observe(machine: Machine) -> None:
-            holder["machine"] = machine
-            holder["instruments"] = _instrument(machine, blocks)
-
+    def run(config: SimConfig, turns: int, observe: Observe) -> str:
         contention = min(4, config.machine.n_nodes)
         spec = SyntheticSpec(contention=contention, turns=turns)
         variant = PrimitiveVariant("fap", SyncPolicy.INV)
         runner(variant, spec, config, observe=observe)
-        return (holder["machine"], holder["instruments"],
-                f"{label}, fetch_and_add/INV, c={contention}, "
-                f"{turns} turns")
+        return f"{label}, fetch_and_add/INV, c={contention}, {turns} turns"
 
     return run
 
 
-def _run_apps(config: SimConfig, turns: int,
-              blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                        Instruments, str]:
-    holder: dict = {}
-
-    def observe(machine: Machine) -> None:
-        holder["machine"] = machine
-        holder["instruments"] = _instrument(machine, blocks)
-
+def _run_apps(config: SimConfig, turns: int, observe: Observe) -> str:
     variant = PrimitiveVariant("fap", SyncPolicy.INV)
     run_transitive_closure(variant, size=12, config=config, observe=observe)
-    return (holder["machine"], holder["instruments"],
-            "Transitive Closure (size 12), fetch_and_add/INV")
+    return "Transitive Closure (size 12), fetch_and_add/INV"
 
 
-def _run_llsc(config: SimConfig, turns: int,
-              blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                        Instruments, str]:
-    holder: dict = {}
-
-    def observe(machine: Machine) -> None:
-        holder["machine"] = machine
-        holder["instruments"] = _instrument(machine, blocks)
-
+def _run_llsc(config: SimConfig, turns: int, observe: Observe) -> str:
     contention = min(4, config.machine.n_nodes)
     spec = SyntheticSpec(contention=contention, turns=turns)
     variant = PrimitiveVariant("llsc", SyncPolicy.UNC)
     run_lockfree_counter(variant, spec, config, observe=observe)
-    return (holder["machine"], holder["instruments"],
-            f"LL/SC counter under UNC (reservations), c={contention}")
+    return f"LL/SC counter under UNC (reservations), c={contention}"
 
 
-def _run_dropcopy(config: SimConfig, turns: int,
-                  blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                            Instruments,
-                                                            str]:
-    holder: dict = {}
-
-    def observe(machine: Machine) -> None:
-        holder["machine"] = machine
-        holder["instruments"] = _instrument(machine, blocks)
-
+def _run_dropcopy(config: SimConfig, turns: int, observe: Observe) -> str:
     contention = min(4, config.machine.n_nodes)
     spec = SyntheticSpec(contention=contention, turns=turns)
     variant = PrimitiveVariant("fap", SyncPolicy.INV, use_drop=True)
     run_lockfree_counter(variant, spec, config, observe=observe)
-    return (holder["machine"], holder["instruments"],
-            f"fetch_and_Φ counter with drop_copy, c={contention}")
+    return f"fetch_and_Φ counter with drop_copy, c={contention}"
 
 
-def _run_chaos(config: SimConfig, turns: int,
-               blocks: Optional[Iterable[int]]) -> tuple[Machine,
-                                                         Instruments, str]:
+def _run_chaos(config: SimConfig, turns: int, observe: Observe) -> str:
     import dataclasses
 
     from ..faults.chaos import run_chaos_point
     from ..faults.plan import DEFAULT_CHAOS_PLAN
-
-    holder: dict = {}
-
-    def observe(machine: Machine) -> None:
-        holder["machine"] = machine
-        holder["instruments"] = _instrument(machine, blocks)
 
     cfg = dataclasses.replace(
         config,
@@ -243,8 +174,7 @@ def _run_chaos(config: SimConfig, turns: int,
     verdict = run_chaos_point(policy="INV", workload="faa", turns=turns,
                               intensity=1.0, config=cfg, observe=observe)
     status = "all checks ok" if verdict["ok"] else "CHECKS FAILED"
-    return (holder["machine"], holder["instruments"],
-            f"faulted faa/INV chaos point (fault seed {cfg.seed}), {status}")
+    return f"faulted faa/INV chaos point (fault seed {cfg.seed}), {status}"
 
 
 INSTRUMENTED_EXPERIMENTS = {
@@ -280,15 +210,19 @@ def run_instrumented(
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose from: {known}"
         ) from None
+    # The recorder honors the block filter; the span builder and hotspot
+    # tracker always see everything (a filtered span graph would report
+    # broken critical paths).
+    captured: list[tuple] = []
+
+    def observe(machine: Machine) -> None:
+        captured.append((machine,
+                         EventRecorder(machine.events, blocks=blocks),
+                         SpanBuilder(machine.events),
+                         HotspotTracker(machine.events)))
+
     t0 = time.perf_counter()
-    machine, instruments, description = runner(
-        config or small_config(n_nodes=4), turns, blocks
-    )
+    description = runner(config or small_config(n_nodes=4), turns, observe)
     wall = time.perf_counter() - t0
-    return InstrumentedRun(
-        experiment, description, machine,
-        recorder=instruments.recorder,
-        spans=instruments.spans,
-        hotspots=instruments.hotspots,
-        wall_seconds=wall,
-    )
+    return InstrumentedRun(experiment, description, *captured[-1],
+                           wall_seconds=wall)

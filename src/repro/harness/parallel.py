@@ -16,13 +16,14 @@ This module turns that observation into infrastructure:
   keys to their encoded results.  Re-running an unchanged point is a
   cache hit, not a re-simulation; editing any simulator source
   invalidates every key at once.
-* :class:`SweepExecutor` / :func:`run_sweep` — execute a list of points
-  either serially in-process (``jobs=1``, bit-identical to the historic
-  nested-loop drivers) or spread across a
+* :func:`run_sweep` — execute a list of points either serially
+  in-process (``jobs=1``, bit-identical to the historic nested-loop
+  drivers) or spread across a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Results always come
   back in input order, and progress is published on an
   :class:`~repro.obs.events.EventBus` (``sweep.start`` / ``sweep.point``
-  / ``sweep.done``).
+  / ``sweep.done``).  A point runs once: it is deterministic, so a
+  point that raised would raise again.
 
 Because every point carries its own config (including its RNG seed),
 ``jobs=1`` and ``jobs=N`` produce byte-identical results; scheduling
@@ -52,21 +53,20 @@ import os
 import pathlib
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
 from ..apps.common import AppResult
 from ..config import SimConfig
-from ..errors import ConfigError, SimulationError, WorkerHangError
+from ..errors import ConfigError, SimulationError
 from ..obs.events import EventBus
 
 __all__ = [
     "SweepPoint",
     "PointOutcome",
     "ResultCache",
-    "SweepExecutor",
     "make_point",
     "run_sweep",
     "runner_ref",
@@ -406,7 +406,7 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# The executor.
+# The sweep.
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -416,9 +416,8 @@ class PointOutcome:
     ``telemetry`` holds the executing worker's host-side measurements
     (``wall_seconds``, ``events``, ``events_per_second``); empty for
     cache hits, which did no simulation on this host.  ``error`` is set
-    (and ``result`` is None) for a point quarantined after exhausting
-    its retries; ``attempts`` counts executions including the
-    successful one.
+    (and ``result`` is None) for a point that failed in a sweep run with
+    ``quarantine=True``.
     """
 
     point: SweepPoint
@@ -427,319 +426,6 @@ class PointOutcome:
     key: str
     telemetry: dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
-    attempts: int = 1
-
-
-#: Retry backoff sleeps are capped so a deep retry budget cannot stall
-#: a sweep for minutes between attempts.
-_BACKOFF_CAP = 30.0
-
-
-class SweepExecutor:
-    """Run independent sweep points, optionally in parallel and cached.
-
-    Results are returned in input order regardless of completion order,
-    and progress is emitted on :attr:`events`.
-
-    Failure handling (``docs/robustness.md``): a point whose execution
-    raises (or whose worker process dies) is retried up to ``retries``
-    times with capped exponential backoff.  A point still running after
-    ``point_timeout`` seconds is classified as hung; its pool is killed
-    and the point fails immediately — a deterministic hang would only
-    hang again, so timeouts are never retried.  With
-    ``quarantine=True`` an exhausted point becomes a
-    :class:`PointOutcome` with ``error`` set instead of aborting the
-    sweep, so one poisoned point cannot sink a thousand-point run.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | str | os.PathLike | None = None,
-        events: Optional[EventBus] = None,
-        retries: int = 0,
-        retry_backoff: float = 0.25,
-        point_timeout: Optional[float] = None,
-        quarantine: bool = False,
-    ) -> None:
-        if isinstance(cache, (str, os.PathLike)):
-            cache = ResultCache(cache)
-        self.jobs = max(1, int(jobs))
-        self.cache = cache
-        self.events = events if events is not None else EventBus()
-        self.retries = max(0, int(retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.point_timeout = point_timeout
-        self.quarantine = quarantine
-
-    def run(self, points: Iterable[SweepPoint]) -> list[PointOutcome]:
-        """Resolve every point; see the class docstring for guarantees."""
-        plan = list(points)
-        total = len(plan)
-        self.events.emit("sweep.start", ts=0, total=total, jobs=self.jobs)
-        keys = [point_key(p) for p in plan]
-        outcomes: list[Optional[PointOutcome]] = [None] * total
-        pending: list[int] = []
-        done = 0
-        for i, (point, key) in enumerate(zip(plan, keys)):
-            payload = self.cache.get(key) if self.cache is not None else None
-            if payload is not None:
-                outcomes[i] = self._outcome(point, key, payload, cached=True)
-                done += 1
-                self._emit_point(outcomes[i], i, done, total)
-            else:
-                pending.append(i)
-        if pending and self.jobs > 1 and len(pending) > 1:
-            done = self._run_pool(plan, keys, pending, outcomes, done, total)
-        else:
-            for i in pending:
-                outcomes[i] = self._execute_with_retry(plan[i], keys[i])
-                done += 1
-                self._emit_point(outcomes[i], i, done, total)
-        resolved = [o for o in outcomes if o is not None]
-        self.events.emit(
-            "sweep.done",
-            ts=total,
-            total=total,
-            cached=sum(o.cached for o in resolved),
-            executed=sum(not o.cached for o in resolved),
-        )
-        return resolved
-
-    # ------------------------------------------------------------------
-    # Failure handling.
-    # ------------------------------------------------------------------
-
-    def _backoff(self, attempt: int) -> None:
-        """Sleep before retry number ``attempt`` (capped exponential)."""
-        delay = min(self.retry_backoff * (2 ** (attempt - 1)), _BACKOFF_CAP)
-        if delay > 0:
-            time.sleep(delay)
-
-    def _failed(
-        self, point: SweepPoint, key: str, exc: BaseException, attempts: int,
-    ) -> PointOutcome:
-        """Quarantine an exhausted point, or abort the sweep."""
-        error = f"{type(exc).__name__}: {exc}"
-        if not self.quarantine:
-            raise SimulationError(
-                f"sweep point {point.label!r} failed after {attempts} "
-                f"attempt(s): {error}"
-            ) from exc
-        return PointOutcome(
-            point=point, result=None, cached=False, key=key,
-            error=error, attempts=attempts,
-        )
-
-    def _execute_with_retry(self, point: SweepPoint, key: str) -> PointOutcome:
-        attempt = 1
-        while True:
-            try:
-                payload = execute_point(point)
-            except Exception as exc:
-                if attempt <= self.retries:
-                    self._backoff(attempt)
-                    attempt += 1
-                    continue
-                return self._failed(point, key, exc, attempt)
-            return self._store(point, key, payload, attempts=attempt)
-
-    def _run_pool(
-        self,
-        plan: Sequence[SweepPoint],
-        keys: Sequence[str],
-        pending: Sequence[int],
-        outcomes: list,
-        done: int,
-        total: int,
-    ) -> int:
-        """Drain ``pending`` through a process pool; returns new ``done``.
-
-        The pool runs futures in submission order, so the oldest
-        ``workers`` unfinished futures are the ones (approximately) on
-        a core; only those are on the ``point_timeout`` clock.  A hung
-        or crashed worker poisons its ``ProcessPoolExecutor``, which
-        cannot cancel running futures — both paths therefore kill the
-        pool outright, rebuild it, and resubmit the innocent unfinished
-        points.
-        """
-        workers = min(self.jobs, len(pending))
-        attempts = {i: 1 for i in pending}
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: dict[Any, int] = {}
-        order: list[Any] = []
-        deadlines: dict[Any, float] = {}
-
-        def submit(index: int) -> None:
-            future = pool.submit(execute_point, plan[index])
-            futures[future] = index
-            order.append(future)
-
-        def kill_pool() -> None:
-            for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def resolve_failure(index: int, exc: BaseException) -> None:
-            nonlocal done
-            outcomes[index] = self._failed(
-                plan[index], keys[index], exc, attempts[index]
-            )
-            done += 1
-            self._emit_point(outcomes[index], index, done, total)
-
-        try:
-            for i in pending:
-                submit(i)
-            while futures:
-                live = [f for f in order if f in futures]
-                running = live[:workers]
-                timeout = None
-                if self.point_timeout is not None:
-                    now = time.monotonic()
-                    for future in running:
-                        deadlines.setdefault(future, now + self.point_timeout)
-                    timeout = max(
-                        0.0, min(deadlines[f] for f in running) - now
-                    )
-                finished, _ = wait(
-                    set(futures), timeout=timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not finished:
-                    now = time.monotonic()
-                    overdue = [f for f in running
-                               if deadlines.get(f, now + 1.0) <= now]
-                    if not overdue:
-                        continue
-                    # Hung workers: fail their points (a deterministic
-                    # hang would hang every retry), kill the poisoned
-                    # pool, and resubmit the innocent unfinished points.
-                    for future in overdue:
-                        index = futures.pop(future)
-                        deadlines.pop(future, None)
-                        resolve_failure(index, WorkerHangError(
-                            f"sweep point {plan[index].label!r} still "
-                            f"running after {self.point_timeout}s"
-                        ))
-                    survivors = sorted(futures.values())
-                    futures.clear()
-                    order.clear()
-                    deadlines.clear()
-                    kill_pool()
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    for index in survivors:
-                        submit(index)
-                    continue
-                broken: Optional[BaseException] = None
-                for future in finished:
-                    index = futures.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as exc:
-                        # The dying worker poisons every in-flight
-                        # future; finish collecting any real results
-                        # from this round, then handle the rest below.
-                        futures[future] = index
-                        broken = exc
-                        continue
-                    except Exception as exc:
-                        if attempts[index] <= self.retries:
-                            attempts[index] += 1
-                            self._backoff(attempts[index] - 1)
-                            submit(index)
-                        else:
-                            resolve_failure(index, exc)
-                        continue
-                    outcomes[index] = self._store(
-                        plan[index], keys[index], payload,
-                        attempts=attempts[index],
-                    )
-                    done += 1
-                    self._emit_point(outcomes[index], index, done, total)
-                if broken is not None:
-                    # Which point killed the worker is unknowable from
-                    # here, so the crash round counts against every
-                    # in-flight point; retries bound the total rounds.
-                    crashed = sorted(futures.values())
-                    futures.clear()
-                    order.clear()
-                    deadlines.clear()
-                    kill_pool()
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    retry: list[int] = []
-                    for index in crashed:
-                        if attempts[index] <= self.retries:
-                            attempts[index] += 1
-                            retry.append(index)
-                        else:
-                            resolve_failure(index, broken)
-                    if retry:
-                        self._backoff(max(attempts[i] for i in retry) - 1)
-                        for index in retry:
-                            submit(index)
-        finally:
-            if futures:
-                # Abnormal exit: never block on stuck or dead workers.
-                kill_pool()
-            else:
-                pool.shutdown()
-        return done
-
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-
-    def _outcome(
-        self,
-        point: SweepPoint,
-        key: str,
-        payload: dict[str, Any],
-        cached: bool,
-        attempts: int = 1,
-    ) -> PointOutcome:
-        return PointOutcome(
-            point=point,
-            result=_decode_result(payload["result"]),
-            cached=cached,
-            key=key,
-            telemetry=payload.get("telemetry", {}),
-            attempts=attempts,
-        )
-
-    def _store(
-        self, point: SweepPoint, key: str, payload: dict[str, Any],
-        attempts: int = 1,
-    ) -> PointOutcome:
-        if self.cache is not None:
-            # Cache entries are content-addressed simulation outputs;
-            # host-side wall measurements don't belong in them.
-            self.cache.put(key, {"result": payload["result"]}, point)
-        return self._outcome(point, key, payload, cached=False,
-                             attempts=attempts)
-
-    def _emit_point(
-        self, outcome: PointOutcome, index: int, done: int, total: int
-    ) -> None:
-        extra: dict[str, Any] = dict(outcome.telemetry)
-        if outcome.error is not None:
-            extra["error"] = outcome.error
-        if outcome.attempts > 1:
-            extra["attempts"] = outcome.attempts
-        self.events.emit(
-            "sweep.point",
-            ts=done,
-            index=index,
-            total=total,
-            label=outcome.point.label,
-            cached=outcome.cached,
-            key=outcome.key,
-            **extra,
-        )
 
 
 def run_sweep(
@@ -747,18 +433,120 @@ def run_sweep(
     jobs: int = 1,
     cache: ResultCache | str | os.PathLike | None = None,
     events: Optional[EventBus] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.25,
-    point_timeout: Optional[float] = None,
     quarantine: bool = False,
 ) -> list[PointOutcome]:
-    """Convenience wrapper: build a :class:`SweepExecutor` and run it."""
-    executor = SweepExecutor(
-        jobs=jobs, cache=cache, events=events, retries=retries,
-        retry_backoff=retry_backoff, point_timeout=point_timeout,
-        quarantine=quarantine,
-    )
-    return executor.run(points)
+    """Resolve every point from ``cache`` or by running it, in input order.
+
+    With ``jobs=1``, or one point left to run, the points run serially in
+    this process; otherwise a :class:`ProcessPoolExecutor` of up to
+    ``jobs`` workers runs them.  Progress goes to ``events``:
+    ``sweep.start``, one ``sweep.point`` per point as it resolves, and
+    ``sweep.done``.
+
+    Every point is deterministic, so a point runs once: one that raised
+    would raise again.  Its failure aborts the sweep with a
+    :class:`SimulationError` naming it, or with ``quarantine=True``
+    becomes an outcome whose ``error`` is set.  See :func:`_run_pool`
+    for the one failure that is not a property of the point, a pool
+    worker's death.
+    """
+    if isinstance(cache, (str, os.PathLike)):
+        cache = ResultCache(cache)
+    bus = events if events is not None else EventBus()
+    jobs = max(1, int(jobs))
+    plan = list(points)
+    keys = [point_key(point) for point in plan]
+    total = len(plan)
+    outcomes: list[Optional[PointOutcome]] = [None] * total
+    done = 0
+    bus.emit("sweep.start", ts=0, total=total, jobs=jobs)
+
+    def resolve(index: int, payload: Optional[dict[str, Any]] = None,
+                error: Optional[BaseException] = None,
+                cached: bool = False) -> None:
+        """Record point ``index``'s payload or error and publish it."""
+        nonlocal done
+        point, key = plan[index], keys[index]
+        if error is not None:
+            message = f"{type(error).__name__}: {error}"
+            if not quarantine:
+                raise SimulationError(
+                    f"sweep point {point.label!r} failed: {message}"
+                ) from error
+            outcome = PointOutcome(point, None, False, key, error=message)
+            extra = {"error": message}
+        else:
+            if not cached and cache is not None:
+                # Cache entries are content-addressed simulation outputs;
+                # host-side wall measurements don't belong in them.
+                cache.put(key, {"result": payload["result"]}, point)
+            outcome = PointOutcome(point, _decode_result(payload["result"]),
+                                   cached, key, payload.get("telemetry", {}))
+            extra = outcome.telemetry
+        outcomes[index] = outcome
+        done += 1
+        bus.emit("sweep.point", ts=done, index=index, total=total,
+                 label=point.label, cached=cached, key=key, **extra)
+
+    pending: list[int] = []
+    for index, key in enumerate(keys):
+        payload = cache.get(key) if cache is not None else None
+        if payload is None:
+            pending.append(index)
+        else:
+            resolve(index, payload, cached=True)
+    if jobs > 1 and len(pending) > 1:
+        _run_pool(plan, pending, jobs, resolve)
+    else:
+        for index in pending:
+            try:
+                payload = execute_point(plan[index])
+            except Exception as exc:
+                resolve(index, error=exc)
+            else:
+                resolve(index, payload)
+    bus.emit("sweep.done", ts=total, total=total,
+             cached=sum(o.cached for o in outcomes),
+             executed=sum(not o.cached for o in outcomes))
+    return outcomes
+
+
+def _run_pool(plan: Sequence[SweepPoint], indices: Sequence[int], jobs: int,
+              resolve: Callable[..., None]) -> None:
+    """Run ``plan[i]`` for each of ``indices`` in a process pool, handing
+    each payload or error to ``resolve`` as it completes.
+
+    A worker that dies breaks its pool: every point the pool had not
+    resolved fails with ``BrokenProcessPool``, and nothing tells which
+    of them killed the worker.  Those points run once more in one fresh
+    pool; if a worker dies there too, they fail with its error.  A
+    sweep that aborts cancels the points still queued instead of
+    waiting for the pool to run them.
+    """
+    for last_round in (False, True):
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(indices)))
+        futures = {pool.submit(execute_point, plan[index]): index
+                   for index in indices}
+        lost: list[int] = []
+        try:
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    payload = future.result()
+                except Exception as exc:
+                    if isinstance(exc, BrokenProcessPool) and not last_round:
+                        lost.append(index)
+                    else:
+                        resolve(index, error=exc)
+                else:
+                    resolve(index, payload)
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
+        if not lost:
+            return
+        indices = sorted(lost)
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ..machine.machine import Machine, build_machine
 from ..obs.events import EventBus
 from .parallel import ResultCache, make_point, run_sweep
 
-__all__ = ["TABLE1_EXPECTED", "run_table1", "run_table1_row"]
+__all__ = ["TABLE1_CONFIG", "TABLE1_EXPECTED", "run_table1", "run_table1_row"]
 
 TABLE1_EXPECTED: dict[str, int] = {
     "UNC": 2,
@@ -48,6 +48,10 @@ TABLE1_EXPECTED: dict[str, int] = {
     "UPD to cached": 3,
     "UPD to uncached": 2,
 }
+
+#: The machine a row runs on unless given another: 4 nodes of the
+#: paper's mesh with a full-map directory (a row touches nodes 0-2).
+TABLE1_CONFIG = small_config(n_nodes=4)
 
 _REQUESTER = 0
 _OTHER = 2
@@ -77,7 +81,7 @@ _TABLE1_ROWS: dict[str, tuple[SyncPolicy, tuple[tuple[str, int, int], ...], int]
 
 
 def _machine(config: SimConfig | None) -> Machine:
-    return build_machine(config or small_config(n_nodes=4))
+    return build_machine(config or TABLE1_CONFIG)
 
 
 def _store_once(machine: Machine, pid: int, addr: int, value: int) -> None:
@@ -137,7 +141,7 @@ def run_table1(
     events: Optional[EventBus] = None,
 ) -> dict[str, int]:
     """Measure every Table 1 row; return {row label: serialized messages}."""
-    effective = config or small_config(n_nodes=4)
+    effective = config or TABLE1_CONFIG
     points = [
         make_point(run_table1_row, config=effective,
                    label=f"table1: {row}", row=row)

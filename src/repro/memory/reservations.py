@@ -56,6 +56,11 @@ class LLGrant:
     token: Optional[int] = None
 
 
+#: The two answers of the tables that keep no serial number.
+_GRANTED = LLGrant()
+_DOOMED = LLGrant(doomed=True)
+
+
 class ReservationTable:
     """Interface for per-block LL/SC reservation bookkeeping at a memory."""
 
@@ -108,8 +113,12 @@ class BitVectorReservations(ReservationTable):
         self._bits: dict[int, set[int]] = {}
 
     def load_linked(self, pid: int, block: int) -> LLGrant:
-        self._bits.setdefault(block, set()).add(pid)
-        return LLGrant(doomed=False, token=None)
+        bits = self._bits.get(block)
+        if bits is None:
+            self._bits[block] = {pid}
+        else:
+            bits.add(pid)
+        return _GRANTED
 
     def check(self, pid: int, block: int, token: Optional[int]) -> bool:
         return pid in self._bits.get(block, ())
@@ -133,14 +142,15 @@ class LimitedReservations(ReservationTable):
         self.denied = 0
 
     def load_linked(self, pid: int, block: int) -> LLGrant:
-        slots = self._slots.setdefault(block, set())
-        if pid in slots:
-            return LLGrant(doomed=False, token=None)
-        if len(slots) >= self.limit:
-            self.denied += 1
-            return LLGrant(doomed=True, token=None)
-        slots.add(pid)
-        return LLGrant(doomed=False, token=None)
+        slots = self._slots.get(block)
+        if slots is None:
+            self._slots[block] = {pid}
+        elif pid not in slots:
+            if len(slots) >= self.limit:
+                self.denied += 1
+                return _DOOMED
+            slots.add(pid)
+        return _GRANTED
 
     def check(self, pid: int, block: int, token: Optional[int]) -> bool:
         return pid in self._slots.get(block, ())
@@ -206,15 +216,18 @@ class LinkedListReservations(ReservationTable):
         self.denied = 0
 
     def load_linked(self, pid: int, block: int) -> LLGrant:
-        holders = self._lists.setdefault(block, set())
-        if pid in holders:
-            return LLGrant(doomed=False, token=None)
+        holders = self._lists.get(block)
+        if holders is not None and pid in holders:
+            return _GRANTED
         if self._free == 0:
             self.denied += 1
-            return LLGrant(doomed=True, token=None)
+            return _DOOMED
         self._free -= 1
-        holders.add(pid)
-        return LLGrant(doomed=False, token=None)
+        if holders is None:
+            self._lists[block] = {pid}
+        else:
+            holders.add(pid)
+        return _GRANTED
 
     def check(self, pid: int, block: int, token: Optional[int]) -> bool:
         return pid in self._lists.get(block, ())

@@ -35,7 +35,7 @@ kind                        meaning
 ==========================  ===========================================
 
 The ``sweep.*`` kinds are emitted by
-:class:`repro.harness.parallel.SweepExecutor` on its own bus (not a
+:func:`repro.harness.parallel.run_sweep` on its own bus (not a
 machine's); their ``ts`` is the completion ordinal, not a cycle.
 ``run.progress`` is emitted by :class:`repro.obs.telemetry.Heartbeat`
 every N *executed events* — deterministic cadence, host-dependent

@@ -86,9 +86,14 @@ def test_cli_chaos_smoke(tmp_path):
     assert payload["faults"]["workload"] == "faa"
 
 
+#: Intensities of the faulted points :func:`_fail_faulted_points` ran.
+FAILED_RUNS = []
+
+
 def _fail_faulted_points(*, intensity=0.0, **kwargs):
     """A chaos point runner whose faulted points always raise."""
     if intensity > 0.0:
+        FAILED_RUNS.append(intensity)
         raise RuntimeError("faulted point failed")
     return run_chaos_point(intensity=intensity, **kwargs)
 
@@ -116,9 +121,11 @@ def test_cli_chaos_reports_quarantined_points(monkeypatch, capsys):
     from repro.faults import chaos
 
     monkeypatch.setattr(chaos, "run_chaos_point", _fail_faulted_points)
-    code = cli_main(CHAOS_ARGV + ["--no-cache", "--retries", "0"],
-                    out=lambda _: None)
+    FAILED_RUNS.clear()
+    code = cli_main(CHAOS_ARGV + ["--no-cache"], out=lambda _: None)
     assert code == 1
+    # The failing point ran once: the sweep does not retry it.
+    assert FAILED_RUNS == [1.0]
     assert [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("chaos:")] == ["chaos: sweep.quarantined = 1"]
 

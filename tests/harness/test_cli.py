@@ -65,6 +65,19 @@ def test_table1_json_after_subcommand(tmp_path):
     assert payload["results"]["measured"]["INV to remote exclusive"] == 4
 
 
+def test_table1_json_records_the_machine_it_ran(tmp_path):
+    import json
+
+    # Table 1 runs on its own 4-node mesh whatever the machine options
+    # say, and it has no turns.
+    out = tmp_path / "table1.json"
+    code, _ = run_cli(["--topology", "torus", "--nodes", "16", "table1",
+                       "--no-cache", "--json", str(out)])
+    assert code == 0
+    params = json.loads(out.read_text())["params"]
+    assert params == {"nodes": 4, "topology": "mesh", "directory": "full"}
+
+
 def test_figure3_json_schema(tmp_path):
     from repro.obs.schema import validate_run_payload
 

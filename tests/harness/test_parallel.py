@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.harness import parallel
 from repro.harness.parallel import (
     ResultCache,
-    SweepExecutor,
     attach_progress_printer,
     code_fingerprint,
     execute_point,
@@ -188,10 +187,8 @@ def test_cache_shards_by_key_prefix(tmp_path):
 
 
 def test_executor_accepts_cache_path(tmp_path):
-    executor = SweepExecutor(cache=tmp_path / "cache")
-    executor.run(counter_points()[:1])
-    assert executor.cache.stores == 1
-    assert (tmp_path / "cache").is_dir()
+    run_sweep(counter_points()[:1], cache=tmp_path / "cache")
+    assert len(list((tmp_path / "cache").rglob("*.json"))) == 1
 
 
 def test_default_cache_dir_env(monkeypatch, tmp_path):
@@ -236,19 +233,8 @@ def test_progress_printer_lines(capsys):
 
 
 # ----------------------------------------------------------------------
-# Self-healing: retries, quarantine, timeouts, corrupt-cache hygiene.
+# Failures: quarantine, dead pool workers, corrupt-cache hygiene.
 # ----------------------------------------------------------------------
-
-def _flaky_runner(sentinel=""):
-    """Fails on its first call (creating the sentinel), then succeeds."""
-    import os
-
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        raise RuntimeError("transient failure")
-    return {"value": 42}
-
 
 def _failing_runner(tag=""):
     raise RuntimeError(f"persistent failure {tag}")
@@ -265,19 +251,32 @@ def _exit_once_runner(sentinel=""):
     return {"value": "recovered"}
 
 
-def _sleeping_runner(seconds=0.0):
+def _exit_always_runner(log="", after=""):
+    """Logs its call, waits for the file ``after``, then hard-kills its
+    worker process, on every call."""
+    import os
+    import time
+
+    with open(log, "a") as fh:
+        fh.write("called\n")
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(after) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # Let the other point's result reach the parent before the pool
+    # breaks and fails every future it has not delivered.
+    time.sleep(0.3)
+    os._exit(1)
+
+
+def _sleeping_runner(seconds=0.0, touch=""):
+    """Sleeps, then creates the file ``touch`` (if named)."""
     import time
 
     time.sleep(seconds)
+    if touch:
+        with open(touch, "w"):
+            pass
     return {"value": "slept"}
-
-
-def test_retry_recovers_flaky_point(tmp_path):
-    point = make_point(_flaky_runner, sentinel=str(tmp_path / "tried"))
-    outcomes = run_sweep([point], retries=1, retry_backoff=0.0)
-    assert outcomes[0].attempts == 2
-    assert outcomes[0].error is None
-    assert outcomes[0].result == {"value": 42}
 
 
 def test_failure_without_quarantine_aborts_the_sweep():
@@ -305,29 +304,45 @@ def test_pool_worker_crash_is_retried(tmp_path):
         make_point(_exit_once_runner, sentinel=str(tmp_path / "crashed")),
         make_point(_sleeping_runner, seconds=0.0),
     ]
-    outcomes = run_sweep(points, jobs=2, retries=1, retry_backoff=0.0)
-    assert outcomes[0].attempts == 2
+    outcomes = run_sweep(points, jobs=2)
     assert outcomes[0].result == {"value": "recovered"}
     assert outcomes[1].result == {"value": "slept"}
 
 
-def test_point_timeout_quarantines_hung_worker():
-    # A hang is never retried (a deterministic hang would hang every
-    # attempt); the poisoned pool is killed, not joined.
-    import time
-
-    t0 = time.monotonic()
-    outcomes = run_sweep(
-        [make_point(_sleeping_runner, seconds=60.0),
-         make_point(_sleeping_runner, seconds=0.0)],
-        jobs=2, point_timeout=1.0, retries=3, quarantine=True,
-    )
-    assert time.monotonic() - t0 < 20.0
-    assert outcomes[0].attempts == 1
-    assert outcomes[0].error is not None
-    assert "still running after" in outcomes[0].error
+def test_pool_worker_dying_twice_quarantines_its_point(tmp_path):
+    # The dying point waits for the other point's file, so that point
+    # resolves in the first pool; the dying point alone runs again in a
+    # fresh pool, dies again, and fails with the pool's error.
+    log = tmp_path / "calls"
+    points = [
+        make_point(_exit_always_runner, log=str(log),
+                   after=str(tmp_path / "slept")),
+        make_point(_sleeping_runner, touch=str(tmp_path / "slept")),
+    ]
+    outcomes = run_sweep(points, jobs=2, quarantine=True)
+    assert log.read_text().splitlines() == ["called", "called"]
+    assert outcomes[0].result is None
+    assert outcomes[0].error.startswith("BrokenProcessPool: ")
     assert outcomes[1].error is None
     assert outcomes[1].result == {"value": "slept"}
+
+
+def test_aborting_pool_sweep_cancels_queued_points(tmp_path):
+    from repro.errors import SimulationError
+    import time
+
+    marks = [tmp_path / f"ran-{i}" for i in range(10)]
+    points = [make_point(_failing_runner, tag="first")] + [
+        make_point(_sleeping_runner, seconds=0.2, touch=str(mark))
+        for mark in marks
+    ]
+    with pytest.raises(SimulationError, match="persistent failure first"):
+        run_sweep(points, jobs=2)
+    # Points a worker had already taken may still finish; give them the
+    # time they need, then count.  Run to completion, all ten would.
+    time.sleep(1.0)
+    ran = sum(mark.exists() for mark in marks)
+    assert ran < len(marks)
 
 
 def test_corrupt_cache_entry_is_quarantined_on_disk(tmp_path):

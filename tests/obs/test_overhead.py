@@ -4,8 +4,8 @@ With no subscribers the event bus must construct no events, the mesh
 must carry exactly the same messages, and cycle counts must stay
 bit-identical to an instrumented (recorder-attached) run.  A *disabled*
 :class:`~repro.obs.spans.SpanBuilder` must be indistinguishable from no
-subscriber at all — zero events, identical results, and wall-clock
-overhead inside the ≤2% gate.
+subscriber at all — zero events, identical results, not one extra
+Python call, and wall-clock overhead inside the ≤2% gate.
 """
 
 import time
@@ -19,6 +19,7 @@ from repro.obs.spans import SpanBuilder
 from repro.sync.variant import PrimitiveVariant
 
 from tests.conftest import make_machine, run_one
+from tests.integration.test_hot_path_calls import python_calls
 
 
 def put(p, addr, v):
@@ -67,8 +68,9 @@ _VARIANTS = (
 )
 
 
-def _counter_workload(attach=None, turns=12):
-    """One contended counter run; returns (elapsed seconds, outcome)."""
+def _counter_machine(attach=None, turns=12):
+    """An 8-node machine, ``attach`` applied, with one contended counter
+    program spawned per node and not yet run."""
     m = make_machine(8)
     if attach is not None:
         attach(m)
@@ -78,9 +80,15 @@ def _counter_workload(attach=None, turns=12):
         for _ in range(turns):
             yield p.fetch_add(addr, 1)
 
-    t0 = time.perf_counter()
     for pid in range(8):
         m.spawn(pid, bump)
+    return m
+
+
+def _counter_workload(attach=None, turns=12):
+    """One contended counter run; returns (elapsed seconds, outcome)."""
+    m = _counter_machine(attach, turns)
+    t0 = time.perf_counter()
     m.run()
     elapsed = time.perf_counter() - t0
     return elapsed, (m.now, m.mesh.stats.messages, m.sim.events_processed)
@@ -99,6 +107,18 @@ def test_disabled_spanbuilder_results_identical_and_silent():
     assert plain == disabled
     assert builders[0].completed == []
     assert not builders[0].enabled
+
+
+def test_disabled_spanbuilder_adds_no_python_calls():
+    """The count-based twin of the wall-clock gate below: a disabled
+    builder leaves every emission site on the zero-subscriber path, so
+    the run makes exactly the Python calls a plain run makes."""
+    def attach(machine):
+        SpanBuilder(machine.events, enabled=False)
+
+    plain = python_calls(_counter_machine().run)
+    assert plain > 0
+    assert python_calls(_counter_machine(attach).run) == plain
 
 
 def test_disabled_spanbuilder_overhead_within_two_percent():
