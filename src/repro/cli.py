@@ -47,12 +47,6 @@ an experiment instead of regenerating it in full (see
   ranking (queue-wait cycles, invalidation multicasts, failed atomics,
   directory-queue depth).
 
-``repro perf [--quick] [--json OUT]`` runs the fixed-workload
-wall-clock microbenchmarks of the simulation kernel itself (event core,
-coherence storm, mesh saturation, mini Table 1; see
-:mod:`repro.harness.perf` and ``docs/performance.md``) and can write the
-``BENCH_PERF.json`` envelope that CI's perf-regression gate consumes.
-
 Host-level self-observability (see :mod:`repro.obs.profile`,
 :mod:`repro.obs.telemetry`, and ``docs/observability.md``):
 
@@ -70,10 +64,6 @@ Host-level self-observability (see :mod:`repro.obs.profile`,
 ``--profile``/``--telemetry`` are in-process measurements, so they
 force ``--jobs 1`` and disable the result cache for that invocation
 (a cache hit or pool worker would silently escape instrumentation).
-
-``repro trend BENCH_trend.jsonl`` summarizes the nightly benchmark
-history: per-kernel wall/throughput deltas against the trailing median,
-with regression flags (``--strict`` turns flags into exit 1).
 
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
@@ -286,20 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     hotspots.add_argument("--top", type=int, default=10,
                           help="blocks to list (default 10)")
     _add_common(hotspots, top_level=False)
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock microbenchmarks of the simulation kernel",
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="small workloads (CI smoke: seconds, not "
-                           "minutes)")
-    perf.add_argument("--reps", type=int, default=None,
-                      help="timed repetitions per kernel, best-of "
-                           "(default: 2 quick, 3 full)")
-    perf.add_argument("--kernel", action="append", default=None,
-                      dest="kernels", metavar="NAME",
-                      help="run only this kernel (repeatable; default all)")
-    _add_common(perf, top_level=False)
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection verification: sweep seeds x intensity x "
@@ -325,25 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cycle-budget termination watchdog "
                             f"(default {DEFAULT_MAX_EVENTS})")
     _add_common(chaos, top_level=False)
-    trend = sub.add_parser(
-        "trend",
-        help="summarize a nightly BENCH_trend.jsonl history "
-             "(per-kernel wall/ev-s deltas, regression flags)",
-    )
-    trend.add_argument("history", type=pathlib.Path,
-                       help="BENCH_trend.jsonl file (one record per "
-                            "nightly run)")
-    trend.add_argument("--last", type=int, default=0, metavar="N",
-                       help="only consider the last N records "
-                            "(default: all)")
-    trend.add_argument("--threshold", type=float, default=10.0,
-                       metavar="PCT",
-                       help="flag wall/throughput deltas beyond this "
-                            "percent vs the trailing median "
-                            "(default 10)")
-    trend.add_argument("--strict", action="store_true",
-                       help="exit 1 when any kernel is flagged")
-    _add_common(trend, top_level=False)
     profile = sub.add_parser(
         "profile",
         help="host-time attribution of a representative run",
@@ -471,7 +428,8 @@ def _cmd_table1(args, out) -> int:
 
 
 def _cmd_figure2(args, out) -> int:
-    result = run_figure2(_config(args), **_sweep_opts(args))
+    config = _config(args)
+    result = run_figure2(config, **_sweep_opts(args))
     sections = []
     apps_json: dict[str, Any] = {}
     for app in sorted(result.apps):
@@ -492,7 +450,7 @@ def _cmd_figure2(args, out) -> int:
         ["application", "UNC", "INV", "UPD"], rows,
         title="Section 4.2: average write-run lengths"))
     _emit(args, "figure2", "\n\n".join(sections), out,
-          results={"apps": apps_json})
+          results={"apps": apps_json}, params=_machine_params(config))
     return 0
 
 
@@ -513,12 +471,13 @@ def _make_counter_figure(name: str, runner) -> Callable:
 
 
 def _cmd_figure6(args, out) -> int:
-    result = run_figure6(_config(args), **_sweep_opts(args))
+    config = _config(args)
+    result = run_figure6(config, **_sweep_opts(args))
     _emit(args, "figure6", render_figure6(result), out,
           results={"apps": {
               app: [[label, cycles] for label, cycles in bars]
               for app, bars in result.apps.items()
-          }})
+          }}, params=_machine_params(config))
     return 0
 
 
@@ -566,7 +525,8 @@ def _cmd_ablation_directory(args, out) -> int:
     from .harness.ablation import run_directory_ablation
 
     sizes = tuple(args.sizes) if args.sizes else (64, 256)
-    outcome = run_directory_ablation(_config(args), sizes=sizes,
+    config = _config(args)
+    outcome = run_directory_ablation(config, sizes=sizes,
                                      turns=args.turns, **_sweep_opts(args))
     rows = [
         [p["nodes"], p["contention"], p["representation"], p["messages"],
@@ -586,7 +546,14 @@ def _cmd_ablation_directory(args, out) -> int:
         results={
             "equivalence": eq,
             "points": outcome.points,
-        })
+        },
+        # Every point runs one of ``sizes`` under every representation,
+        # so the envelope names those, not ``--nodes``/``--directory``.
+        params={"sizes": list(sizes),
+                "topology": config.machine.topology,
+                "dir_pointers": config.machine.dir_pointers,
+                "dir_region": config.machine.dir_region,
+                "turns": args.turns})
     return 0 if eq["identical"] else 1
 
 
@@ -645,21 +612,6 @@ def _cmd_hotspots(args, out) -> int:
     return 0
 
 
-def _cmd_perf(args, out) -> int:
-    from .harness.perf import perf_payload, render_perf, run_perf
-
-    results = run_perf(quick=args.quick, reps=args.reps,
-                       kernels=args.kernels)
-    text = render_perf(results)
-    out(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "perf.txt").write_text(text + "\n")
-    if args.json is not None:
-        dump_run(perf_payload(results), args.json)
-    return 0
-
-
 def _cmd_chaos(args, out) -> int:
     from .faults.chaos import render_chaos, run_chaos
 
@@ -693,28 +645,6 @@ def _cmd_chaos(args, out) -> int:
     if args.json is not None:
         dump_run(payload, args.json)
     return 0 if payload["results"]["ok"] else 1
-
-
-def _cmd_trend(args, out) -> int:
-    from .harness.trend import (
-        load_trend,
-        render_trend,
-        summarize_trend,
-        trend_payload,
-    )
-
-    records = load_trend(args.history, last=args.last)
-    summary = summarize_trend(records, threshold_pct=args.threshold)
-    text = render_trend(summary)
-    out(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "trend.txt").write_text(text + "\n")
-    if args.json is not None:
-        dump_run(trend_payload(summary), args.json)
-    if args.strict and summary["regressions"]:
-        return 1
-    return 0
 
 
 def _cmd_profile(args, out) -> int:
@@ -796,9 +726,7 @@ _COMMANDS: dict[str, Callable] = {
     "ablation-reservations": _cmd_ablation_reservations,
     "ablation-dropcopy": _cmd_ablation_dropcopy,
     "ablation-directory": _cmd_ablation_directory,
-    "perf": _cmd_perf,
     "chaos": _cmd_chaos,
-    "trend": _cmd_trend,
     "profile": _cmd_profile,
     "stats": _cmd_stats,
     "trace": _cmd_trace,

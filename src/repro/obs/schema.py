@@ -37,8 +37,7 @@ The envelope is validated (no external dependency) by
 changes shape (adding optional keys is backward-compatible).
 :func:`load_run` reads and validates one from disk, and
 :func:`diff_runs` compares two leaf by leaf, minus the host sections;
-every envelope gate (``tools/diff_envelopes.py``,
-``tools/check_perf_regression.py``) is built on the pair.
+the envelope gate ``tools/diff_envelopes.py`` is built on the pair.
 
 For machine consumption as a stream (``repro stats --format jsonl``),
 :func:`run_payload_to_jsonl` flattens the same envelope into one JSON

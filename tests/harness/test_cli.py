@@ -5,6 +5,8 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.figure2 import Figure2Result
+from repro.harness.figure6 import Figure6Result
 
 
 def run_cli(argv):
@@ -73,6 +75,46 @@ def test_table1_json_records_the_machine_it_ran(tmp_path):
     out = tmp_path / "table1.json"
     code, _ = run_cli(["--topology", "torus", "--nodes", "16", "table1",
                        "--no-cache", "--json", str(out)])
+    assert code == 0
+    params = json.loads(out.read_text())["params"]
+    assert params == {"nodes": 4, "topology": "mesh", "directory": "full"}
+
+
+def test_ablation_directory_json_records_the_machines_it_ran(tmp_path):
+    import json
+
+    # Every point runs one of the --sizes machines under all three
+    # sharer-set representations, whatever --nodes and --directory say.
+    out = tmp_path / "ablation-directory.json"
+    code, _ = run_cli(["--nodes", "16", "--turns", "1", "--directory",
+                       "limited", "ablation-directory", "--sizes", "4",
+                       "--sizes", "8", "--no-cache", "--json", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["params"] == {"sizes": [4, 8], "topology": "mesh",
+                                 "dir_pointers": 8, "dir_region": 8,
+                                 "turns": 1}
+    ran = {(p["nodes"], p["representation"])
+           for p in payload["results"]["points"]}
+    assert ran == {(n, rep) for n in (4, 8)
+                   for rep in ("full", "limited", "coarse")}
+
+
+@pytest.mark.parametrize("experiment, runner, result", [
+    ("figure2", "run_figure2", Figure2Result()),
+    ("figure6", "run_figure6", Figure6Result()),
+])
+def test_app_figure_json_records_no_turns(tmp_path, monkeypatch,
+                                          experiment, runner, result):
+    import json
+
+    from repro import cli
+
+    # Neither runner takes turns, so the envelope records none.
+    monkeypatch.setattr(cli, runner, lambda config, **opts: result)
+    out = tmp_path / f"{experiment}.json"
+    code, _ = run_cli(["--nodes", "4", "--turns", "3", experiment,
+                       "--json", str(out)])
     assert code == 0
     params = json.loads(out.read_text())["params"]
     assert params == {"nodes": 4, "topology": "mesh", "directory": "full"}
@@ -225,18 +267,6 @@ def test_report_rejects_invalid_json(tmp_path):
     bad.write_text('{"schema": "nope"}')
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         run_cli(["report", str(bad)])
-
-
-def test_perf_quick_prints_and_writes_envelope(tmp_path):
-    from repro.obs.schema import validate_run_payload
-
-    out = tmp_path / "BENCH_PERF.json"
-    code, text = run_cli(["perf", "--quick", "--reps", "1",
-                          "--kernel", "event_churn", "--json", str(out)])
-    assert code == 0
-    assert "event_churn" in text and "events/s" in text
-    payload = validate_run_payload(out.read_text(), experiment="perf")
-    assert payload["results"]["event_churn"]["proxies"]["events"] == 60_016
 
 
 def test_stats_surfaces_wall_clock_perf():

@@ -144,3 +144,26 @@ def test_units_are_independent_handlers():
     mesh.send(msg(0, 1, MessageType.INV, unit=Unit.CACHE))
     sim.run()
     assert sorted(seen) == ["cache", "home"]
+
+
+def test_all_to_all_blasts_queue_at_the_ports():
+    # 48 rounds, three cycles apart: node src sends one GETX to node
+    # src + r + 1 (mod 16), so rounds overlap and back up at the ports.
+    # Every 16th round sends each node's message to itself.
+    sim, config, mesh = build(n_nodes=16)
+    delivered = []
+    for node in range(16):
+        mesh.register(node, Unit.HOME, delivered.append)
+
+    def blast(r):
+        for src in range(16):
+            mesh.send(msg(src, (src + r + 1) % 16, MessageType.GETX,
+                          block=src))
+
+    for r in range(48):
+        sim.schedule(r * 3, blast, r)
+    sim.run()
+    assert (sim.now, sim.events_processed) == (151, 816)
+    assert (mesh.stats.messages, mesh.stats.local_messages) == (720, 48)
+    assert mesh.stats.flits == 720
+    assert len(delivered) == 768

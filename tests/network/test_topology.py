@@ -1,9 +1,14 @@
 """Unit tests for the 2-D mesh topology."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.coherence.policy import SyncPolicy
+from repro.config import scale_config
 from repro.errors import ConfigError
+from repro.machine.machine import build_machine
 from repro.network.topology import Mesh2D
 
 
@@ -129,19 +134,62 @@ def test_hop_tables_match_coordinate_arithmetic(kind, n_nodes, width, sources):
             assert hops == _arithmetic_distance(topology, a, b)
 
 
+#: Most KiB that building the 1024-node torus and running both storms of
+#: the test below may allocate (5,368 KiB measured on Python 3.11.7).
+#: A loose ceiling: it catches O(N^2) topology or directory state, and
+#: a full bit-vector directory would not fit a 4096-node machine in it.
+STORMS_1024_BUDGET_KIB = 32 * 1024
+
+
 def test_topology_state_is_per_axis_after_1024_node_storm():
-    from repro.config import scale_config
-    from repro.machine.machine import build_machine
+    # A 32x32 torus with the limited-pointer (Dir_8_B) directory a real
+    # 1024-node machine would use.  Phase one: every processor hits one
+    # uncached fetch_and_add counter.  Phase two: 16 readers overflow an
+    # INV block's 8 pointers, so the writer's fetch_and_add broadcasts
+    # invalidations to all 1023 other nodes.  tracemalloc starts from a
+    # collected heap with the collector off, so the peak covers the
+    # build and repeats run to run.
+    config = scale_config(1024, topology="torus")
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        m = build_machine(config)
+        unc = m.alloc_sync(SyncPolicy.UNC, home=0)
 
-    m = build_machine(scale_config(1024, topology="torus"))
-    counter = m.alloc_sync(SyncPolicy.UNC, home=0)
+        def bump(p):
+            yield p.fetch_add(unc, 1)
 
-    def prog(p):
-        yield p.fetch_add(counter, 1)
+        m.spawn_all(bump)
+        unc_end = m.run()
+        inv = m.alloc_sync(SyncPolicy.INV, home=1)
 
-    m.spawn_all(prog)
-    m.run()
-    assert m.read_word(counter) == 1024
+        def reader(p):
+            yield p.load(inv)
+
+        def writer(p):
+            yield p.fetch_add(inv, 1)
+
+        for pid in range(2, 18):
+            m.spawn(pid, reader)
+        m.run()
+        m.spawn(0, writer)
+        end = m.run()
+        peak_kib = tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak_kib <= STORMS_1024_BUDGET_KIB, (
+        f"peaked at {peak_kib:,.0f} KiB, over the "
+        f"{STORMS_1024_BUDGET_KIB:,} KiB budget")
+    assert (m.read_word(unc), m.read_word(inv)) == (1024, 1)
+    assert (unc_end, end) == (20_499, 22_950)
+    assert (m.sim.events_processed, m.mesh.stats.messages) == (7_251, 4_125)
+    snapshot = m.registry.snapshot()
+    for suffix, total in ((".spurious_targets", 1_007),
+                          (".imprecise_fanouts", 1)):
+        assert sum(value for key, value in snapshot.items()
+                   if key.endswith(suffix)) == total, suffix
     topology = m.mesh.topology
     width, height = topology.width, topology.height
     tables = {name: value for name, value in vars(topology).items()

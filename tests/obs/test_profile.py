@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.harness.perf import PERF_KERNELS
 from repro.obs.profile import (
     ComponentProfiler,
     active_profiler,
@@ -26,11 +25,31 @@ from repro.obs.profile import (
 from repro.sim.engine import Simulator
 
 from tests.conftest import make_machine
+from tests.integration.test_hot_path_calls import python_calls
+
+#: Delay mix for :func:`_churn`: mostly the small delays a machine
+#: schedules (hits, occupancies, hops), one same-cycle delay so the
+#: same-cycle queue and its merge with the heap stay hot, one long one.
+_CHURN_DELAYS = (1, 2, 4, 0, 8, 3, 300, 5)
 
 
 def _churn():
-    """The perf harness's event-churn kernel, quick workload."""
-    return PERF_KERNELS["event_churn"](True)
+    """60,000 self-rescheduling callbacks on a bare simulator, in 16
+    chains: the event core with no machine model on top."""
+    sim = Simulator()
+    remaining = [60_000]
+    schedule = sim.schedule
+
+    def tick(_token):
+        left = remaining[0]
+        if left:
+            remaining[0] = left - 1
+            schedule(_CHURN_DELAYS[left & 7], tick, left)
+
+    for chain in range(16):
+        schedule(chain & 3, tick, chain)
+    sim.run()
+    return {"end_cycle": sim.now, "events": sim.events_processed}
 
 
 # ---------------------------------------------------------------- tagging
@@ -62,6 +81,7 @@ def test_handler_tag_module_level_function():
 
 def test_profiled_run_bit_identical():
     plain = _churn()
+    assert plain == {"end_cycle": 151_557, "events": 60_016}
     with profiled():
         observed = _churn()
     assert observed == plain
@@ -172,8 +192,21 @@ def test_cleared_heartbeat_restores_fast_loop(monkeypatch):
     assert len(chunks) == 1
 
 
+def test_disabled_path_adds_no_python_calls():
+    """The count twin of the wall-clock gate below: the disabled
+    configuration makes exactly the Python calls a plain run makes.
+    The configuration is built outside the counted window."""
+    plain = python_calls(_churn)
+    with profiled():
+        pass
+    sim = Simulator()
+    sim.set_heartbeat(10_000, lambda now, events, depth: None)
+    sim.clear_heartbeat()
+    assert python_calls(_churn) == plain
+
+
 def test_disabled_overhead_within_two_percent():
-    """The ≤2% wall-clock gate for the disabled path on event_churn.
+    """The ≤2% wall-clock gate for the disabled path on ``_churn``.
 
     Baseline and gated runs are identical *today* (neither is
     observed); the gate exists so a future change that observes
