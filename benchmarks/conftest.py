@@ -13,8 +13,6 @@ CI or laptops can shrink the runs:
   (default ``benchmarks/results/``).
 * ``REPRO_BENCH_JOBS``   — worker processes per sweep (default 1:
   serial; results are identical at any setting).
-* ``REPRO_BENCH_CACHE``  — directory for the content-addressed result
-  cache (default: disabled, so benchmarks measure real simulations).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Any, Mapping, Optional
 import pytest
 
 from repro import SimConfig
-from repro.harness.parallel import ResultCache
 from repro.obs.schema import dump_run, make_run_payload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -35,11 +32,8 @@ BENCH_NODES = int(os.environ.get("REPRO_BENCH_NODES", "64"))
 BENCH_TURNS = int(os.environ.get("REPRO_BENCH_TURNS", "6"))
 JSON_DIR = pathlib.Path(os.environ.get("REPRO_BENCH_JSON", RESULTS_DIR))
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-_BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE", "")
 
 SWEEP_OPTS: dict[str, Any] = {"jobs": BENCH_JOBS}
-if _BENCH_CACHE:
-    SWEEP_OPTS["cache"] = ResultCache(_BENCH_CACHE)
 
 
 @pytest.fixture(scope="session")

@@ -19,10 +19,7 @@ a schema-stable JSON document (envelope ``repro.run/1``; see
 Experiment sweeps run through the parallel executor
 (:mod:`repro.harness.parallel`): ``--jobs N`` spreads their independent
 simulation points over ``N`` worker processes (results are byte-identical
-at any job count), and a content-addressed result cache under
-``$REPRO_CACHE_DIR`` / ``~/.cache/repro`` (or ``--cache-dir``) makes
-re-running an unchanged point a hit instead of a re-simulation — disable
-with ``--no-cache``.  ``--progress`` (implied by ``--jobs > 1``) prints
+at any job count).  ``--progress`` (implied by ``--jobs > 1``) prints
 per-point progress lines to stderr via the sweep EventBus.  See
 ``docs/parallel.md``.
 
@@ -50,7 +47,7 @@ an experiment instead of regenerating it in full (see
 Host-level self-observability (see :mod:`repro.obs.profile`,
 :mod:`repro.obs.telemetry`, and ``docs/observability.md``):
 
-* ``repro profile <experiment> [--quick]`` — wall-clock attribution of
+* ``repro profile <experiment>`` — wall-clock attribution of
   the dispatch loop over a representative run, as a text table, a full
   JSON envelope (``--format json``), or flamegraph-compatible collapsed
   stacks (``--format collapsed`` / ``--collapsed OUT``);
@@ -62,8 +59,8 @@ Host-level self-observability (see :mod:`repro.obs.profile`,
   stderr) every ``--telemetry-every`` executed events.
 
 ``--profile``/``--telemetry`` are in-process measurements, so they
-force ``--jobs 1`` and disable the result cache for that invocation
-(a cache hit or pool worker would silently escape instrumentation).
+force ``--jobs 1`` for that invocation (a pool worker would silently
+escape instrumentation).
 
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
@@ -108,8 +105,12 @@ from .harness.figures import (
     run_figure5,
 )
 from .harness.htmlreport import write_report
-from .harness.instrumented import INSTRUMENTED_EXPERIMENTS, run_instrumented
-from .harness.parallel import ResultCache, attach_progress_printer
+from .harness.instrumented import (
+    INSTRUMENTED_EXPERIMENTS,
+    READS_TURNS,
+    run_instrumented,
+)
+from .harness.parallel import attach_progress_printer
 from .harness.report import render_histogram, render_table
 from .harness.table1 import TABLE1_CONFIG, TABLE1_EXPECTED, run_table1
 from .obs.events import EventBus
@@ -173,13 +174,6 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="worker processes for sweep points "
                              "(default 1: serial, bit-identical results "
                              "at any setting)")
-    parser.add_argument("--no-cache", action="store_true",
-                        default=default(False),
-                        help="disable the content-addressed result cache")
-    parser.add_argument("--cache-dir", type=pathlib.Path,
-                        default=default(None),
-                        help="result cache directory (default "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro)")
     parser.add_argument("--progress", action="store_true",
                         default=default(False),
                         help="print per-point sweep progress to stderr "
@@ -188,13 +182,11 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         default=default(False),
                         help="attribute host time per (component, "
                              "handler); table to stderr, 'profile' "
-                             "section in --json (forces --jobs 1, "
-                             "--no-cache)")
+                             "section in --json (forces --jobs 1)")
     parser.add_argument("--telemetry", type=pathlib.Path,
                         default=default(None), metavar="OUT",
                         help="stream run.progress heartbeat JSONL to "
-                             "OUT ('-' = stderr; forces --jobs 1, "
-                             "--no-cache)")
+                             "OUT ('-' = stderr; forces --jobs 1)")
     parser.add_argument("--telemetry-every", type=int,
                         default=default(DEFAULT_EVERY), metavar="N",
                         help="heartbeat cadence in executed events "
@@ -308,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("experiment", nargs="?", default="table1",
                          choices=sorted(INSTRUMENTED_EXPERIMENTS),
                          help="experiment to profile (default table1)")
-    profile.add_argument("--quick", action="store_true",
-                         help="smallest representative workload "
-                              "(4 nodes; CI smoke)")
     profile.add_argument("--format", choices=PROFILE_FORMATS,
                          default="text", dest="fmt",
                          help="text table, full repro.run/1 JSON, or "
@@ -365,19 +354,25 @@ def _machine_params(config: SimConfig) -> dict[str, Any]:
     }
 
 
-def _sweep_opts(args: argparse.Namespace) -> dict[str, Any]:
-    """Executor options (jobs/cache/events) from the parsed arguments.
+def _instrumented_params(args: argparse.Namespace, run) -> dict[str, Any]:
+    """Envelope params of a representative run: the machine it built,
+    and ``turns`` if the representative reads them."""
+    params = _machine_params(run.machine.config)
+    if args.experiment in READS_TURNS:
+        params["turns"] = args.turns
+    return params
 
-    The cache is on by default (content-addressed under
-    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; any source edit
-    invalidates it); progress lines go to stderr so stdout and ``--json``
-    stay byte-identical whatever the job count.
+
+def _sweep_opts(args: argparse.Namespace) -> dict[str, Any]:
+    """Executor options (jobs/events) from the parsed arguments.
+
+    Progress lines go to stderr so stdout and ``--json`` stay
+    byte-identical whatever the job count.
     """
     events = EventBus()
     if args.progress or args.jobs > 1:
         attach_progress_printer(events)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return {"jobs": args.jobs, "cache": cache, "events": events}
+    return {"jobs": args.jobs, "events": events}
 
 
 def _emit(
@@ -559,7 +554,7 @@ def _cmd_ablation_directory(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     run = run_instrumented(args.experiment, _config(args), turns=args.turns)
-    payload = run.payload(params={"turns": args.turns})
+    payload = run.payload(params=_instrumented_params(args, run))
     if args.fmt == "jsonl":
         text = run_payload_to_jsonl(payload)
     else:
@@ -594,7 +589,7 @@ def _cmd_critpath(args, out) -> int:
     _emit(args, f"critpath-{args.experiment}", text, out,
           results={"description": run.description,
                    "transactions": len(run.spans.completed)},
-          critpath=agg.snapshot())
+          critpath=agg.snapshot(), params=_instrumented_params(args, run))
     return 0
 
 
@@ -608,14 +603,14 @@ def _cmd_hotspots(args, out) -> int:
     _emit(args, f"hotspots-{args.experiment}", text, out,
           results={"description": run.description,
                    "transactions": len(run.spans.completed)},
-          hotspots=run.hotspots.snapshot(top_n=args.top))
+          hotspots=run.hotspots.snapshot(top_n=args.top),
+          params=_instrumented_params(args, run))
     return 0
 
 
 def _cmd_chaos(args, out) -> int:
     from .faults.chaos import render_chaos, run_chaos
 
-    opts = _sweep_opts(args)
     payload = run_chaos(
         args.seeds if args.seeds else [1, 2],
         intensities=args.intensities if args.intensities else [1.0],
@@ -625,20 +620,17 @@ def _cmd_chaos(args, out) -> int:
         turns=args.turns,
         nodes=args.nodes,
         max_events=args.max_events,
-        **opts,
+        **_sweep_opts(args),
     )
     text = render_chaos(payload)
     out(text)
-    # Sweep-health counts depend on host and cache state, so they go to
-    # stderr — never into the byte-reproducible envelope.  Only a
-    # quarantined point's verdict carries the ``executed`` check.
+    # The sweep-health count goes to stderr, never into the
+    # byte-reproducible envelope.  Only a quarantined point's verdict
+    # carries the ``executed`` check.
     verdicts = payload["faults"]["verdicts"]
     quarantined = sum("executed" in verdict["checks"] for verdict in verdicts)
-    corrupt = opts["cache"].corrupt if opts["cache"] is not None else 0
-    for name, count in (("sweep.quarantined", quarantined),
-                        ("sweep.cache.corrupt", corrupt)):
-        if count:
-            print(f"chaos: {name} = {count}", file=sys.stderr)
+    if quarantined:
+        print(f"chaos: sweep.quarantined = {quarantined}", file=sys.stderr)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "chaos.txt").write_text(text + "\n")
@@ -648,14 +640,11 @@ def _cmd_chaos(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    config = _config(args).with_nodes(4 if args.quick else args.nodes)
     with profiled() as prof:
-        run = run_instrumented(args.experiment, config, turns=args.turns)
-    snapshot = prof.snapshot()
-    payload = run.payload(
-        params={"turns": args.turns, "quick": args.quick},
-        profile=snapshot,
-    )
+        run = run_instrumented(args.experiment, _config(args),
+                               turns=args.turns)
+    payload = run.payload(params=_instrumented_params(args, run),
+                          profile=prof.snapshot())
     if args.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     elif args.fmt == "collapsed":
@@ -704,7 +693,7 @@ def _cmd_trace(args, out) -> int:
     if args.json is not None:
         payload = make_run_payload(
             f"trace-{args.experiment}",
-            params={"nodes": args.nodes, "turns": args.turns,
+            params={**_instrumented_params(args, run),
                     "block": args.block, "format": args.fmt},
             results={
                 "description": run.description,
@@ -761,12 +750,11 @@ def main(argv: Optional[Sequence[str]] = None,
     telemetry_out = getattr(args, "telemetry", None)
     if not want_profile and telemetry_out is None:
         return command(args, out)
-    # Profiling and telemetry are in-process sessions: a pool worker or
-    # a cache hit would run (or skip) the simulation outside them, so
-    # observed invocations are serial and uncached.
+    # Profiling and telemetry are in-process sessions: a pool worker
+    # would run the simulation outside them, so observed invocations
+    # are serial.
     if hasattr(args, "jobs"):
         args.jobs = 1
-        args.no_cache = True
     with contextlib.ExitStack() as stack:
         prof = None
         if want_profile:

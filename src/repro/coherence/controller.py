@@ -767,8 +767,6 @@ class CacheController:
         block = txn.block
         self.last_chain = chain
         self.stats.note_chain(kind, chain)
-        machine_stats = self.machine.stats
-        machine_stats.note_transaction(kind, chain)
         if mshr.deferred:
             # Serve remote requests that arrived while we were in flight.
             for deferred in mshr.take_deferred(block):
@@ -780,7 +778,7 @@ class CacheController:
         if done > cursor:
             txn.controller += done - cursor
             txn.cursor = done
-        machine_stats.latency.note(kind, policy, txn)
+        self.machine.stats.latency.note(kind, policy, txn)
         if self.events.active:
             self.events.emit("atomic.complete", done, node=self.node,
                              block=block, op=kind, chain=chain, local=False,

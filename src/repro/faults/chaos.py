@@ -102,8 +102,7 @@ def run_chaos_point(
 
     Sweep-engine compatible: module-level, picklable arguments, and a
     JSON-able return value.  ``intensity`` is informational (the actual
-    fault rates live in ``config.faults``) but part of the point hash,
-    so each matrix cell caches independently.
+    fault rates live in ``config.faults``); the verdict records it.
     """
     from ..coherence.policy import SyncPolicy
     from ..machine.machine import build_machine
@@ -200,7 +199,6 @@ def run_chaos(
     max_events: int = DEFAULT_MAX_EVENTS,
     config: Optional[SimConfig] = None,
     jobs: int = 1,
-    cache: Any = None,
     events: Any = None,
 ) -> dict[str, Any]:
     """Sweep seeds x intensities x policies; return the verdict envelope.
@@ -236,7 +234,7 @@ def run_chaos(
                 ))
                 cells.append((seed, policy, level))
 
-    outcomes = run_sweep(points, jobs=jobs, cache=cache, events=events,
+    outcomes = run_sweep(points, jobs=jobs, events=events,
                          quarantine=True)
 
     golden: dict[tuple[int, str], Any] = {}

@@ -3,11 +3,8 @@
 from .configs import figure_variants, policy_survey_variants
 from .parallel import (
     PointOutcome,
-    ResultCache,
     SweepPoint,
-    code_fingerprint,
     make_point,
-    point_key,
     run_sweep,
 )
 from .report import render_table, render_histogram
@@ -33,11 +30,8 @@ __all__ = [
     "figure_variants",
     "policy_survey_variants",
     "PointOutcome",
-    "ResultCache",
     "SweepPoint",
-    "code_fingerprint",
     "make_point",
-    "point_key",
     "run_sweep",
     "render_table",
     "render_histogram",

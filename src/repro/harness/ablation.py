@@ -8,7 +8,7 @@
 
 Both sweeps run their independent points through
 :mod:`repro.harness.parallel`, so ``jobs`` spreads them across worker
-processes and ``cache`` memoizes them without changing the results.
+processes without changing the results.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..machine.machine import Machine, build_machine
 from ..obs.events import EventBus
 from ..sync.counters import increment
 from ..sync.variant import PrimitiveVariant
-from .parallel import ResultCache, make_point, run_sweep
+from .parallel import make_point, run_sweep
 
 __all__ = [
     "ReservationAblation",
@@ -98,7 +98,6 @@ def run_reservation_ablation(
     turns: int = 6,
     reservation_limit: int = 4,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> ReservationAblation:
     """Measure each reservation strategy on a contended LL/SC counter."""
@@ -112,7 +111,7 @@ def run_reservation_ablation(
                    reservation_limit=reservation_limit)
         for strategy in RESERVATION_STRATEGIES
     ]
-    outcomes = run_sweep(points, jobs=jobs, cache=cache, events=events)
+    outcomes = run_sweep(points, jobs=jobs, events=events)
     outcome = ReservationAblation()
     for strategy, point_outcome in zip(RESERVATION_STRATEGIES, outcomes):
         measured = point_outcome.result
@@ -136,7 +135,6 @@ def run_dropcopy_ablation(
     config: SimConfig,
     turns: int = 6,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> DropCopyAblation:
     """Sweep the lock-free counter with and without drop_copy."""
@@ -158,7 +156,7 @@ def run_dropcopy_ablation(
         for spec_label, spec in specs
         for var_label, variant in variants.items()
     ]
-    outcomes = iter(run_sweep(points, jobs=jobs, cache=cache, events=events))
+    outcomes = iter(run_sweep(points, jobs=jobs, events=events))
     outcome = DropCopyAblation(
         panels=[label for label, _ in specs],
         variants=list(variants),
@@ -262,7 +260,6 @@ def run_directory_ablation(
     contentions: tuple[int, ...] = (4, 16, 64),
     turns: int = 4,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> DirectoryAblation:
     """Compare sharer-set representations across machine sizes.
@@ -302,8 +299,7 @@ def run_directory_ablation(
         )
         for rep, nodes, contention in sweep_jobs
     ]
-    outcomes = run_sweep(eq_points + sweep_points, jobs=jobs, cache=cache,
-                         events=events)
+    outcomes = run_sweep(eq_points + sweep_points, jobs=jobs, events=events)
     eq = [o.result for o in outcomes[: len(eq_points)]]
     full = eq[0]
     outcome = DirectoryAblation(

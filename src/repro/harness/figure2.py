@@ -8,8 +8,7 @@ write-run lengths quoted in §4.2.
 Each app/policy pair is an independent simulation, so the nine runs go
 through the parallel sweep executor (see
 :mod:`repro.harness.parallel`): ``jobs`` spreads them across worker
-processes and ``cache`` memoizes them, with results identical to the
-serial path.
+processes, with results identical to the serial path.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from ..apps.tclosure import run_transitive_closure
 from ..config import SimConfig
 from ..obs.events import EventBus
 from .configs import policy_survey_variants
-from .parallel import ResultCache, make_point, run_sweep
+from .parallel import make_point, run_sweep
 
 __all__ = ["Figure2Result", "run_figure2"]
 
@@ -50,7 +49,6 @@ def run_figure2(
     locusroute_wires: int | None = None,
     cholesky_columns: int | None = None,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> Figure2Result:
     """Run the three real applications under each coherence policy.
@@ -71,7 +69,7 @@ def run_figure2(
         for variant in variants
         for app, runner, kwargs in app_points
     ]
-    outcomes = iter(run_sweep(points, jobs=jobs, cache=cache, events=events))
+    outcomes = iter(run_sweep(points, jobs=jobs, events=events))
     result = Figure2Result()
     for variant in variants:
         policy = variant.policy.value

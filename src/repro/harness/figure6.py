@@ -17,7 +17,7 @@ from ..config import SimConfig
 from ..obs.events import EventBus
 from ..sync.variant import PrimitiveVariant
 from .configs import figure_variants
-from .parallel import ResultCache, make_point, run_sweep
+from .parallel import make_point, run_sweep
 from .report import render_table
 
 __all__ = ["Figure6Result", "run_figure6", "render_figure6"]
@@ -44,15 +44,14 @@ def run_figure6(
     locusroute_wires: int | None = None,
     cholesky_columns: int | None = None,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> Figure6Result:
     """Run the three real applications under every variant.
 
     Lock-application inputs default to machine-proportional sizes (see
     the application docstrings).  The variant × app points run through
-    the parallel sweep executor; ``jobs``/``cache`` spread and memoize
-    them without changing the results.
+    the parallel sweep executor; ``jobs`` spreads them without changing
+    the results.
     """
     if variants is None:
         variants = figure_variants()
@@ -67,7 +66,7 @@ def run_figure6(
         for variant in variants
         for app, runner, kwargs in app_points
     ]
-    outcomes = iter(run_sweep(points, jobs=jobs, cache=cache, events=events))
+    outcomes = iter(run_sweep(points, jobs=jobs, events=events))
     result = Figure6Result()
     for variant in variants:
         for app, _, _ in app_points:

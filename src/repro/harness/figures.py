@@ -27,7 +27,7 @@ from ..config import SimConfig
 from ..obs.events import EventBus
 from ..sync.variant import PrimitiveVariant
 from .configs import figure_variants
-from .parallel import ResultCache, make_point, run_sweep
+from .parallel import make_point, run_sweep
 from .report import render_table
 
 __all__ = [
@@ -97,15 +97,13 @@ def run_counter_figure(
     variants: Sequence[PrimitiveVariant] | None = None,
     specs: Sequence[SyntheticSpec] | None = None,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> list[PanelResult]:
     """Run one figure: every panel × every variant.
 
     Panel/variant points are independent simulations, so they go through
     :func:`repro.harness.parallel.run_sweep` — ``jobs`` spreads them over
-    worker processes and ``cache`` memoizes them; results are identical
-    for any ``jobs``.
+    worker processes; results are identical for any ``jobs``.
     """
     if variants is None:
         variants = figure_variants()
@@ -118,7 +116,7 @@ def run_counter_figure(
         for spec in specs
         for variant in variants
     ]
-    outcomes = iter(run_sweep(points, jobs=jobs, cache=cache, events=events))
+    outcomes = iter(run_sweep(points, jobs=jobs, events=events))
     panels = []
     for spec in specs:
         panel = PanelResult(label=_panel_label(spec), spec=spec)

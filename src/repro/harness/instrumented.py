@@ -46,6 +46,7 @@ from ..sync.variant import PrimitiveVariant
 __all__ = [
     "InstrumentedRun",
     "INSTRUMENTED_EXPERIMENTS",
+    "READS_TURNS",
     "run_instrumented",
 ]
 
@@ -188,6 +189,12 @@ INSTRUMENTED_EXPERIMENTS = {
     "ablation-reservations": _run_llsc,
     "ablation-dropcopy": _run_dropcopy,
 }
+
+#: The representatives that read ``turns``; Table 1's and the
+#: applications' ignore it.
+READS_TURNS = frozenset({"figure3", "figure4", "figure5",
+                         "ablation-reservations", "ablation-dropcopy",
+                         "chaos"})
 
 
 def run_instrumented(

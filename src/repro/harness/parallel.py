@@ -1,21 +1,14 @@
-"""Parallel sweep execution with a content-addressed result cache.
+"""Parallel sweep execution.
 
 Every figure and table in the paper is a cross-product of *independent*
 simulation points — (primitive variant, sharing-pattern spec, machine
 config) triples, each of which builds its own deterministic machine.
 This module turns that observation into infrastructure:
 
-* :class:`SweepPoint` — a picklable, hashable-by-content descriptor of
-  one simulation point: which runner to call (by its module-qualified
-  reference, so worker processes resolve it by import), with which
-  variant/spec/config/extra keyword arguments.
-* :func:`point_key` — a stable SHA-256 content hash of a point combined
-  with a fingerprint of the ``repro`` source tree, so a key identifies
-  "this exact simulation under this exact code".
-* :class:`ResultCache` — a content-addressed on-disk store mapping point
-  keys to their encoded results.  Re-running an unchanged point is a
-  cache hit, not a re-simulation; editing any simulator source
-  invalidates every key at once.
+* :class:`SweepPoint` — a picklable descriptor of one simulation point:
+  which runner to call (by its module-qualified reference, so worker
+  processes resolve it by import), with which variant/spec/config/extra
+  keyword arguments.
 * :func:`run_sweep` — execute a list of points either serially
   in-process (``jobs=1``, bit-identical to the historic nested-loop
   drivers) or spread across a
@@ -35,7 +28,7 @@ order can never leak into measurements.
         make_point(run_lockfree_counter, variant=v, spec=s, config=cfg)
         for s in specs for v in variants
     ]
-    outcomes = run_sweep(points, jobs=4, cache=ResultCache())
+    outcomes = run_sweep(points, jobs=4)
     results = [o.result for o in outcomes]
 
 See ``docs/parallel.md`` for the full design.
@@ -44,13 +37,8 @@ See ``docs/parallel.md`` for the full design.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import hashlib
 import importlib
 import inspect
-import json
-import os
-import pathlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -58,7 +46,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
-from ..apps.common import AppResult
 from ..config import SimConfig
 from ..errors import ConfigError, SimulationError
 from ..obs.events import EventBus
@@ -66,19 +53,12 @@ from ..obs.events import EventBus
 __all__ = [
     "SweepPoint",
     "PointOutcome",
-    "ResultCache",
     "make_point",
     "run_sweep",
     "runner_ref",
     "resolve_runner",
-    "point_key",
-    "code_fingerprint",
-    "default_cache_dir",
     "attach_progress_printer",
 ]
-
-CACHE_SCHEMA = "repro.cache/1"
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +96,7 @@ def resolve_runner(ref: str) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# Point descriptors and content hashing.
+# Point descriptors.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,7 +113,7 @@ class SweepPoint:
         config: Machine configuration, passed as the ``config`` keyword
             when present.
         kwargs: Extra keyword arguments as a sorted tuple of pairs
-            (kept picklable and content-hashable).
+            (kept picklable and hashable).
     """
 
     runner: str
@@ -180,183 +160,6 @@ def _describe(spec: Any) -> str:
     return repr(spec)
 
 
-def _canonical(value: Any) -> Any:
-    """A JSON-able, order-stable view of a value for content hashing."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        body = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__class__": type(value).__name__, **body}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot content-hash value of type {type(value)!r}")
-
-
-_FINGERPRINT: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """A SHA-256 digest of every ``.py`` file in the ``repro`` package.
-
-    Cache keys mix this in so any edit to the simulator invalidates
-    every cached result at once.  Computed once per process.
-    """
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        root = pathlib.Path(__file__).resolve().parents[1]
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _FINGERPRINT = digest.hexdigest()
-    return _FINGERPRINT
-
-
-def point_key(point: SweepPoint, fingerprint: Optional[str] = None) -> str:
-    """The content-addressed cache key of ``point``.
-
-    SHA-256 over the canonical JSON of the point descriptor plus the
-    source-tree fingerprint: identical points under identical code share
-    a key; any difference in runner, variant, spec, config (including
-    the seed), extra kwargs, or simulator source yields a new key.
-    """
-    material = json.dumps(
-        {
-            "fingerprint": fingerprint or code_fingerprint(),
-            "point": _canonical(point),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Result encoding (cache payloads are JSON, not pickles).
-# ----------------------------------------------------------------------
-
-def _encode_result(value: Any) -> dict[str, Any]:
-    if isinstance(value, AppResult):
-        body = dataclasses.asdict(value)
-        body["contention_histogram"] = {
-            str(level): pct
-            for level, pct in value.contention_histogram.items()
-        }
-        return {"__result__": "AppResult", "value": body}
-    return {"__result__": "json", "value": value}
-
-
-def _decode_result(encoded: dict[str, Any]) -> Any:
-    kind = encoded.get("__result__")
-    if kind == "AppResult":
-        body = dict(encoded["value"])
-        body["contention_histogram"] = {
-            int(level): pct
-            for level, pct in body["contention_histogram"].items()
-        }
-        return AppResult(**body)
-    if kind == "json":
-        return encoded["value"]
-    raise ValueError(f"unknown cached result kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# The content-addressed on-disk cache.
-# ----------------------------------------------------------------------
-
-def default_cache_dir() -> pathlib.Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro"
-
-
-class ResultCache:
-    """Content-addressed store of point results under a root directory.
-
-    Entries live at ``<root>/<key[:2]>/<key>.json`` in a small envelope
-    (schema ``repro.cache/1``) holding the encoded result.  Unreadable
-    entries are misses; *corrupt* entries (unparsable JSON, wrong
-    schema/key, missing payload) are additionally quarantined — moved
-    aside to ``<key>.json.corrupt`` and counted in :attr:`corrupt`, so
-    recurring corruption is visible (``repro chaos`` reports it as
-    ``sweep.cache.corrupt``) instead of silently re-simulating
-    forever.  Writes are atomic (temp file + rename) so concurrent
-    workers cannot tear an entry.
-    """
-
-    def __init__(self, root: str | os.PathLike | None = None) -> None:
-        self.root = pathlib.Path(root) if root is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-
-    def path_for(self, key: str) -> pathlib.Path:
-        """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[dict[str, Any]]:
-        """The stored payload for ``key``, or None on a miss."""
-        path = self.path_for(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            document = json.loads(text)
-        except ValueError:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("schema") != CACHE_SCHEMA
-            or document.get("key") != key
-            or "payload" not in document
-        ):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return document["payload"]
-
-    def _quarantine(self, path: pathlib.Path) -> None:
-        """Move a corrupt entry aside so it is inspectable, not re-read."""
-        self.corrupt += 1
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - raced or read-only cache
-            pass
-
-    def put(self, key: str, payload: dict[str, Any],
-            point: Optional[SweepPoint] = None) -> None:
-        """Store ``payload`` under ``key`` atomically."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "point": _canonical(point) if point is not None else None,
-            "payload": payload,
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(document, sort_keys=True))
-        os.replace(tmp, path)
-        self.stores += 1
-
-
 # ----------------------------------------------------------------------
 # Point execution (runs in the parent for jobs=1, in workers otherwise).
 # ----------------------------------------------------------------------
@@ -372,11 +175,11 @@ def _accepts_observe(fn: Callable) -> bool:
 
 
 def execute_point(point: SweepPoint) -> dict[str, Any]:
-    """Run one point; return its encoded result + host telemetry.
+    """Run one point; return its result + host telemetry.
 
     This is the unit of work shipped to pool workers, so it must stay a
-    module-level function (picklable by reference) and return only
-    JSON-able data.
+    module-level function (picklable by reference); a pool worker's
+    result reaches the parent by pickle.
     """
     fn = resolve_runner(point.runner)
     args: list[Any] = []
@@ -393,16 +196,15 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
     wall = time.perf_counter() - t0
-    # Per-point host telemetry: forwarded on sweep.point (live per-point
-    # throughput for --progress) but never cached — wall numbers belong
-    # to this host and run, not to the point's content hash.
+    # Per-point host telemetry, forwarded on sweep.point (live per-point
+    # throughput for --progress).
     events = sum(machine.sim.events_processed for machine in machines)
     telemetry = {
         "wall_seconds": round(wall, 6),
         "events": events,
         "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,
     }
-    return {"result": _encode_result(result), "telemetry": telemetry}
+    return {"result": result, "telemetry": telemetry}
 
 
 # ----------------------------------------------------------------------
@@ -414,16 +216,13 @@ class PointOutcome:
     """One resolved sweep point.
 
     ``telemetry`` holds the executing worker's host-side measurements
-    (``wall_seconds``, ``events``, ``events_per_second``); empty for
-    cache hits, which did no simulation on this host.  ``error`` is set
-    (and ``result`` is None) for a point that failed in a sweep run with
-    ``quarantine=True``.
+    (``wall_seconds``, ``events``, ``events_per_second``).  ``error`` is
+    set (and ``result`` is None) for a point that failed in a sweep run
+    with ``quarantine=True``.
     """
 
     point: SweepPoint
     result: Any
-    cached: bool
-    key: str
     telemetry: dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
 
@@ -431,17 +230,15 @@ class PointOutcome:
 def run_sweep(
     points: Iterable[SweepPoint],
     jobs: int = 1,
-    cache: ResultCache | str | os.PathLike | None = None,
     events: Optional[EventBus] = None,
     quarantine: bool = False,
 ) -> list[PointOutcome]:
-    """Resolve every point from ``cache`` or by running it, in input order.
+    """Run every point; return their outcomes in input order.
 
-    With ``jobs=1``, or one point left to run, the points run serially in
-    this process; otherwise a :class:`ProcessPoolExecutor` of up to
-    ``jobs`` workers runs them.  Progress goes to ``events``:
-    ``sweep.start``, one ``sweep.point`` per point as it resolves, and
-    ``sweep.done``.
+    With ``jobs=1``, or one point, the points run serially in this
+    process; otherwise a :class:`ProcessPoolExecutor` of up to ``jobs``
+    workers runs them.  Progress goes to ``events``: ``sweep.start``,
+    one ``sweep.point`` per point as it resolves, and ``sweep.done``.
 
     Every point is deterministic, so a point runs once: one that raised
     would raise again.  Its failure aborts the sweep with a
@@ -450,64 +247,47 @@ def run_sweep(
     for the one failure that is not a property of the point, a pool
     worker's death.
     """
-    if isinstance(cache, (str, os.PathLike)):
-        cache = ResultCache(cache)
     bus = events if events is not None else EventBus()
     jobs = max(1, int(jobs))
     plan = list(points)
-    keys = [point_key(point) for point in plan]
     total = len(plan)
     outcomes: list[Optional[PointOutcome]] = [None] * total
     done = 0
     bus.emit("sweep.start", ts=0, total=total, jobs=jobs)
 
     def resolve(index: int, payload: Optional[dict[str, Any]] = None,
-                error: Optional[BaseException] = None,
-                cached: bool = False) -> None:
+                error: Optional[BaseException] = None) -> None:
         """Record point ``index``'s payload or error and publish it."""
         nonlocal done
-        point, key = plan[index], keys[index]
+        point = plan[index]
         if error is not None:
             message = f"{type(error).__name__}: {error}"
             if not quarantine:
                 raise SimulationError(
                     f"sweep point {point.label!r} failed: {message}"
                 ) from error
-            outcome = PointOutcome(point, None, False, key, error=message)
+            outcome = PointOutcome(point, None, error=message)
             extra = {"error": message}
         else:
-            if not cached and cache is not None:
-                # Cache entries are content-addressed simulation outputs;
-                # host-side wall measurements don't belong in them.
-                cache.put(key, {"result": payload["result"]}, point)
-            outcome = PointOutcome(point, _decode_result(payload["result"]),
-                                   cached, key, payload.get("telemetry", {}))
+            outcome = PointOutcome(point, payload["result"],
+                                   payload["telemetry"])
             extra = outcome.telemetry
         outcomes[index] = outcome
         done += 1
         bus.emit("sweep.point", ts=done, index=index, total=total,
-                 label=point.label, cached=cached, key=key, **extra)
+                 label=point.label, **extra)
 
-    pending: list[int] = []
-    for index, key in enumerate(keys):
-        payload = cache.get(key) if cache is not None else None
-        if payload is None:
-            pending.append(index)
-        else:
-            resolve(index, payload, cached=True)
-    if jobs > 1 and len(pending) > 1:
-        _run_pool(plan, pending, jobs, resolve)
+    if jobs > 1 and total > 1:
+        _run_pool(plan, range(total), jobs, resolve)
     else:
-        for index in pending:
+        for index, point in enumerate(plan):
             try:
-                payload = execute_point(plan[index])
+                payload = execute_point(point)
             except Exception as exc:
                 resolve(index, error=exc)
             else:
                 resolve(index, payload)
-    bus.emit("sweep.done", ts=total, total=total,
-             cached=sum(o.cached for o in outcomes),
-             executed=sum(not o.cached for o in outcomes))
+    bus.emit("sweep.done", ts=total, total=total)
     return outcomes
 
 
@@ -564,8 +344,7 @@ def attach_progress_printer(
     .. code-block:: text
 
         [sweep 3/63] lockfree FAP/INV contention=4 ... (317,204 ev/s)
-        [sweep 4/63] lockfree FAP/INV contention=8 ... (cached)
-        [sweep] done: 60 cached, 3 simulated
+        [sweep] done: 63 points
     """
     out = stream if stream is not None else sys.stderr
 
@@ -573,8 +352,6 @@ def attach_progress_printer(
         if event.kind == "sweep.point":
             if event.data.get("error"):
                 suffix = f" (FAILED: {event.data['error']})"
-            elif event.data.get("cached"):
-                suffix = " (cached)"
             else:
                 eps = event.data.get("events_per_second")
                 suffix = f" ({eps:,.0f} ev/s)" if eps else ""
@@ -585,11 +362,7 @@ def attach_progress_printer(
                 flush=True,
             )
         elif event.kind == "sweep.done":
-            print(
-                f"[sweep] done: {event.data.get('cached', 0)} cached, "
-                f"{event.data.get('executed', 0)} simulated",
-                file=out,
-                flush=True,
-            )
+            print(f"[sweep] done: {event.data.get('total', 0)} points",
+                  file=out, flush=True)
 
     return events.subscribe(on_event, kinds=("sweep.point", "sweep.done"))

@@ -22,8 +22,8 @@ transaction.
 
 Rows are independent (each stages its own fresh machine), so
 :func:`run_table1` runs them through the parallel sweep executor — one
-:class:`~repro.harness.parallel.SweepPoint` per row — and ``jobs``/
-``cache`` spread and memoize them.
+:class:`~repro.harness.parallel.SweepPoint` per row — and ``jobs``
+spreads them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..config import SimConfig, small_config
 from ..errors import ConfigError
 from ..machine.machine import Machine, build_machine
 from ..obs.events import EventBus
-from .parallel import ResultCache, make_point, run_sweep
+from .parallel import make_point, run_sweep
 
 __all__ = ["TABLE1_CONFIG", "TABLE1_EXPECTED", "run_table1", "run_table1_row"]
 
@@ -137,7 +137,6 @@ def run_table1_row(
 def run_table1(
     config: SimConfig | None = None,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     events: Optional[EventBus] = None,
 ) -> dict[str, int]:
     """Measure every Table 1 row; return {row label: serialized messages}."""
@@ -147,7 +146,7 @@ def run_table1(
                    label=f"table1: {row}", row=row)
         for row in TABLE1_EXPECTED
     ]
-    outcomes = run_sweep(points, jobs=jobs, cache=cache, events=events)
+    outcomes = run_sweep(points, jobs=jobs, events=events)
     return {
         row: outcome.result
         for row, outcome in zip(TABLE1_EXPECTED, outcomes)

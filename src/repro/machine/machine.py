@@ -86,7 +86,6 @@ class Machine:
         self.mesh.faults = self.faults
         self.address = AddressSpace(config.machine)
         self.stats = MachineStats()
-        self.stats.attach_registry(self.registry)
         self.barriers = BarrierManager(self.sim)
         self._policies: dict[int, SyncPolicy] = {}
         self._running_programs = 0

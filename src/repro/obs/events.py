@@ -24,8 +24,9 @@ kind                        meaning
 ``atomic.start``            a processor operation entered the controller
 ``atomic.complete``         ...and completed (result delivered)
 ``sweep.start``             a parallel sweep began (total points, jobs)
-``sweep.point``             one sweep point resolved (cached or run)
-``sweep.done``              the sweep finished (hit/miss totals)
+``sweep.point``             one sweep point ran (its host telemetry,
+                            or its error)
+``sweep.done``              the sweep finished (total points)
 ``run.progress``            a telemetry heartbeat: host throughput,
                             queue depth, RSS, GC counts (see
                             :mod:`repro.obs.telemetry`)

@@ -8,18 +8,6 @@ from repro import SimConfig, build_machine
 from repro.config import MachineConfig
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _session_result_cache(tmp_path_factory):
-    """Point the default result cache (``$REPRO_CACHE_DIR``) at a
-    temporary directory for the session, so a test that runs a sweep
-    with neither ``--no-cache`` nor ``--cache-dir`` writes nothing under
-    ``~/.cache/repro``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE_DIR",
-                     str(tmp_path_factory.mktemp("result-cache")))
-        yield
-
-
 def make_machine(n_nodes: int = 4, **kwargs):
     """A small machine for protocol tests."""
     config = SimConfig(machine=MachineConfig(n_nodes=n_nodes), **kwargs)

@@ -102,27 +102,12 @@ CHAOS_ARGV = ["--nodes", "4", "--turns", "2", "chaos", "--seed", "1",
               "--intensity", "1.0", "--policy", "INV"]
 
 
-def test_cli_chaos_reports_corrupt_cache_entry(tmp_path, capsys):
-    argv = CHAOS_ARGV + ["--cache-dir", str(tmp_path / "cache")]
-    clean = tmp_path / "clean.json"
-    assert cli_main(argv + ["--json", str(clean)], out=lambda _: None) == 0
-    assert "chaos:" not in capsys.readouterr().err
-    entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
-    entry.write_text("{not json")
-    healed = tmp_path / "healed.json"
-    assert cli_main(argv + ["--json", str(healed)], out=lambda _: None) == 0
-    # The health count goes to stderr; the envelope is a clean run's.
-    assert [line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("chaos:")] == ["chaos: sweep.cache.corrupt = 1"]
-    assert healed.read_bytes() == clean.read_bytes()
-
-
 def test_cli_chaos_reports_quarantined_points(monkeypatch, capsys):
     from repro.faults import chaos
 
     monkeypatch.setattr(chaos, "run_chaos_point", _fail_faulted_points)
     FAILED_RUNS.clear()
-    code = cli_main(CHAOS_ARGV + ["--no-cache"], out=lambda _: None)
+    code = cli_main(CHAOS_ARGV, out=lambda _: None)
     assert code == 1
     # The failing point ran once: the sweep does not retry it.
     assert FAILED_RUNS == [1.0]

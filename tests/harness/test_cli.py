@@ -74,7 +74,7 @@ def test_table1_json_records_the_machine_it_ran(tmp_path):
     # say, and it has no turns.
     out = tmp_path / "table1.json"
     code, _ = run_cli(["--topology", "torus", "--nodes", "16", "table1",
-                       "--no-cache", "--json", str(out)])
+                       "--json", str(out)])
     assert code == 0
     params = json.loads(out.read_text())["params"]
     assert params == {"nodes": 4, "topology": "mesh", "directory": "full"}
@@ -88,7 +88,7 @@ def test_ablation_directory_json_records_the_machines_it_ran(tmp_path):
     out = tmp_path / "ablation-directory.json"
     code, _ = run_cli(["--nodes", "16", "--turns", "1", "--directory",
                        "limited", "ablation-directory", "--sizes", "4",
-                       "--sizes", "8", "--no-cache", "--json", str(out)])
+                       "--sizes", "8", "--json", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["params"] == {"sizes": [4, 8], "topology": "mesh",
@@ -118,6 +118,46 @@ def test_app_figure_json_records_no_turns(tmp_path, monkeypatch,
     assert code == 0
     params = json.loads(out.read_text())["params"]
     assert params == {"nodes": 4, "topology": "mesh", "directory": "full"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--no-cache"],
+    ["table1", "--cache-dir", "X"],
+    ["profile", "--quick"],
+])
+def test_removed_flags_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SHAPE = ["--nodes", "4", "--topology", "torus", "--directory", "limited",
+         "--dir-pointers", "2", "--turns", "3"]
+MACHINE = {"nodes": 4, "topology": "torus", "directory": "limited:2"}
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["stats", "table1"], MACHINE),
+    (["stats", "figure2"], MACHINE),
+    (["stats", "figure4"], {**MACHINE, "turns": 3}),
+    (["stats", "chaos"], {**MACHINE, "turns": 3}),
+    (["critpath", "table1"], MACHINE),
+    (["hotspots", "ablation-dropcopy"], {**MACHINE, "turns": 3}),
+    (["trace", "table1", "--block", "1"],
+     {**MACHINE, "block": 1, "format": "text"}),
+    (["profile", "figure3"], {**MACHINE, "turns": 3}),
+])
+def test_instrumented_json_records_the_machine_that_ran(tmp_path, argv,
+                                                        params):
+    import json
+
+    # The machine the representative built, and turns only where the
+    # representative reads them.
+    out = tmp_path / "run.json"
+    code, _ = run_cli(SHAPE + argv + ["--json", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["params"] == params
 
 
 def test_figure3_json_schema(tmp_path):
@@ -281,7 +321,7 @@ def test_stats_surfaces_wall_clock_perf():
 # ----------------------------------------------------------------------
 
 def test_profile_subcommand_text():
-    code, text = run_cli(["profile", "--quick"])
+    code, text = run_cli(["--nodes", "4", "profile"])
     assert code == 0
     assert "profile — table1" in text
     assert "engine.dispatch" in text
@@ -298,8 +338,8 @@ def test_profile_honours_machine_shape_flags(monkeypatch):
         return real(experiment, config, **kwargs)
 
     monkeypatch.setattr(cli, "run_instrumented", spy)
-    code, _ = run_cli(["--topology", "torus", "--directory", "limited",
-                       "--dir-pointers", "2", "profile", "--quick"])
+    code, _ = run_cli(["--nodes", "4", "--topology", "torus", "--directory",
+                       "limited", "--dir-pointers", "2", "profile"])
     assert code == 0
     machine = configs[0].machine
     assert machine.n_nodes == 4
@@ -313,7 +353,7 @@ def test_profile_subcommand_json_validates(tmp_path):
     from repro.obs.schema import validate_run_payload
 
     out = tmp_path / "prof"
-    code, text = run_cli(["profile", "--quick", "--format", "json",
+    code, text = run_cli(["--nodes", "4", "profile", "--format", "json",
                           "--out", str(out)])
     assert code == 0
     payload = validate_run_payload(text, experiment="instrumented-table1")
@@ -326,7 +366,7 @@ def test_profile_subcommand_json_validates(tmp_path):
 
 def test_profile_subcommand_collapsed(tmp_path):
     stacks = tmp_path / "out.collapsed"
-    code, text = run_cli(["profile", "--quick", "--format", "collapsed",
+    code, text = run_cli(["--nodes", "4", "profile", "--format", "collapsed",
                           "--collapsed", str(stacks)])
     assert code == 0
     lines = stacks.read_text().splitlines()
@@ -372,9 +412,9 @@ def test_telemetry_flag_streams_jsonl(tmp_path):
 def test_telemetry_results_bit_identical(tmp_path):
     base = tmp_path / "plain.json"
     wired = tmp_path / "wired.json"
-    code, _ = run_cli(["table1", "--no-cache", "--json", str(base)])
+    code, _ = run_cli(["table1", "--json", str(base)])
     assert code == 0
-    code, _ = run_cli(["table1", "--no-cache", "--json", str(wired),
+    code, _ = run_cli(["table1", "--json", str(wired),
                        "--telemetry", str(tmp_path / "beats.jsonl"),
                        "--telemetry-every", "50"])
     assert code == 0

@@ -1,4 +1,4 @@
-"""Parallel sweep executor: determinism, caching, content addressing."""
+"""Parallel sweep executor: determinism, events, failures."""
 
 import pickle
 
@@ -6,15 +6,12 @@ import pytest
 
 from repro import SimConfig, SyncPolicy
 from repro.apps.synthetic import SyntheticSpec, run_lockfree_counter
+from repro.apps.common import AppResult
 from repro.errors import ConfigError
-from repro.harness import parallel
 from repro.harness.parallel import (
-    ResultCache,
     attach_progress_printer,
-    code_fingerprint,
     execute_point,
     make_point,
-    point_key,
     resolve_runner,
     run_sweep,
     runner_ref,
@@ -75,31 +72,6 @@ def test_points_pickle_round_trip():
         assert pickle.loads(pickle.dumps(point)) == point
 
 
-def test_point_key_stable_and_content_sensitive():
-    a, b = counter_points()[0], counter_points()[0]
-    assert point_key(a) == point_key(b)
-    variants = {
-        point_key(p)
-        for p in (
-            a,
-            make_point(run_lockfree_counter, variant=VARIANTS[1],
-                       spec=SPECS[0], config=CFG),
-            make_point(run_lockfree_counter, variant=VARIANTS[0],
-                       spec=SPECS[1], config=CFG),
-            make_point(run_lockfree_counter, variant=VARIANTS[0],
-                       spec=SPECS[0], config=CFG.with_nodes(8)),
-            make_point(run_lockfree_counter, variant=VARIANTS[0],
-                       spec=SPECS[0], config=CFG, extra=1),
-        )
-    }
-    assert len(variants) == 5, "each descriptor change must change the key"
-
-
-def test_point_key_changes_with_code_fingerprint():
-    point = counter_points()[0]
-    assert point_key(point) != point_key(point, fingerprint="0" * 64)
-
-
 # ----------------------------------------------------------------------
 # Determinism: parallel == serial, bit for bit.
 # ----------------------------------------------------------------------
@@ -121,104 +93,36 @@ def test_table1_parallel_matches_serial():
 def test_execute_point_reports_machine_metrics():
     payload = execute_point(counter_points()[0])
     assert set(payload) == {"result", "telemetry"}
-    assert payload["result"]["__result__"] == "AppResult"
+    assert isinstance(payload["result"], AppResult)
     # The telemetry's event count sums every machine the runner built.
     payload = execute_point(make_point(_two_machine_runner, config=CFG))
     assert set(payload) == {"result", "telemetry"}
-    counts = payload["result"]["value"]
+    counts = payload["result"]
     assert len(counts) == 2 and min(counts) > 0
     assert payload["telemetry"]["events"] == sum(counts)
-
-
-# ----------------------------------------------------------------------
-# The content-addressed cache.
-# ----------------------------------------------------------------------
-
-def test_cache_hit_returns_identical_results(tmp_path):
-    cache = ResultCache(tmp_path)
-    first = run_sweep(counter_points(), cache=cache)
-    assert (cache.hits, cache.misses, cache.stores) == (0, 4, 4)
-    second = run_sweep(counter_points(), cache=cache)
-    assert cache.hits == 4
-    assert [o.result for o in first] == [o.result for o in second]
-    assert [o.cached for o in first] == [False] * 4
-    assert [o.cached for o in second] == [True] * 4
-
-
-def test_cache_invalidated_by_code_fingerprint(tmp_path, monkeypatch):
-    cache = ResultCache(tmp_path)
-    run_sweep(counter_points()[:1], cache=cache)
-    monkeypatch.setattr(parallel, "_FINGERPRINT", "f" * 64)
-    fresh = ResultCache(tmp_path)
-    outcomes = run_sweep(counter_points()[:1], cache=fresh)
-    assert fresh.hits == 0 and fresh.misses == 1
-    assert outcomes[0].cached is False
-
-
-def test_cache_corrupt_entry_is_a_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    point = counter_points()[0]
-    run_sweep([point], cache=cache)
-    path = cache.path_for(point_key(point))
-    path.write_text("{not json")
-    fresh = ResultCache(tmp_path)
-    outcomes = run_sweep([point], cache=fresh)
-    assert fresh.misses == 1
-    assert outcomes[0].cached is False
-    # ...and the entry is healed for the next reader.
-    assert ResultCache(tmp_path).get(point_key(point)) is not None
-
-
-def test_cache_rejects_key_mismatch(tmp_path):
-    cache = ResultCache(tmp_path)
-    point = counter_points()[0]
-    run_sweep([point], cache=cache)
-    key = point_key(point)
-    other = "0" * 64
-    cache.path_for(other).parent.mkdir(parents=True, exist_ok=True)
-    cache.path_for(key).rename(cache.path_for(other))
-    assert ResultCache(tmp_path).get(other) is None
-
-
-def test_cache_shards_by_key_prefix(tmp_path):
-    cache = ResultCache(tmp_path)
-    key = point_key(counter_points()[0])
-    assert cache.path_for(key) == tmp_path / key[:2] / f"{key}.json"
-
-
-def test_executor_accepts_cache_path(tmp_path):
-    run_sweep(counter_points()[:1], cache=tmp_path / "cache")
-    assert len(list((tmp_path / "cache").rglob("*.json"))) == 1
-
-
-def test_default_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-    assert parallel.default_cache_dir() == tmp_path / "env"
-
-
-def test_code_fingerprint_is_memoized_hex():
-    assert code_fingerprint() == code_fingerprint()
-    assert len(code_fingerprint()) == 64
-    int(code_fingerprint(), 16)
 
 
 # ----------------------------------------------------------------------
 # Events, metrics, and progress reporting.
 # ----------------------------------------------------------------------
 
-def test_sweep_events_and_registry_counters(tmp_path):
+def test_sweep_events_and_registry_counters():
     events = EventBus()
     seen = []
     events.subscribe(lambda e: seen.append(e))
-    run_sweep(counter_points(), events=events, cache=tmp_path)
+    run_sweep(counter_points(), events=events)
     kinds = [e.kind for e in seen]
     assert kinds[0] == "sweep.start"
     assert kinds[-1] == "sweep.done"
     assert kinds.count("sweep.point") == 4
-    assert seen[-1].data == {"total": 4, "cached": 0, "executed": 4}
-    seen.clear()
-    run_sweep(counter_points(), events=events, cache=tmp_path)
-    assert seen[-1].data == {"total": 4, "cached": 4, "executed": 0}
+    assert seen[0].data == {"total": 4, "jobs": 1}
+    assert seen[-1].data == {"total": 4}
+    points = [e for e in seen if e.kind == "sweep.point"]
+    assert [e.data["index"] for e in points] == [0, 1, 2, 3]
+    assert [e.ts for e in points] == [1, 2, 3, 4]
+    for event in points:
+        assert set(event.data) == {"index", "total", "label", "wall_seconds",
+                                   "events", "events_per_second"}
 
 
 def test_progress_printer_lines(capsys):
@@ -228,12 +132,14 @@ def test_progress_printer_lines(capsys):
     attach_progress_printer(events, stream=sys.stderr)
     run_sweep(counter_points()[:2], events=events)
     err = capsys.readouterr().err
-    assert "[sweep 1/2]" in err
-    assert "[sweep] done: 0 cached, 2 simulated" in err
+    lines = err.splitlines()
+    assert lines[0].startswith("[sweep 1/2] ")
+    assert lines[0].endswith(" ev/s)")
+    assert lines[-1] == "[sweep] done: 2 points"
 
 
 # ----------------------------------------------------------------------
-# Failures: quarantine, dead pool workers, corrupt-cache hygiene.
+# Failures: quarantine and dead pool workers.
 # ----------------------------------------------------------------------
 
 def _failing_runner(tag=""):
@@ -345,38 +251,21 @@ def test_aborting_pool_sweep_cancels_queued_points(tmp_path):
     assert ran < len(marks)
 
 
-def test_corrupt_cache_entry_is_quarantined_on_disk(tmp_path):
-    cache = ResultCache(tmp_path)
-    point = counter_points()[0]
-    run_sweep([point], cache=cache)
-    path = cache.path_for(point_key(point))
-    path.write_text("{not json")
-    fresh = ResultCache(tmp_path)
-    run_sweep([point], cache=fresh)
-    # The corrupt entry was moved aside for inspection and counted
-    # (repro chaos reports the count on stderr).
-    assert fresh.corrupt == 1
-    assert path.with_name(path.name + ".corrupt").exists()
-
-
-def test_point_telemetry_present_but_never_cached(tmp_path):
-    import json
-
+def test_point_telemetry_present_but_never_cached():
+    # Host telemetry rides on each outcome, beside a result that is
+    # the same at any job count.
     points = counter_points()[:2]
-    first = run_sweep(points, cache=tmp_path / "cache")
-    for outcome in first:
-        assert not outcome.cached
+    serial = run_sweep(points)
+    pooled = run_sweep(points, jobs=2)
+    for outcome in serial + pooled:
+        assert outcome.error is None
         assert outcome.telemetry["wall_seconds"] > 0
         assert outcome.telemetry["events"] > 0
-    # An entry stores the encoded result and nothing else.
-    entries = sorted((tmp_path / "cache").rglob("*.json"))
-    assert len(entries) == 2
-    for entry in entries:
-        assert set(json.loads(entry.read_text())["payload"]) == {"result"}
-    # Cache hits replay simulation outputs only — host wall numbers
-    # from some earlier run must not resurface as if they were fresh.
-    second = run_sweep(points, cache=tmp_path / "cache")
-    for outcome in second:
-        assert outcome.cached
-        assert outcome.telemetry == {}
-    assert [o.result for o in second] == [o.result for o in first]
+    # A serial point hands back the runner's own object; a pool worker's
+    # crosses by pickle and arrives equal, histogram keys still ints.
+    assert [o.result for o in pooled] == [o.result for o in serial]
+    for outcome in pooled:
+        assert isinstance(outcome.result, AppResult)
+        histogram = outcome.result.contention_histogram
+        assert histogram and all(isinstance(level, int)
+                                 for level in histogram)

@@ -78,8 +78,8 @@ def test_storm_identical_with_observability_attached(prim, policy):
 
 
 def test_table1_identical_serial_and_parallel():
-    serial = run_table1(jobs=1, cache=None)
-    parallel = run_table1(jobs=2, cache=None)
+    serial = run_table1(jobs=1)
+    parallel = run_table1(jobs=2)
     assert serial == parallel == TABLE1_EXPECTED
 
 

@@ -198,6 +198,44 @@ def python_calls(fn) -> int:
     return calls
 
 
+def python_opcodes(fn) -> int:
+    """Bytecodes executed in ``repro`` frames while ``fn()`` runs.
+
+    Stricter than :func:`python_calls`: work added inside a frame that
+    runs anyway, such as a branch taken at an emission site, counts
+    too.  A frame counts when its globals' ``__name__`` is ``repro`` or
+    starts with ``repro.``, comprehensions included, so compare counts
+    taken on one interpreter only.
+    """
+    ours: dict = {}
+    executed = 0
+
+    def count(frame, event, arg):
+        nonlocal executed
+        if event == "opcode":
+            executed += 1
+        return count
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        hit = ours.get(code)
+        if hit is None:
+            module = frame.f_globals.get("__name__", "")
+            hit = ours[code] = module == "repro" or module.startswith("repro.")
+        if not hit:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return count
+
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return executed
+
+
 def python_calls_per_event(proxy) -> float:
     """Python calls into ``repro`` per event executed by ``proxy``."""
     machines = []

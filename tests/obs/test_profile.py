@@ -4,8 +4,8 @@ The observability contract has two sides:
 
 * **Disabled** (no ``profiled()`` session, no heartbeat): the engine
   must run its event loop unobserved — results bit-identical, no timing
-  shim on the callbacks, one drain chunk per ``run()``, wall overhead
-  inside the ≤2% gate.
+  shim on the callbacks, one drain chunk per ``run()``, and not one
+  extra bytecode executed.
 * **Enabled**: every executed event attributed to a ``(component,
   handler)`` pair, with ``attributed_ns + dispatch_ns == total_ns``
   exactly and the total reconciling with externally measured wall
@@ -25,7 +25,7 @@ from repro.obs.profile import (
 from repro.sim.engine import Simulator
 
 from tests.conftest import make_machine
-from tests.integration.test_hot_path_calls import python_calls
+from tests.integration.test_hot_path_calls import python_opcodes
 
 #: Delay mix for :func:`_churn`: mostly the small delays a machine
 #: schedules (hits, occupancies, hops), one same-cycle delay so the
@@ -33,11 +33,11 @@ from tests.integration.test_hot_path_calls import python_calls
 _CHURN_DELAYS = (1, 2, 4, 0, 8, 3, 300, 5)
 
 
-def _churn():
-    """60,000 self-rescheduling callbacks on a bare simulator, in 16
-    chains: the event core with no machine model on top."""
+def _churn(callbacks=60_000):
+    """``callbacks`` self-rescheduling callbacks on a bare simulator, in
+    16 chains: the event core with no machine model on top."""
     sim = Simulator()
-    remaining = [60_000]
+    remaining = [callbacks]
     schedule = sim.schedule
 
     def tick(_token):
@@ -153,7 +153,7 @@ def test_machine_handlers_attributed_to_components():
 def test_disabled_run_never_enters_observed_loop(monkeypatch):
     """With no session and no heartbeat nothing observes the event loop:
     no timing shim wraps the callbacks and the profiler is never fed —
-    the structural guarantee behind the ≤2% gate."""
+    the structural guarantee behind the bytecode count below."""
     assert active_profiler() is None
 
     def boom(*args):
@@ -193,59 +193,25 @@ def test_cleared_heartbeat_restores_fast_loop(monkeypatch):
 
 
 def test_disabled_path_adds_no_python_calls():
-    """The count twin of the wall-clock gate below: the disabled
-    configuration makes exactly the Python calls a plain run makes.
-    The configuration is built outside the counted window."""
-    plain = python_calls(_churn)
+    """The disabled configuration executes exactly the bytecodes a plain
+    run executes: no extra Python call and no extra branch.  The
+    configuration is built outside the counted window, and a short
+    churn keeps the traced run cheap."""
+    def churn():
+        _churn(callbacks=6_000)
+
+    plain = python_opcodes(churn)
+    assert plain > 0
     with profiled():
         pass
     sim = Simulator()
     sim.set_heartbeat(10_000, lambda now, events, depth: None)
     sim.clear_heartbeat()
-    assert python_calls(_churn) == plain
-
-
-def test_disabled_overhead_within_two_percent():
-    """The ≤2% wall-clock gate for the disabled path on ``_churn``.
-
-    Baseline and gated runs are identical *today* (neither is
-    observed); the gate exists so a future change that observes
-    disabled runs — e.g. a ``clear_heartbeat`` that leaves the
-    heartbeat armed, or observability checks moved inside the event
-    loop — fails loudly.  Interleaved best-of-N with retries, mirroring
-    tests/obs/test_overhead.py.
-    """
-    def timed_disabled():
-        # The full disabled configuration a flag-less CLI run produces:
-        # a profiled session was active *earlier* but is over, and a
-        # heartbeat was installed and cleared.
-        with profiled():
-            pass
-        sim = Simulator()
-        sim.set_heartbeat(10_000, lambda now, events, depth: None)
-        sim.clear_heartbeat()
-        t0 = time.perf_counter()
-        _churn()
-        return time.perf_counter() - t0
-
-    def timed_plain():
-        t0 = time.perf_counter()
-        _churn()
-        return time.perf_counter() - t0
-
-    _churn()                            # warm-up
-    for _attempt in range(3):
-        baseline, gated = [], []
-        for _ in range(7):
-            baseline.append(timed_plain())
-            gated.append(timed_disabled())
-        if min(gated) <= min(baseline) * 1.02:
-            return
-    raise AssertionError(
-        f"disabled-path overhead "
-        f"{100.0 * (min(gated) / min(baseline) - 1.0):.2f}% exceeds the "
-        f"2% gate (baseline {min(baseline):.4f}s, gated {min(gated):.4f}s)"
-    )
+    assert python_opcodes(churn) == plain
+    # The count sees observation: the same churn inside a session runs
+    # the timing shim.
+    with profiled():
+        assert python_opcodes(churn) > plain
 
 
 # ------------------------------------------------------ output formats
