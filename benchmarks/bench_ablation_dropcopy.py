@@ -18,11 +18,9 @@ from repro.harness.report import render_table
 from .conftest import BENCH_NODES, BENCH_TURNS, SWEEP_OPTS, publish, publish_json
 
 
-def test_dropcopy_ablation(benchmark, bench_config):
-    outcome = benchmark.pedantic(
-        run_dropcopy_ablation, args=(bench_config,),
-        kwargs={"turns": BENCH_TURNS, **SWEEP_OPTS}, rounds=1, iterations=1,
-    )
+def test_dropcopy_ablation(bench_config):
+    outcome = run_dropcopy_ablation(bench_config, turns=BENCH_TURNS,
+                                    **SWEEP_OPTS)
     table = outcome.table
     rows = [
         [panel] + [round(table[(panel, variant)], 1)
@@ -40,7 +38,7 @@ def test_dropcopy_ablation(benchmark, bench_config):
                     for variant in outcome.variants}
             for panel in outcome.panels
         },
-    })
+    }, params={**bench_config.machine.envelope_params, "turns": BENCH_TURNS})
 
     contended = outcome.panels[2]
     # drop_copy helps INV at write-run 1 with no contention...

@@ -16,13 +16,11 @@ from repro.harness.report import render_table
 from .conftest import BENCH_NODES, BENCH_TURNS, SWEEP_OPTS, publish, publish_json
 
 
-def test_reservation_strategies(benchmark, bench_config):
+def test_reservation_strategies(bench_config):
     contention = min(16, BENCH_NODES)
-    outcome = benchmark.pedantic(
-        run_reservation_ablation, args=(bench_config,),
-        kwargs={"contention": contention, "turns": BENCH_TURNS,
-                "reservation_limit": 4, **SWEEP_OPTS},
-        rounds=1, iterations=1,
+    outcome = run_reservation_ablation(
+        bench_config, contention=contention, turns=BENCH_TURNS,
+        reservation_limit=4, **SWEEP_OPTS,
     )
     results = outcome.results
     rows = [
@@ -41,7 +39,7 @@ def test_reservation_strategies(benchmark, bench_config):
             "local_sc_failures": results[strategy][1],
         }
         for strategy in RESERVATION_STRATEGIES
-    }})
+    }}, params={**bench_config.machine.envelope_params, "turns": BENCH_TURNS})
 
     # Only the capacity-bounded strategies fail store_conditionals
     # locally (doomed reservations) — their point: shed network traffic

@@ -37,7 +37,7 @@ VARIANTS = {
 }
 
 
-def test_timing_sensitivity(benchmark, bench_config):
+def test_timing_sensitivity(bench_config):
     contended = SyntheticSpec(contention=min(16, BENCH_NODES),
                               turns=BENCH_TURNS)
     long_runs = SyntheticSpec(contention=1, write_run=10.0,
@@ -45,24 +45,21 @@ def test_timing_sensitivity(benchmark, bench_config):
 
     panels = (("contended", contended), ("a=10", long_runs))
 
-    def sweep():
-        keys = []
-        points = []
-        for timing_name, timing in TIMINGS.items():
-            config = replace(bench_config, timing=timing)
-            for var_name, variant in VARIANTS.items():
-                for panel_name, spec in panels:
-                    keys.append((timing_name, var_name, panel_name))
-                    points.append(make_point(
-                        run_lockfree_counter, variant=variant, spec=spec,
-                        config=config,
-                        label=f"timing: {timing_name} {var_name} {panel_name}",
-                    ))
-        outcomes = run_sweep(points, **SWEEP_OPTS)
-        return {key: outcome.result.avg_cycles
-                for key, outcome in zip(keys, outcomes)}
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    keys = []
+    points = []
+    for timing_name, timing in TIMINGS.items():
+        config = replace(bench_config, timing=timing)
+        for var_name, variant in VARIANTS.items():
+            for panel_name, spec in panels:
+                keys.append((timing_name, var_name, panel_name))
+                points.append(make_point(
+                    run_lockfree_counter, variant=variant, spec=spec,
+                    config=config,
+                    label=f"timing: {timing_name} {var_name} {panel_name}",
+                ))
+    outcomes = run_sweep(points, **SWEEP_OPTS)
+    table = {key: outcome.result.avg_cycles
+             for key, outcome in zip(keys, outcomes)}
 
     rows = []
     for timing_name in TIMINGS:
@@ -79,7 +76,7 @@ def test_timing_sensitivity(benchmark, bench_config):
             for panel in ("contended", "a=10")
         }
         for timing_name in TIMINGS
-    }})
+    }}, params={**bench_config.machine.envelope_params, "turns": BENCH_TURNS})
 
     for timing_name in TIMINGS:
         # UNC fetch_and_add wins under contention, whatever the machine.

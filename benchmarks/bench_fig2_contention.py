@@ -16,11 +16,8 @@ def _mean(histogram):
     return sum(level * pct for level, pct in histogram.items()) / 100.0
 
 
-def test_figure2(benchmark, bench_config):
-    result = benchmark.pedantic(
-        run_figure2, args=(bench_config,), kwargs=dict(SWEEP_OPTS),
-        rounds=1, iterations=1,
-    )
+def test_figure2(bench_config):
+    result = run_figure2(bench_config, **SWEEP_OPTS)
 
     sections = []
     for app in ("locusroute", "cholesky", "tclosure"):
@@ -54,7 +51,7 @@ def test_figure2(benchmark, bench_config):
             for policy in ("UNC", "INV", "UPD")
         }
         for app in ("locusroute", "cholesky", "tclosure")
-    }})
+    }}, params=bench_config.machine.envelope_params)
 
     # Shape assertions (paper §4.2): the lock applications are dominated
     # by the no-contention case; Transitive Closure contends heavily.

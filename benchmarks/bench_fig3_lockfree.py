@@ -10,17 +10,14 @@ from repro.harness.figures import render_figure, run_figure3
 from .conftest import BENCH_TURNS, SWEEP_OPTS, publish, publish_json
 
 
-def test_figure3(benchmark, bench_config):
-    panels = benchmark.pedantic(
-        run_figure3, args=(bench_config,),
-        kwargs={"turns": BENCH_TURNS, **SWEEP_OPTS}, rounds=1, iterations=1,
-    )
+def test_figure3(bench_config):
+    panels = run_figure3(bench_config, turns=BENCH_TURNS, **SWEEP_OPTS)
     publish("figure3", render_figure(
         panels, "Figure 3: lock-free counter, average cycles per update"))
     publish_json("figure3", {"panels": [
         {"label": p.label, "bars": [[label, value] for label, value in p.bars]}
         for p in panels
-    ]})
+    ]}, params={**bench_config.machine.envelope_params, "turns": BENCH_TURNS})
 
     by_label = {panel.label: panel for panel in panels}
     top_c = max(p.spec.contention for p in panels)

@@ -5,17 +5,14 @@ from repro.harness.figures import render_figure, run_figure4
 from .conftest import BENCH_TURNS, SWEEP_OPTS, publish, publish_json
 
 
-def test_figure4(benchmark, bench_config):
-    panels = benchmark.pedantic(
-        run_figure4, args=(bench_config,),
-        kwargs={"turns": BENCH_TURNS, **SWEEP_OPTS}, rounds=1, iterations=1,
-    )
+def test_figure4(bench_config):
+    panels = run_figure4(bench_config, turns=BENCH_TURNS, **SWEEP_OPTS)
     publish("figure4", render_figure(
         panels, "Figure 4: TTS-lock counter, average cycles per update"))
     publish_json("figure4", {"panels": [
         {"label": p.label, "bars": [[label, value] for label, value in p.bars]}
         for p in panels
-    ]})
+    ]}, params={**bench_config.machine.envelope_params, "turns": BENCH_TURNS})
 
     by_label = {panel.label: panel for panel in panels}
     top_c = max(p.spec.contention for p in panels)

@@ -5,16 +5,13 @@ from repro.harness.figure6 import render_figure6, run_figure6
 from .conftest import SWEEP_OPTS, publish, publish_json
 
 
-def test_figure6(benchmark, bench_config):
-    result = benchmark.pedantic(
-        run_figure6, args=(bench_config,),
-        kwargs={"tclosure_size": 24, **SWEEP_OPTS}, rounds=1, iterations=1,
-    )
+def test_figure6(bench_config):
+    result = run_figure6(bench_config, tclosure_size=24, **SWEEP_OPTS)
     publish("figure6", render_figure6(result))
     publish_json("figure6", {"apps": {
         app: [[label, cycles] for label, cycles in bars]
         for app, bars in result.apps.items()
-    }})
+    }}, params=bench_config.machine.envelope_params)
 
     # Every app ran under every variant and took nonzero time.
     assert set(result.apps) == {"locusroute", "cholesky", "tclosure"}

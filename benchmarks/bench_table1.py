@@ -1,14 +1,13 @@
 """Table 1: serialized network messages for stores (exact reproduction)."""
 
 from repro.harness.report import render_table
-from repro.harness.table1 import TABLE1_EXPECTED, run_table1
+from repro.harness.table1 import TABLE1_CONFIG, TABLE1_EXPECTED, run_table1
 
 from .conftest import SWEEP_OPTS, publish, publish_json
 
 
-def test_table1(benchmark):
-    measured = benchmark.pedantic(run_table1, kwargs=dict(SWEEP_OPTS),
-                                  rounds=1, iterations=1)
+def test_table1():
+    measured = run_table1(**SWEEP_OPTS)
 
     rows = [
         [label, TABLE1_EXPECTED[label], measured[label]]
@@ -26,5 +25,5 @@ def test_table1(benchmark):
         "expected": dict(TABLE1_EXPECTED),
         "measured": measured,
         "match": measured == TABLE1_EXPECTED,
-    })
+    }, params=TABLE1_CONFIG.machine.envelope_params)
     assert measured == TABLE1_EXPECTED

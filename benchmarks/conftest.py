@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures on the
 paper's machine (64 nodes by default), prints it, and writes the rendered
 text to ``benchmarks/results/`` plus a machine-readable ``repro.run/1``
-JSON document next to it (the ``BENCH_*.json`` perf trajectory; see
+JSON document next to it (what the ``BENCH_*.json`` baselines gate; see
 ``docs/observability.md``).  Scale knobs are environment variables so
 CI or laptops can shrink the runs:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import pytest
 
@@ -53,18 +53,14 @@ def publish(name: str, text: str) -> None:
 def publish_json(
     name: str,
     results: Mapping[str, Any],
-    params: Optional[Mapping[str, Any]] = None,
+    params: Mapping[str, Any],
 ) -> None:
     """Persist one benchmark's results as schema-stable JSON.
 
-    Writes ``<JSON_DIR>/<name>.json`` in the ``repro.run/1`` envelope so
-    successive runs form a comparable trajectory.
+    Writes ``<JSON_DIR>/<name>.json`` in the ``repro.run/1`` envelope.
+    ``params`` name the machine that ran (``MachineConfig.envelope_params``)
+    and ``turns`` where the runner reads them.
     """
-    payload = make_run_payload(
-        name,
-        params=dict(params) if params is not None
-        else {"nodes": BENCH_NODES, "turns": BENCH_TURNS},
-        results=results,
-    )
+    payload = make_run_payload(name, params=params, results=results)
     JSON_DIR.mkdir(parents=True, exist_ok=True)
     dump_run(payload, JSON_DIR / f"{name}.json")

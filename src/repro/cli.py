@@ -44,8 +44,8 @@ an experiment instead of regenerating it in full (see
   ranking (queue-wait cycles, invalidation multicasts, failed atomics,
   directory-queue depth).
 
-Host-level self-observability (see :mod:`repro.obs.profile`,
-:mod:`repro.obs.telemetry`, and ``docs/observability.md``):
+Host-level self-observability (see :mod:`repro.obs.profile` and
+``docs/observability.md``):
 
 * ``repro profile <experiment>`` — wall-clock attribution of
   the dispatch loop over a representative run, as a text table, a full
@@ -53,14 +53,15 @@ Host-level self-observability (see :mod:`repro.obs.profile`,
   stacks (``--format collapsed`` / ``--collapsed OUT``);
 * ``--profile`` on any experiment command profiles that run and prints
   the attribution table to stderr (and injects a ``profile`` section
-  into ``--json`` output);
-* ``--telemetry OUT`` streams ``run.progress`` heartbeat records
-  (throughput, queue depth, RSS, GC) as JSONL to ``OUT`` (``-`` =
-  stderr) every ``--telemetry-every`` executed events.
+  into ``--json`` output).
 
-``--profile``/``--telemetry`` are in-process measurements, so they
-force ``--jobs 1`` for that invocation (a pool worker would silently
-escape instrumentation).
+``--profile`` is an in-process measurement, so it forces ``--jobs 1``
+for that invocation (a pool worker would silently escape
+instrumentation).
+
+Counts are checked as they are parsed: a machine size, turn count,
+job count or other count below its minimum exits with status 2 and a
+message naming the option.
 
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
@@ -82,7 +83,6 @@ single self-contained HTML file (inline SVG, no network access; see
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import pathlib
@@ -123,7 +123,6 @@ from .obs.schema import (
     run_payload_to_jsonl,
     validate_run_payload,
 )
-from .obs.telemetry import DEFAULT_EVERY, telemetry_session
 
 __all__ = ["main", "build_parser"]
 
@@ -132,6 +131,20 @@ STATS_FORMATS = ("text", "jsonl")
 PROFILE_FORMATS = ("text", "json", "collapsed")
 TOPOLOGIES = ("mesh", "torus")
 DIRECTORIES = ("full", "limited", "coarse")
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"      # argparse's "invalid int value" message
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
@@ -144,9 +157,9 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
     def default(value):
         return value if top_level else argparse.SUPPRESS
 
-    parser.add_argument("--nodes", type=int, default=default(64),
+    parser.add_argument("--nodes", type=_count(1), default=default(64),
                         help="machine size (default 64, the paper's)")
-    parser.add_argument("--turns", type=int, default=default(6),
+    parser.add_argument("--turns", type=_count(1), default=default(6),
                         help="synthetic-app turns per panel (default 6)")
     parser.add_argument("--topology", choices=TOPOLOGIES,
                         default=default("mesh"),
@@ -158,11 +171,11 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                              "vector, limited-pointer Dir_i_B, or coarse "
                              "region vector (default full; see "
                              "docs/scaling.md)")
-    parser.add_argument("--dir-pointers", type=int, default=default(8),
+    parser.add_argument("--dir-pointers", type=_count(1), default=default(8),
                         metavar="I",
                         help="pointer capacity for --directory limited "
                              "(default 8)")
-    parser.add_argument("--dir-region", type=int, default=default(8),
+    parser.add_argument("--dir-region", type=_count(1), default=default(8),
                         metavar="R",
                         help="nodes per region bit for --directory coarse "
                              "(default 8)")
@@ -170,7 +183,7 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="directory to also write the rendered text to")
     parser.add_argument("--json", type=pathlib.Path, default=default(None),
                         help="write the result as repro.run/1 JSON here")
-    parser.add_argument("--jobs", type=int, default=default(1),
+    parser.add_argument("--jobs", type=_count(1), default=default(1),
                         help="worker processes for sweep points "
                              "(default 1: serial, bit-identical results "
                              "at any setting)")
@@ -183,14 +196,6 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="attribute host time per (component, "
                              "handler); table to stderr, 'profile' "
                              "section in --json (forces --jobs 1)")
-    parser.add_argument("--telemetry", type=pathlib.Path,
-                        default=default(None), metavar="OUT",
-                        help="stream run.progress heartbeat JSONL to "
-                             "OUT ('-' = stderr; forces --jobs 1)")
-    parser.add_argument("--telemetry-every", type=int,
-                        default=default(DEFAULT_EVERY), metavar="N",
-                        help="heartbeat cadence in executed events "
-                             f"(default {DEFAULT_EVERY})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ablation-directory",
         help="sharer-set representations (full/limited/coarse) at scale",
     )
-    abdir.add_argument("--sizes", type=int, action="append", default=None,
-                       metavar="N",
+    abdir.add_argument("--sizes", type=_count(1), action="append",
+                       default=None, metavar="N",
                        help="machine sizes to sweep (repeatable; "
                             "default 64 and 256)")
     _add_common(abdir, top_level=False)
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("experiment",
                        choices=sorted(INSTRUMENTED_EXPERIMENTS),
                        help="experiment to instrument")
-    trace.add_argument("--block", type=int, default=None,
+    trace.add_argument("--block", type=_count(0), default=None,
                        help="only events concerning this block")
     trace.add_argument("--format", choices=TRACE_FORMATS, default="text",
                        dest="fmt", help="export format (default text)")
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("experiment",
                           choices=sorted(INSTRUMENTED_EXPERIMENTS),
                           help="experiment to instrument")
-    critpath.add_argument("--worst", type=int, default=8,
+    critpath.add_argument("--worst", type=_count(0), default=8,
                           help="worst transactions to expand (default 8)")
     _add_common(critpath, top_level=False)
     hotspots = sub.add_parser(
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     hotspots.add_argument("experiment",
                           choices=sorted(INSTRUMENTED_EXPERIMENTS),
                           help="experiment to instrument")
-    hotspots.add_argument("--top", type=int, default=10,
+    hotspots.add_argument("--top", type=_count(0), default=10,
                           help="blocks to list (default 10)")
     _add_common(hotspots, top_level=False)
     chaos = sub.add_parser(
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload", default="faa",
                        choices=sorted(CHAOS_WORKLOADS),
                        help="atomic-counter workload (default faa)")
-    chaos.add_argument("--max-events", type=int,
+    chaos.add_argument("--max-events", type=_count(1),
                        default=DEFAULT_MAX_EVENTS,
                        help="cycle-budget termination watchdog "
                             f"(default {DEFAULT_MAX_EVENTS})")
@@ -340,24 +345,10 @@ def _config(args: argparse.Namespace) -> SimConfig:
     return config
 
 
-def _machine_params(config: SimConfig) -> dict[str, Any]:
-    """Envelope params describing the machine shape.
-
-    One compact key per concern so determinism diffs can strip either
-    with a single ``--ignore params.topology`` / ``params.directory``.
-    """
-    machine = config.machine
-    return {
-        "nodes": machine.n_nodes,
-        "topology": machine.topology,
-        "directory": machine.directory_label,
-    }
-
-
 def _instrumented_params(args: argparse.Namespace, run) -> dict[str, Any]:
     """Envelope params of a representative run: the machine it built,
     and ``turns`` if the representative reads them."""
-    params = _machine_params(run.machine.config)
+    params = run.machine.config.machine.envelope_params
     if args.experiment in READS_TURNS:
         params["turns"] = args.turns
     return params
@@ -395,7 +386,8 @@ def _emit(
         payload = make_run_payload(
             name,
             params=(params if params is not None else
-                    {**_machine_params(_config(args)), "turns": args.turns}),
+                    {**_config(args).machine.envelope_params,
+                     "turns": args.turns}),
             results=results,
             metrics=metrics,
             latency=latency,
@@ -418,7 +410,7 @@ def _cmd_table1(args, out) -> int:
             "expected": dict(TABLE1_EXPECTED),
             "measured": measured,
             "match": measured == TABLE1_EXPECTED,
-        }, params=_machine_params(TABLE1_CONFIG))
+        }, params=TABLE1_CONFIG.machine.envelope_params)
     return 0 if measured == TABLE1_EXPECTED else 1
 
 
@@ -445,7 +437,8 @@ def _cmd_figure2(args, out) -> int:
         ["application", "UNC", "INV", "UPD"], rows,
         title="Section 4.2: average write-run lengths"))
     _emit(args, "figure2", "\n\n".join(sections), out,
-          results={"apps": apps_json}, params=_machine_params(config))
+          results={"apps": apps_json},
+          params=config.machine.envelope_params)
     return 0
 
 
@@ -472,7 +465,7 @@ def _cmd_figure6(args, out) -> int:
           results={"apps": {
               app: [[label, cycles] for label, cycles in bars]
               for app, bars in result.apps.items()
-          }}, params=_machine_params(config))
+          }}, params=config.machine.envelope_params)
     return 0
 
 
@@ -558,11 +551,8 @@ def _cmd_stats(args, out) -> int:
     if args.fmt == "jsonl":
         text = run_payload_to_jsonl(payload)
     else:
-        perf = payload["perf"]
         text = "\n".join([
             f"stats — {args.experiment}: {run.description}",
-            f"perf: {perf['wall_seconds']:.3f}s wall, "
-            f"{perf['events_per_second']:,.0f} events/s",
             "",
             run.machine.registry.render(),
             "",
@@ -746,36 +736,16 @@ def main(argv: Optional[Sequence[str]] = None,
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    want_profile = bool(getattr(args, "profile", False))
-    telemetry_out = getattr(args, "telemetry", None)
-    if not want_profile and telemetry_out is None:
+    if not args.profile:
         return command(args, out)
-    # Profiling and telemetry are in-process sessions: a pool worker
-    # would run the simulation outside them, so observed invocations
-    # are serial.
-    if hasattr(args, "jobs"):
-        args.jobs = 1
-    with contextlib.ExitStack() as stack:
-        prof = None
-        if want_profile:
-            prof = stack.enter_context(profiled())
-        if telemetry_out is not None:
-            if str(telemetry_out) == "-":
-                stack.enter_context(
-                    telemetry_session(every=args.telemetry_every)
-                )
-            else:
-                sink = stack.enter_context(open(telemetry_out, "w"))
-                stack.enter_context(
-                    telemetry_session(every=args.telemetry_every,
-                                      stream=sink)
-                )
+    # Profiling is an in-process session: a pool worker would run the
+    # simulation outside it, so a profiled invocation is serial.
+    args.jobs = 1
+    with profiled() as prof:
         code = command(args, out)
-    if prof is not None:
-        print(prof.render(top_n=12), file=sys.stderr)
-        json_path = getattr(args, "json", None)
-        if json_path is not None:
-            _inject_profile(json_path, prof.snapshot())
+    print(prof.render(top_n=12), file=sys.stderr)
+    if args.json is not None:
+        _inject_profile(args.json, prof.snapshot())
     return code
 
 

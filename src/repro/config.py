@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from .errors import ConfigError
 from .faults.plan import FaultPlan
@@ -195,6 +195,17 @@ class MachineConfig:
         if self.directory == "coarse":
             return f"coarse:{self.dir_region}"
         return self.directory
+
+    @property
+    def envelope_params(self) -> dict[str, Any]:
+        """Envelope ``params`` naming this machine's shape.
+
+        One compact key per concern, so determinism diffs can strip
+        either with a single ``--ignore params.topology`` /
+        ``params.directory``.
+        """
+        return {"nodes": self.n_nodes, "topology": self.topology,
+                "directory": self.directory_label}
 
     def data_flits(self, timing: TimingConfig) -> int:
         """Size of a data-carrying message, in flits.

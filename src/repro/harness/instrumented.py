@@ -21,7 +21,6 @@ tracker, span graphs, and recorded events can be rendered or exported.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -65,15 +64,6 @@ class InstrumentedRun:
     recorder: EventRecorder
     spans: SpanBuilder
     hotspots: HotspotTracker
-    #: Wall-clock seconds the run itself took (machine build + program).
-    wall_seconds: float = 0.0
-
-    @property
-    def events_per_second(self) -> float:
-        """Simulated events executed per wall-clock second."""
-        if not self.wall_seconds:
-            return 0.0
-        return self.machine.sim.events_processed / self.wall_seconds
 
     def critpath(self, worst: int = 8) -> CritPathAggregator:
         """Critical-path attribution over the run's remote transactions."""
@@ -104,10 +94,6 @@ class InstrumentedRun:
             latency=self.machine.stats.latency.snapshot(),
             critpath=self.critpath().snapshot(),
             hotspots=self.hotspots.snapshot(top_n=top_hotspots),
-            perf={
-                "wall_seconds": round(self.wall_seconds, 6),
-                "events_per_second": round(self.events_per_second, 1),
-            },
             profile=profile,
         )
 
@@ -228,8 +214,5 @@ def run_instrumented(
                          SpanBuilder(machine.events),
                          HotspotTracker(machine.events)))
 
-    t0 = time.perf_counter()
     description = runner(config or small_config(n_nodes=4), turns, observe)
-    wall = time.perf_counter() - t0
-    return InstrumentedRun(experiment, description, *captured[-1],
-                           wall_seconds=wall)
+    return InstrumentedRun(experiment, description, *captured[-1])

@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import inspect
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
 from ..config import SimConfig
@@ -164,18 +162,8 @@ def _describe(spec: Any) -> str:
 # Point execution (runs in the parent for jobs=1, in workers otherwise).
 # ----------------------------------------------------------------------
 
-def _accepts_observe(fn: Callable) -> bool:
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return False
-    return "observe" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
-
-def execute_point(point: SweepPoint) -> dict[str, Any]:
-    """Run one point; return its result + host telemetry.
+def execute_point(point: SweepPoint) -> Any:
+    """Run one point; return the runner's result.
 
     This is the unit of work shipped to pool workers, so it must stay a
     module-level function (picklable by reference); a pool worker's
@@ -190,21 +178,7 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
     kwargs = dict(point.kwargs)
     if point.config is not None:
         kwargs["config"] = point.config
-    machines: list[Any] = []
-    if _accepts_observe(fn):
-        kwargs["observe"] = machines.append
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    wall = time.perf_counter() - t0
-    # Per-point host telemetry, forwarded on sweep.point (live per-point
-    # throughput for --progress).
-    events = sum(machine.sim.events_processed for machine in machines)
-    telemetry = {
-        "wall_seconds": round(wall, 6),
-        "events": events,
-        "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,
-    }
-    return {"result": result, "telemetry": telemetry}
+    return fn(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +189,12 @@ def execute_point(point: SweepPoint) -> dict[str, Any]:
 class PointOutcome:
     """One resolved sweep point.
 
-    ``telemetry`` holds the executing worker's host-side measurements
-    (``wall_seconds``, ``events``, ``events_per_second``).  ``error`` is
-    set (and ``result`` is None) for a point that failed in a sweep run
-    with ``quarantine=True``.
+    ``error`` is set (and ``result`` is None) for a point that failed in
+    a sweep run with ``quarantine=True``.
     """
 
     point: SweepPoint
     result: Any
-    telemetry: dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
 
 
@@ -255,24 +226,20 @@ def run_sweep(
     done = 0
     bus.emit("sweep.start", ts=0, total=total, jobs=jobs)
 
-    def resolve(index: int, payload: Optional[dict[str, Any]] = None,
+    def resolve(index: int, result: Any = None,
                 error: Optional[BaseException] = None) -> None:
-        """Record point ``index``'s payload or error and publish it."""
+        """Record point ``index``'s result or error and publish it."""
         nonlocal done
         point = plan[index]
+        extra = {}
         if error is not None:
             message = f"{type(error).__name__}: {error}"
             if not quarantine:
                 raise SimulationError(
                     f"sweep point {point.label!r} failed: {message}"
                 ) from error
-            outcome = PointOutcome(point, None, error=message)
-            extra = {"error": message}
-        else:
-            outcome = PointOutcome(point, payload["result"],
-                                   payload["telemetry"])
-            extra = outcome.telemetry
-        outcomes[index] = outcome
+            extra["error"] = message
+        outcomes[index] = PointOutcome(point, result, **extra)
         done += 1
         bus.emit("sweep.point", ts=done, index=index, total=total,
                  label=point.label, **extra)
@@ -282,11 +249,11 @@ def run_sweep(
     else:
         for index, point in enumerate(plan):
             try:
-                payload = execute_point(point)
+                result = execute_point(point)
             except Exception as exc:
                 resolve(index, error=exc)
             else:
-                resolve(index, payload)
+                resolve(index, result)
     bus.emit("sweep.done", ts=total, total=total)
     return outcomes
 
@@ -294,7 +261,7 @@ def run_sweep(
 def _run_pool(plan: Sequence[SweepPoint], indices: Sequence[int], jobs: int,
               resolve: Callable[..., None]) -> None:
     """Run ``plan[i]`` for each of ``indices`` in a process pool, handing
-    each payload or error to ``resolve`` as it completes.
+    each result or error to ``resolve`` as it completes.
 
     A worker that dies breaks its pool: every point the pool had not
     resolved fails with ``BrokenProcessPool``, and nothing tells which
@@ -312,14 +279,14 @@ def _run_pool(plan: Sequence[SweepPoint], indices: Sequence[int], jobs: int,
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    payload = future.result()
+                    result = future.result()
                 except Exception as exc:
                     if isinstance(exc, BrokenProcessPool) and not last_round:
                         lost.append(index)
                     else:
                         resolve(index, error=exc)
                 else:
-                    resolve(index, payload)
+                    resolve(index, result)
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
@@ -343,18 +310,15 @@ def attach_progress_printer(
 
     .. code-block:: text
 
-        [sweep 3/63] lockfree FAP/INV contention=4 ... (317,204 ev/s)
+        [sweep 3/63] lockfree FAP/INV contention=4 ...
         [sweep] done: 63 points
     """
     out = stream if stream is not None else sys.stderr
 
     def on_event(event) -> None:
         if event.kind == "sweep.point":
-            if event.data.get("error"):
-                suffix = f" (FAILED: {event.data['error']})"
-            else:
-                eps = event.data.get("events_per_second")
-                suffix = f" ({eps:,.0f} ev/s)" if eps else ""
+            error = event.data.get("error")
+            suffix = f" (FAILED: {error})" if error else ""
             print(
                 f"[sweep {event.ts}/{event.data.get('total', '?')}] "
                 f"{event.data.get('label', '')}{suffix}",

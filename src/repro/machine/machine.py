@@ -36,7 +36,6 @@ from ..memory.reservations import make_reservation_table
 from ..network.mesh import WormholeMesh
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
-from ..obs.telemetry import maybe_attach as _maybe_attach_telemetry
 from ..processor.api import Proc
 from ..processor.magic import BarrierManager
 from ..processor.processor import Processor
@@ -113,9 +112,6 @@ class Machine:
             self.nodes[i] = Node(i, None, controller, memory, home)  # type: ignore[arg-type]
         for i in range(n):
             self.nodes[i].processor = Processor(i, self)
-        # Inside a telemetry session (repro.obs.telemetry), stream
-        # run.progress heartbeats from this machine; None otherwise.
-        self.telemetry = _maybe_attach_telemetry(self)
 
     # ------------------------------------------------------------------
     # Address/policy services used by the protocol engines.

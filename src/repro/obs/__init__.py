@@ -13,10 +13,8 @@ Three pillars (see ``docs/observability.md``):
 * :mod:`repro.obs.spans` / :mod:`repro.obs.critpath` /
   :mod:`repro.obs.hotspot` — causal span graphs per transaction,
   run-level critical-path blame, and per-cache-line contention scores;
-* :mod:`repro.obs.profile` / :mod:`repro.obs.telemetry` — host-level
-  self-observability: wall-clock attribution of the event-dispatch
-  loop, and deterministic heartbeat streams with host-resource
-  tracking.
+* :mod:`repro.obs.profile` — host-level self-observability:
+  wall-clock attribution of the event-dispatch loop.
 
 :mod:`repro.obs.schema` defines the stable ``repro.run/1`` JSON envelope
 all ``--json`` output uses.
@@ -33,14 +31,6 @@ from .exporters import (
 from .hotspot import BlockStats, HotspotTracker
 from .latency import CATEGORIES, LatencyStats, LatencyTracker, TxnBreakdown
 from .profile import ComponentProfiler, active_profiler, profiled
-from .telemetry import (
-    Heartbeat,
-    TelemetryWriter,
-    host_sample,
-    maybe_attach,
-    telemetry_line,
-    telemetry_session,
-)
 from .schema import (
     SCHEMA,
     dump_run,
@@ -83,10 +73,4 @@ __all__ = [
     "ComponentProfiler",
     "profiled",
     "active_profiler",
-    "Heartbeat",
-    "TelemetryWriter",
-    "telemetry_session",
-    "telemetry_line",
-    "host_sample",
-    "maybe_attach",
 ]

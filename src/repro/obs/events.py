@@ -24,12 +24,9 @@ kind                        meaning
 ``atomic.start``            a processor operation entered the controller
 ``atomic.complete``         ...and completed (result delivered)
 ``sweep.start``             a parallel sweep began (total points, jobs)
-``sweep.point``             one sweep point ran (its host telemetry,
-                            or its error)
+``sweep.point``             one sweep point resolved (its index and
+                            label, or its error)
 ``sweep.done``              the sweep finished (total points)
-``run.progress``            a telemetry heartbeat: host throughput,
-                            queue depth, RSS, GC counts (see
-                            :mod:`repro.obs.telemetry`)
 ``fault.inject``            one injected fault fired (site, node, and
                             site-specific fields; see
                             :mod:`repro.faults.plan`)
@@ -38,10 +35,6 @@ kind                        meaning
 The ``sweep.*`` kinds are emitted by
 :func:`repro.harness.parallel.run_sweep` on its own bus (not a
 machine's); their ``ts`` is the completion ordinal, not a cycle.
-``run.progress`` is emitted by :class:`repro.obs.telemetry.Heartbeat`
-every N *executed events* — deterministic cadence, host-dependent
-measurements.  It is the one kind whose data fields are not
-reproducible across hosts.
 
 Observability must not perturb the simulation: emission never schedules
 simulator events or sends messages, and every emission site is guarded
@@ -75,7 +68,6 @@ EVENT_KINDS = (
     "sweep.start",
     "sweep.point",
     "sweep.done",
-    "run.progress",
     "fault.inject",
 )
 

@@ -33,8 +33,7 @@ session's profiler.
 
 With no session active no shim is installed and the engine's one
 event loop runs the callbacks directly — the disabled mode costs a few
-``is None`` tests per ``run()`` call and nothing per event, gated (with
-the telemetry hook) at ≤2% wall overhead by
+``is None`` tests per ``run()`` call and nothing per event, checked by
 ``tests/obs/test_profile.py``.
 """
 

@@ -2,7 +2,7 @@
 
 Every ``--json`` emission — CLI subcommands, the benchmark suite, the
 ``stats`` subcommand — wraps its payload in one envelope so downstream
-tooling (perf-trajectory dashboards, ``BENCH_*.json`` history) can parse
+tooling (the ``BENCH_*.json`` baselines, ``repro report``) can parse
 any run without knowing which experiment produced it:
 
 .. code-block:: json
@@ -17,7 +17,6 @@ any run without knowing which experiment produced it:
       "latency": { ... optional breakdown summary ... },
       "critpath": { ... optional critical-path attribution ... },
       "hotspots": { ... optional per-block contention ranking ... },
-      "perf": {"wall_seconds": 0.18, "events_per_second": 1200000.0},
       "profile": { ... optional host-time attribution ... },
       "faults": { ... optional chaos-verification verdicts ... }
     }
@@ -27,8 +26,8 @@ any run without knowing which experiment produced it:
 :meth:`~repro.obs.critpath.CritPathAggregator.snapshot`,
 ``hotspots`` a :meth:`~repro.obs.hotspot.HotspotTracker.snapshot`, and
 ``profile`` a :meth:`~repro.obs.profile.ComponentProfiler.snapshot`
-(wall-clock attribution of the dispatch loop; host-dependent, so — like
-``perf`` — it never appears under ``results``).  ``faults`` is the
+(wall-clock attribution of the dispatch loop; host-dependent, so it
+never appears under ``results``).  ``faults`` is the
 chaos-verification section built by :func:`repro.faults.chaos.run_chaos`
 (fault plan, matrix shape, and one verdict per point — fully
 deterministic, so chaos envelopes are byte-reproducible).
@@ -63,12 +62,12 @@ __all__ = [
 
 SCHEMA = "repro.run/1"
 
-_OPTIONAL_SECTIONS = ("metrics", "latency", "critpath", "hotspots", "perf",
+_OPTIONAL_SECTIONS = ("metrics", "latency", "critpath", "hotspots",
                       "profile", "faults")
 
 #: Sections that describe the host, not the simulation: :func:`diff_runs`
 #: never compares them.  ``critpath`` is simulated, so it is compared.
-HOST_SECTIONS = ("perf", "profile")
+HOST_SECTIONS = ("profile",)
 
 
 def make_run_payload(
@@ -79,16 +78,14 @@ def make_run_payload(
     latency: Mapping[str, Any] | None = None,
     critpath: Mapping[str, Any] | None = None,
     hotspots: Mapping[str, Any] | None = None,
-    perf: Mapping[str, Any] | None = None,
     profile: Mapping[str, Any] | None = None,
     faults: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-stable run document.
 
-    ``perf`` (wall-clock sidecar: ``wall_seconds``,
-    ``events_per_second``) and ``profile`` (per-handler host-time
-    attribution) are deliberately separate from ``results`` so bit-exact
-    baseline diffs (:func:`diff_runs`) never see host-dependent timings.
+    ``profile`` (per-handler host-time attribution) is deliberately
+    separate from ``results`` so bit-exact baseline diffs
+    (:func:`diff_runs`) never see host-dependent timings.
     """
     from .. import __version__
 
@@ -101,8 +98,7 @@ def make_run_payload(
     }
     for key, value in (("metrics", metrics), ("latency", latency),
                        ("critpath", critpath), ("hotspots", hotspots),
-                       ("perf", perf), ("profile", profile),
-                       ("faults", faults)):
+                       ("profile", profile), ("faults", faults)):
         if value is not None:
             payload[key] = dict(value)
     return payload
@@ -238,10 +234,6 @@ def run_payload_to_jsonl(payload: Mapping[str, Any]) -> str:
     critpath = document.get("critpath")
     if critpath is not None:
         lines.append(json.dumps({"record": "critpath", **critpath},
-                                sort_keys=True))
-    perf = document.get("perf")
-    if perf is not None:
-        lines.append(json.dumps({"record": "perf", **perf},
                                 sort_keys=True))
     profile = document.get("profile")
     if profile is not None:

@@ -32,13 +32,12 @@ the simulator.  It stays only because the benchmark's layer tracer
 once the tracer drops it, the engine can too.
 
 One loop, :meth:`Simulator._drain`, executes every event, and
-:meth:`Simulator.run` calls it in chunks.  A chunk ends early only where
-the ``max_events`` livelock check or the next telemetry heartbeat falls
-due; both are handled between chunks.  A host-time profiler
-(:mod:`repro.obs.profile`) never touches the loop either: a simulator
-built while one is attached wraps each callback it schedules in a timing
-shim.  Observed and unobserved runs therefore execute the same events in
-the same order through the same code.
+:meth:`Simulator.run` calls it once, with the ``max_events`` livelock
+check as its event budget.  A host-time profiler
+(:mod:`repro.obs.profile`) never touches the loop: a simulator built
+while one is attached wraps each callback it schedules in a timing shim.
+Profiled and plain runs therefore execute the same events in the same
+order through the same code.
 """
 
 from __future__ import annotations
@@ -72,16 +71,11 @@ class Simulator:
         self._running: bool = False
         self.registry = registry if registry is not None else MetricsRegistry()
         self._events_processed = self.registry.counter("sim.events_processed")
-        # Host-observability hooks, both outside the event loop: a
-        # profiler times callbacks through a shim installed here, and
-        # run() fires the heartbeat between drain chunks.
+        # A host-time profiler stays outside the event loop: it times
+        # callbacks through a shim installed here.
         self._profiler = active_profiler()
         if self._profiler is not None:
             self._time_callbacks(self._profiler.record)
-        self._hb_every: int = 0
-        self._hb_fire: Optional[Callable[[int, int, int], None]] = None
-        # Value of the event counter at which the next beat fires.
-        self._hb_due: int = 0
 
     @property
     def events_processed(self) -> int:
@@ -157,32 +151,6 @@ class Simulator:
         self._pseq = seq - 1
         heappush(self._heap, (self._now + delay, seq, fn, args))
 
-    def set_heartbeat(
-        self, every: int, fire: Callable[[int, int, int], None]
-    ) -> None:
-        """Fire ``fire(now, events_total, queue_depth)`` every ``every``
-        executed events.
-
-        The cadence is counted in *events*, not wall time, so enabling a
-        heartbeat never perturbs event ordering — the callback observes
-        the simulation, it must not schedule into it.  The count
-        persists across :meth:`run` calls, so a machine that runs in
-        many short turns still beats at the configured period.
-        """
-        if every <= 0:
-            raise SimulationError(
-                f"heartbeat interval must be positive (got {every})"
-            )
-        self._hb_every = every
-        self._hb_fire = fire
-        self._hb_due = self._events_processed.value + every
-
-    def clear_heartbeat(self) -> None:
-        """Detach the heartbeat (idempotent)."""
-        self._hb_every = 0
-        self._hb_fire = None
-        self._hb_due = 0
-
     def _time_callbacks(self, record: Callable[[Callable, int], None]) -> None:
         """Wrap every callback this simulator schedules in a timing shim.
 
@@ -221,40 +189,21 @@ class Simulator:
 
         Returns:
             The simulation time when the run stopped.
-
-        Events execute through :meth:`_drain` in chunks that end where
-        the livelock check or the next heartbeat falls due; a beat due
-        on the event that trips the livelock check is not fired.
         """
         counter = self._events_processed
         first = counter.value
-        # Cumulative event counts at which a chunk must end.
-        trip = sys.maxsize if max_events is None else first + max_events + 1
-        fire = self._hb_fire
-        every = self._hb_every
-        due = self._hb_due if fire is not None else sys.maxsize
+        budget = sys.maxsize if max_events is None else max_events + 1
         profiler = self._profiler
         if profiler is not None:
             run_t0 = perf_counter_ns()
         self._running = True
         try:
-            while True:
-                end = due if due < trip else trip
-                budget = end - counter.value
-                if self._drain(until, budget) < budget:
-                    break
-                if end == trip:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely livelock"
-                    )
-                due = end + every
-                fire(self._now, end, len(self._heap) + len(self._fifo))
+            if self._drain(until, budget) == budget:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; likely livelock"
+                )
         finally:
             self._running = False
-            if fire is not None:
-                # Skip a beat the livelock check pre-empted, so the next
-                # run's first chunk is never empty.
-                self._hb_due = due if due > counter.value else due + every
             if profiler is not None:
                 profiler.finish_run(perf_counter_ns() - run_t0,
                                     counter.value - first)
@@ -302,7 +251,7 @@ class Simulator:
                     return executed
         finally:
             self._now = now
-            # Deferred flush: exact at chunk end (and on any exception)
+            # Deferred flush: exact at drain end (and on any exception)
             # without a per-event counter call.
             if executed:
                 self._events_processed.inc(executed)

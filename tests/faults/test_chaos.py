@@ -33,8 +33,8 @@ def test_chaos_envelope_shape_and_golden():
     )
     assert by_level[1.0]["checks"]["golden"] == "ok"
     assert sum(by_level[1.0]["faults"].values()) > 0
-    # No wall-clock data anywhere: the envelope is host-independent.
-    assert "perf" not in payload
+    # No host-time section: the envelope is host-independent.
+    assert "profile" not in payload
 
 
 def test_chaos_envelope_is_byte_reproducible_across_jobs():

@@ -166,8 +166,8 @@ def test_active_after_drain_and_resubscribe():
 def test_mesh_fast_path_sees_midrun_subscribe():
     """The ``bus.active`` guards at the mesh emission sites re-check on
     every message, so a subscriber attached *mid-run* (from a scheduled
-    callback, as the telemetry heartbeat does) sees every later message
-    while the earlier ones ran the zero-cost path."""
+    callback) sees every later message while the earlier ones ran the
+    zero-cost path."""
     def drive(subscribe_at):
         m = make_machine(4)
         got = []

@@ -2,10 +2,9 @@
 
 The observability contract has two sides:
 
-* **Disabled** (no ``profiled()`` session, no heartbeat): the engine
-  must run its event loop unobserved — results bit-identical, no timing
-  shim on the callbacks, one drain chunk per ``run()``, and not one
-  extra bytecode executed.
+* **Disabled** (no ``profiled()`` session): the engine must run its
+  event loop unobserved — results bit-identical, no timing shim on the
+  callbacks, and not one extra bytecode executed.
 * **Enabled**: every executed event attributed to a ``(component,
   handler)`` pair, with ``attributed_ns + dispatch_ns == total_ns``
   exactly and the total reconciling with externally measured wall
@@ -151,9 +150,9 @@ def test_machine_handlers_attributed_to_components():
 # -------------------------------------------------------------- disabled
 
 def test_disabled_run_never_enters_observed_loop(monkeypatch):
-    """With no session and no heartbeat nothing observes the event loop:
-    no timing shim wraps the callbacks and the profiler is never fed —
-    the structural guarantee behind the bytecode count below."""
+    """With no session nothing observes the event loop: no timing shim
+    wraps the callbacks and the profiler is never fed — the structural
+    guarantee behind the bytecode count below."""
     assert active_profiler() is None
 
     def boom(*args):
@@ -168,30 +167,6 @@ def test_disabled_run_never_enters_observed_loop(monkeypatch):
     assert proxies["events"] > 0
 
 
-def test_cleared_heartbeat_restores_fast_loop(monkeypatch):
-    """``clear_heartbeat`` must fully disarm the heartbeat: no beat
-    fires, and ``run()`` drains the queue in a single chunk."""
-    sim = Simulator()
-    beats = []
-    sim.set_heartbeat(1, lambda now, events, depth: beats.append(events))
-    sim.clear_heartbeat()
-    chunks = []
-    drain = Simulator._drain
-
-    def counted(self, until, budget):
-        chunks.append(budget)
-        return drain(self, until, budget)
-
-    monkeypatch.setattr(Simulator, "_drain", counted)
-    done = []
-    for i in range(5):
-        sim.schedule(i, done.append, i)
-    sim.run()
-    assert done == [0, 1, 2, 3, 4]
-    assert beats == []
-    assert len(chunks) == 1
-
-
 def test_disabled_path_adds_no_python_calls():
     """The disabled configuration executes exactly the bytecodes a plain
     run executes: no extra Python call and no extra branch.  The
@@ -204,9 +179,6 @@ def test_disabled_path_adds_no_python_calls():
     assert plain > 0
     with profiled():
         pass
-    sim = Simulator()
-    sim.set_heartbeat(10_000, lambda now, events, depth: None)
-    sim.clear_heartbeat()
     assert python_opcodes(churn) == plain
     # The count sees observation: the same churn inside a session runs
     # the timing shim.

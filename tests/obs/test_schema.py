@@ -26,7 +26,6 @@ def _full_payload():
                   "by_component": {}, "keys": {}, "worst": []},
         hotspots={"window": 256, "blocks_seen": 1,
                   "top": [{"block": 0, "score": 12}]},
-        perf={"wall_seconds": 0.125, "events_per_second": 800000.0},
         profile={"total_ns": 1000, "attributed_ns": 900, "dispatch_ns": 100,
                  "events": 5, "runs": 1,
                  "kinds": {"Process.resume": {"calls": 5, "ns": 900,
@@ -41,7 +40,7 @@ def test_optional_sections_kept_and_validated():
     payload = _full_payload()
     assert set(payload) == {"schema", "experiment", "version", "params",
                             "results", "metrics", "latency", "critpath",
-                            "hotspots", "perf", "profile", "faults"}
+                            "hotspots", "profile", "faults"}
     assert validate_run_payload(payload) is payload
     for key in ("critpath", "hotspots", "profile", "faults"):
         bad = dict(payload)
@@ -56,7 +55,6 @@ def test_all_sections_round_trip_through_json():
     reparsed = validate_run_payload(json.dumps(payload))
     assert reparsed == payload
     assert reparsed["profile"]["kinds"]["Process.resume"]["calls"] == 5
-    assert reparsed["perf"]["wall_seconds"] == 0.125
     assert reparsed["faults"]["verdicts"][0]["faults"] == {
         "faults.net.delay": 3}
 
@@ -76,7 +74,6 @@ def test_jsonl_one_record_per_line_with_discriminator():
     assert kinds.count("latency") == 1
     assert kinds.count("critpath") == 1
     assert kinds.count("hotspot") == 1
-    assert kinds.count("perf") == 1
     assert kinds.count("profile") == 1
     assert kinds.count("faults") == 1
     assert kinds.count("chaos.verdict") == 1
@@ -90,7 +87,6 @@ def test_jsonl_one_record_per_line_with_discriminator():
     assert by_kind["latency"]["p95"] == 11
     assert by_kind["critpath"]["cycles"] == 20
     assert by_kind["hotspot"]["block"] == 0
-    assert by_kind["perf"]["wall_seconds"] == 0.125
     assert by_kind["profile"]["dispatch_ns"] == 100
     assert by_kind["faults"]["passed"] == 1
     assert "verdicts" not in by_kind["faults"]
@@ -109,35 +105,6 @@ def test_jsonl_minimal_payload():
 def test_jsonl_validates_first():
     with pytest.raises(ValueError):
         run_payload_to_jsonl({"schema": "bogus", "results": {}})
-
-
-def test_perf_section_kept_and_flattened():
-    payload = make_run_payload(
-        "demo", params={}, results={},
-        perf={"wall_seconds": 0.125, "events_per_second": 800000.0},
-    )
-    assert payload["perf"]["wall_seconds"] == 0.125
-    validate_run_payload(payload)
-    records = [json.loads(line)
-               for line in run_payload_to_jsonl(payload).splitlines()]
-    perf_records = [r for r in records if r["record"] == "perf"]
-    assert perf_records == [{"record": "perf", "wall_seconds": 0.125,
-                             "events_per_second": 800000.0}]
-
-
-def test_perf_section_absent_when_not_given():
-    payload = make_run_payload("demo", params={}, results={})
-    assert "perf" not in payload
-    records = [json.loads(line)
-               for line in run_payload_to_jsonl(payload).splitlines()]
-    assert not [r for r in records if r["record"] == "perf"]
-
-
-def test_perf_section_must_be_an_object():
-    payload = make_run_payload("demo", params={}, results={})
-    payload["perf"] = 0.5
-    with pytest.raises(ValueError, match="perf"):
-        validate_run_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +166,8 @@ def test_diff_runs_lists_of_different_length():
 
 def test_diff_runs_skips_host_sections_but_not_critpath():
     reference, candidate = _full_payload(), _full_payload()
-    candidate["perf"] = {"wall_seconds": 99.0}
+    candidate["profile"] = {"total_ns": 99}
+    assert _diffs(reference, candidate) == []
     del candidate["profile"]
     assert _diffs(reference, candidate) == []
     candidate["critpath"]["cycles"] = 21

@@ -5,8 +5,7 @@ and from inside callbacks (same-cycle, short and long delays, and
 ``at(now)``).  Every execution must equal a reference model that keeps
 the pending events in a plain list and always runs the one with the
 smallest (time, insertion index), and it must not change when the same
-program runs in ``run(until=now + w)`` windows or under a heartbeat
-that ends a drain chunk every few events.
+program runs in ``run(until=now + w)`` windows.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -64,7 +63,7 @@ def reference_order(program):
     return order
 
 
-def engine_order(program, window=None, beat=None):
+def engine_order(program, window=None):
     """Run ``program`` on a Simulator; return (time, event) as executed."""
     children, cap = program["children"], program["cap"]
     sim = Simulator()
@@ -90,8 +89,6 @@ def engine_order(program, window=None, beat=None):
         else:
             sim.schedule_priority(value, fire, count[0])
         count[0] += 1
-    if beat is not None:
-        sim.set_heartbeat(beat, lambda *_: None)
     if window is None:
         sim.run()
     else:
@@ -113,14 +110,6 @@ def test_execution_order_matches_reference_model(program):
        window=st.sampled_from((1, 2, 3, 5, 255, 256, 257, 1000)))
 def test_windowed_runs_execute_in_the_same_order(program, window):
     assert engine_order(program, window=window) == reference_order(program)
-
-
-@settings(max_examples=100, deadline=None)
-@given(program=program_st)
-def test_heartbeat_chunks_execute_in_the_same_order(program):
-    expected = reference_order(program)
-    assert engine_order(program, beat=3) == expected
-    assert engine_order(program, window=2, beat=3) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+from repro.config import SimConfig
+from repro.harness.table1 import TABLE1_CONFIG
 from repro.obs.schema import load_run
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -23,7 +25,6 @@ def envelope(**overrides):
         "params": {"nodes": 64, "turns": 8, "directory": "full"},
         "results": {"counters": [7, 7], "match": True, "end_time": 4978},
         "metrics": {"net.messages": 1006},
-        "perf": {"wall_seconds": 0.41, "events_per_second": 81000.0},
     }
     doc.update(overrides)
     return doc
@@ -43,20 +44,22 @@ def test_identical_envelopes_pass(tmp_path, capsys):
     assert diff.main(paths) == 0
     assert "2 envelope(s) byte-identical" in capsys.readouterr().out
     # Every committed benchmark baseline is a valid envelope that
-    # passes against itself.
+    # passes against itself and records the machine it ran: Table 1's
+    # own 4-node mesh, or the paper's 64-node one.
+    machines = {"BENCH_table1.json": TABLE1_CONFIG.machine,
+                "BENCH_figure2.json": SimConfig().machine}
     baselines = sorted(BASELINES.glob("BENCH_*.json"))
-    assert len(baselines) >= 2
+    assert [path.name for path in baselines] == sorted(machines)
     for path in baselines:
-        assert load_run(path)["params"]["nodes"] == 64
+        params = load_run(path)["params"]
+        assert params == machines[path.name].envelope_params
         assert diff.main([str(path), str(path)]) == 0
 
 
 def test_host_time_sections_are_always_stripped(tmp_path):
-    a = envelope(perf={"wall_seconds": 0.41})
-    b = envelope(perf={"wall_seconds": 99.0})
+    a = envelope(profile={"total_ns": 123, "dispatch_ns": 45})
+    b = envelope(profile={"total_ns": 999, "dispatch_ns": 1})
     c = envelope()
-    c.pop("perf")
-    c["profile"] = {"total_ns": 123, "dispatch_ns": 45}
     assert diff.main(write_all(tmp_path, a, b, c)) == 0
 
 

@@ -12,8 +12,8 @@ benchmark run::
 
 The first file is the reference; every other file must equal it leaf
 for leaf and type for type (``repro.obs.schema.diff_runs``).  The host
-sections ``perf`` and ``profile`` are never compared, and ``--ignore``
-drops the run-shape parameters that legitimately differ.  A file that
+section ``profile`` is never compared, and ``--ignore`` drops the
+run-shape parameters that legitimately differ.  A file that
 is missing or is not an envelope is an error.  Exit status 0 when all
 match, 1 otherwise.
 """
