@@ -13,28 +13,21 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..network.message import Message
-from ..obs.latency import TxnBreakdown
 
 __all__ = ["Transaction", "Mshr"]
 
 
 @dataclass(slots=True)
-class Transaction(TxnBreakdown):
+class Transaction:
     """One in-flight requester-side transaction.
 
     The fields set when the transaction opens come first, so the
     controller builds it positionally.  It is complete once the reply
     and all expected acks have arrived; the controller's reply and ack
     handlers test that, and keep ``chain`` at the deepest serialized
-    chain any of its messages carried.
-
-    A transaction is its own latency breakdown: it inherits
-    :class:`~repro.obs.latency.TxnBreakdown`'s fields, which the
-    network, the memory module and the controller credit as it flows
-    through them.  Once it completes, nothing it refers to refers back
-    to it (the controller drops ``reply``, whose ``txn`` is this
-    transaction), so reference counting frees it as soon as the MSHR
-    slot and its last message let go.
+    chain any of its messages carried.  No message refers to a
+    transaction, so reference counting frees it once the MSHR slot lets
+    go.
 
     Attributes:
         op: The processor operation being performed.

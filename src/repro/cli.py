@@ -28,7 +28,8 @@ an experiment instead of regenerating it in full (see
 :mod:`repro.harness.instrumented`):
 
 * ``repro stats <experiment>`` — dump the machine's metrics registry and
-  per-primitive latency breakdown (p50/p95/max per category);
+  the critical path per primitive × policy (n, mean, p50/p95/max and
+  dominant hop kind);
   ``--format jsonl`` streams the same envelope as line-delimited JSON
   records for machine consumption;
 * ``repro trace <experiment> --block N --format {text,jsonl,chrome}`` —
@@ -66,7 +67,7 @@ message naming the option.
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
 through the parallel sweep engine and gates every point on the
-``repro.verify`` checkers, a cycle-budget termination watchdog, metric
+``repro.verify`` checkers, an event-budget termination watchdog, metric
 conservation, and final-value agreement with the fault-free golden.
 Verdicts land in the envelope's ``faults`` section; the envelope
 carries no host-dependent data, so ``repro chaos --seed S`` is
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(abdir, top_level=False)
     stats = sub.add_parser(
         "stats",
-        help="metrics registry + latency breakdown of a representative run",
+        help="metrics registry + per-key critical path of a representative "
+             "run",
     )
     stats.add_argument("experiment",
                        choices=sorted(INSTRUMENTED_EXPERIMENTS),
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="atomic-counter workload (default faa)")
     chaos.add_argument("--max-events", type=_count(1),
                        default=DEFAULT_MAX_EVENTS,
-                       help="cycle-budget termination watchdog "
+                       help="event-budget termination watchdog: most "
+                            "simulated events a run may execute "
                             f"(default {DEFAULT_MAX_EVENTS})")
     _add_common(chaos, top_level=False)
     profile = sub.add_parser(
@@ -327,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--title", default=None,
                         help="report title (default derives from the "
                              "experiment name)")
-    _add_common(report, top_level=False)
     return parser
 
 
@@ -372,8 +374,6 @@ def _emit(
     text: str,
     out: Callable[[str], None],
     results: Optional[dict[str, Any]] = None,
-    metrics: Optional[dict[str, Any]] = None,
-    latency: Optional[dict[str, Any]] = None,
     critpath: Optional[dict[str, Any]] = None,
     hotspots: Optional[dict[str, Any]] = None,
     params: Optional[dict[str, Any]] = None,
@@ -389,8 +389,6 @@ def _emit(
                     {**_config(args).machine.envelope_params,
                      "turns": args.turns}),
             results=results,
-            metrics=metrics,
-            latency=latency,
             critpath=critpath,
             hotspots=hotspots,
         )
@@ -556,7 +554,7 @@ def _cmd_stats(args, out) -> int:
             "",
             run.machine.registry.render(),
             "",
-            run.machine.stats.latency.render(),
+            "critical path (cycles) " + run.critpath().render_keys(),
         ])
     out(text)
     if args.out is not None:

@@ -552,7 +552,6 @@ class CacheController:
                 f"cannot start block {block}")
         txn = mshr.current = Transaction(op, block, callback, txn_kind, mtype,
                                          payload)
-        txn.start = txn.cursor = self.sim._now
         self._issue(txn)
 
     def _issue(self, txn: Transaction) -> None:
@@ -565,20 +564,20 @@ class CacheController:
             chain += 1
             txn.chain = chain
         self.mesh.send(Message(txn.request_mtype, node, home, _HOME, block,
-                               txn, chain, node, txn.request_payload))
+                               chain, node, txn.request_payload))
 
     def _send_unsolicited(self, mtype: MessageType, block: int, **payload) -> None:
         node = self.node
         self.mesh.send(Message(mtype, node, block % self._n_nodes, _HOME,
-                               block, None, 0, node, payload))
+                               block, 0, node, payload))
 
     def _reply_to(
         self, msg: Message, mtype: MessageType, dst: int, unit: Unit, **payload
     ) -> None:
         node = self.node
         chain = msg.chain + (1 if dst != node else 0)
-        self.mesh.send(Message(mtype, node, dst, unit, msg.block, msg.txn,
-                               chain, msg.requester, payload))
+        self.mesh.send(Message(mtype, node, dst, unit, msg.block, chain,
+                               msg.requester, payload))
 
     # ==================================================================
     # Network handler.
@@ -758,9 +757,6 @@ class CacheController:
             raise ProtocolError(f"unknown transaction kind {kind!r}")
         reply = txn.reply
         result = complete(self, txn, reply, reply.payload.get("data"))
-        # The reply's ``txn`` is this transaction: let go of it, so the
-        # pair is freed by reference counting, not the cyclic collector.
-        txn.reply = None
         mshr = self.mshr
         mshr.current = None
         chain = txn.chain
@@ -771,18 +767,11 @@ class CacheController:
             # Serve remote requests that arrived while we were in flight.
             for deferred in mshr.take_deferred(block):
                 self._on_recall(deferred)
-        done = self.sim._now + self._t_occ
-        policy = self._policies.get(block, _INV)
-        # TxnBreakdown.credit("controller", done), inlined.
-        cursor = txn.cursor
-        if done > cursor:
-            txn.controller += done - cursor
-            txn.cursor = done
-        self.machine.stats.latency.note(kind, policy, txn)
         if self.events.active:
-            self.events.emit("atomic.complete", done, node=self.node,
-                             block=block, op=kind, chain=chain, local=False,
-                             policy=policy.value)
+            self.events.emit("atomic.complete", self.sim._now + self._t_occ,
+                             node=self.node, block=block, op=kind, chain=chain,
+                             local=False,
+                             policy=self._policies.get(block, _INV).value)
         self.sim.schedule(self._t_occ, txn.callback, result)
 
     def _complete_load(

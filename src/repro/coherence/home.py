@@ -122,13 +122,12 @@ class HomeNode:
         self._service(
             self._process, msg,
             service_time=self._t_directory if mtype is _DROP else None,
-            txn=msg.txn, block=msg.block, mtype=mtype,
-            requester=msg.requester)
+            block=msg.block, mtype=mtype, requester=msg.requester)
 
     def _replay_nak(self, msg: Message) -> None:
         """Re-queue a busy-NAK'd request at the memory module."""
-        self._service(self._process, msg, txn=msg.txn, block=msg.block,
-                      mtype=msg.mtype, requester=msg.requester)
+        self._service(self._process, msg, block=msg.block, mtype=msg.mtype,
+                      requester=msg.requester)
 
     def _account_fanout(self, entry: Any, others: list, requester: int) -> None:
         """Count fan-out beyond the exact sharers (imprecise directories).
@@ -196,8 +195,8 @@ class HomeNode:
         """
         node = self.node
         chain = prev.chain + (1 if dst != node else 0)
-        self.mesh.send(Message(mtype, node, dst, unit, prev.block, prev.txn,
-                               chain, prev.requester, payload))
+        self.mesh.send(Message(mtype, node, dst, unit, prev.block, chain,
+                               prev.requester, payload))
 
     def _multicast(self, prev: Message, mtype: MessageType, targets: list[int],
                    payload: dict[str, Any]) -> None:
@@ -208,10 +207,10 @@ class HomeNode:
         """
         node = self.node
         send = self.mesh.send
-        block, txn, requester = prev.block, prev.txn, prev.requester
+        block, requester = prev.block, prev.requester
         chain = prev.chain
         for dst in targets:
-            send(Message(mtype, node, dst, _CACHE, block, txn,
+            send(Message(mtype, node, dst, _CACHE, block,
                          chain + 1 if dst != node else chain, requester,
                          payload))
 
@@ -235,9 +234,8 @@ class HomeNode:
                     bus.emit("dir.queue.leave", self.machine.sim.now,
                              node=self.node, block=msg.block,
                              mtype=msg.mtype.value, requester=msg.requester)
-                self._service(self._process, msg, txn=msg.txn,
-                              block=msg.block, mtype=msg.mtype,
-                              requester=msg.requester)
+                self._service(self._process, msg, block=msg.block,
+                              mtype=msg.mtype, requester=msg.requester)
 
     def _note(self, msg: Message, is_write: bool) -> None:
         """Record a memory-side access for sharing-pattern statistics."""

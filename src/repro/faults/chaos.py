@@ -8,8 +8,9 @@ supposed to tolerate?  Each chaos point builds a machine with a seeded
 event per increment via :class:`repro.verify.history.History`), and
 gates the run on four independent checks:
 
-* **termination** under a cycle-budget watchdog (``max_events`` on the
-  simulator — a livelocked protocol trips it, as does a deadlock);
+* **termination** under an event-budget watchdog (``max_events`` on
+  the simulator bounds the events a run executes — a livelocked
+  protocol trips it, as does a deadlock);
 * the **history checker**
   (:func:`repro.verify.checkers.check_counter_history`): every
   increment's pre-value chains exactly once from 0 to the total — no
@@ -49,9 +50,12 @@ __all__ = [
     "render_chaos",
 ]
 
-#: Cycle-budget watchdog: generous for the small chaos machines (a
-#: clean 8-node x 8-turn run needs a few thousand events), tight enough
-#: that a livelock fails in well under a second.
+#: Event-budget watchdog, the most simulated events one chaos run may
+#: execute: generous for the small chaos machines (a clean 8-node x
+#: 8-turn run needs a few thousand events), tight enough that a
+#: livelock fails within seconds (a 4-node LL/SC counter whose every SC
+#: fails spuriously trips it after about 13 s on a 2-core Xeon VM,
+#: Python 3.11.7).
 DEFAULT_MAX_EVENTS = 2_000_000
 
 DEFAULT_POLICIES = ("INV", "UPD", "UNC")

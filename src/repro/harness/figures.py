@@ -72,16 +72,13 @@ def no_contention_panels(turns: int = 32) -> list[SyntheticSpec]:
 
 
 def contention_panels(n_nodes: int, turns: int = 32) -> list[SyntheticSpec]:
-    """The right-hand panels: varying contention (clipped to the machine)."""
-    seen = set()
-    specs = []
-    for c in _CONTENTIONS:
-        c = min(c, n_nodes)
-        if c in seen:
-            continue
-        seen.add(c)
-        specs.append(SyntheticSpec(contention=c, turns=turns))
-    return specs
+    """The right-hand panels: varying contention, clipped to the machine.
+
+    A level clipped to 1 is left out: it would repeat the c=1 a=1 panel
+    of :func:`no_contention_panels`.
+    """
+    levels = sorted({min(c, n_nodes) for c in _CONTENTIONS} - {1})
+    return [SyntheticSpec(contention=c, turns=turns) for c in levels]
 
 
 def _panel_label(spec: SyntheticSpec) -> str:

@@ -505,19 +505,10 @@ def _waterfall(txn: Mapping[str, Any]) -> str:
 def _panel_waterfalls(payload: Mapping[str, Any]) -> str:
     critpath = payload.get("critpath")
     if not isinstance(critpath, dict):
-        latency = payload.get("latency")
-        fallback = ""
-        if isinstance(latency, dict) and latency:
-            rows = [[key, s.get("count", 0), round(s.get("mean", 0.0), 1),
-                     s.get("p50", 0), s.get("p95", 0), s.get("max", 0)]
-                    for key, s in sorted(latency.items())]
-            fallback = ("<h3>latency summary (no span data)</h3>"
-                        + _table(["primitive/policy", "n", "mean", "p50",
-                                  "p95", "max"], rows))
         return ('<p class="empty">This envelope carries no critical-path '
                 "data (instrumented runs — <code>repro stats</code>, "
                 "<code>repro critpath</code> — emit it under the "
-                "<code>critpath</code> key).</p>" + fallback)
+                "<code>critpath</code> key).</p>")
 
     total = critpath.get("cycles", 0)
     by_kind = critpath.get("by_kind", {})

@@ -7,8 +7,8 @@ observability stack attached — an
 :class:`~repro.obs.events.EventRecorder`, a
 :class:`~repro.obs.spans.SpanBuilder` (causal span graphs per
 transaction), and a :class:`~repro.obs.hotspot.HotspotTracker` (per-line
-contention) — and hand back the live machine, so its registry, latency
-tracker, span graphs, and recorded events can be rendered or exported.
+contention) — and hand back the live machine, so its registry, span
+graphs, and recorded events can be rendered or exported.
 
 .. code-block:: python
 
@@ -75,11 +75,11 @@ class InstrumentedRun:
                 profile: Optional[dict[str, Any]] = None) -> dict[str, Any]:
         """The run as a full ``repro.run/1`` envelope.
 
-        Includes every optional section: registry ``metrics``, the
-        ``latency`` breakdown, ``critpath`` attribution, the
-        ``hotspots`` ranking, and — when the run executed under
-        :func:`repro.obs.profile.profiled` — the host-time ``profile``
-        snapshot; the input ``repro report`` renders.
+        Includes every optional section: registry ``metrics``,
+        ``critpath`` attribution, the ``hotspots`` ranking, and — when
+        the run executed under :func:`repro.obs.profile.profiled` — the
+        host-time ``profile`` snapshot; the input ``repro report``
+        renders.
         """
         return make_run_payload(
             f"instrumented-{self.experiment}",
@@ -91,7 +91,6 @@ class InstrumentedRun:
                 "transactions": len(self.spans.completed),
             },
             metrics=self.machine.registry.snapshot(),
-            latency=self.machine.stats.latency.snapshot(),
             critpath=self.critpath().snapshot(),
             hotspots=self.hotspots.snapshot(top_n=top_hotspots),
             profile=profile,
@@ -191,10 +190,9 @@ def run_instrumented(
 ) -> InstrumentedRun:
     """Run one representative configuration of ``experiment``, recorded.
 
-    Returns the live machine (registry and latency tracker populated)
-    plus the attached instruments: the recorder (all event kinds,
-    optionally block-filtered), the span builder, and the hotspot
-    tracker.
+    Returns the live machine (registry populated) plus the attached
+    instruments: the recorder (all event kinds, optionally
+    block-filtered), the span builder, and the hotspot tracker.
     """
     try:
         runner = INSTRUMENTED_EXPERIMENTS[experiment]

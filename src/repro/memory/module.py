@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..config import SimConfig
-from ..network.message import MessageType
+from ..network.message import UNSOLICITED, MessageType
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
@@ -132,7 +132,6 @@ class MemoryModule:
         fn: Callable[..., None],
         *args: Any,
         service_time: int | None = None,
-        txn: Any = None,
         block: int | None = None,
         mtype: MessageType | None = None,
         requester: int | None = None,
@@ -141,12 +140,9 @@ class MemoryModule:
 
         Models the FIFO memory queue: the request waits until the module is
         free, then occupies it for ``memory_service`` cycles (or
-        ``service_time``, for directory-only work).  When the request
-        belongs to a requester transaction, pass its
-        :class:`~repro.cache.mshr.Transaction` as ``txn`` so the queue
-        wait and service occupancy are attributed in its latency
-        breakdown.  ``block``/``mtype``/``requester`` only describe the
-        request on the ``mem.service`` event stream (when anyone listens).
+        ``service_time``, for directory-only work).
+        ``block``/``mtype``/``requester`` only describe the request on the
+        ``mem.service`` event stream (when anyone listens).
         """
         sim = self.sim
         now = sim._now
@@ -163,23 +159,13 @@ class MemoryModule:
         # Histogram.observe without the call: start >= now.
         samples = self._wait_samples
         samples[wait] = samples.get(wait, 0) + 1
-        if txn is not None:
-            # TxnBreakdown.credit("queue", start), then ("memory", end),
-            # inlined.
-            cursor = txn.cursor
-            if start > cursor:
-                txn.queue += start - cursor
-                cursor = start
-            if end > cursor:
-                txn.memory += end - cursor
-                cursor = end
-            txn.cursor = cursor
         events = self.events
         if events is not None and events.active:
             events.emit(
                 "mem.service", end, node=self.node,
                 arrival=now, start=start, block=block,
                 mtype=mtype.value if mtype is not None else None,
-                requester=requester, has_txn=txn is not None,
+                requester=requester,
+                has_txn=mtype is not None and mtype not in UNSOLICITED,
             )
         sim.schedule(end - now, fn, *args)

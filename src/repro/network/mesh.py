@@ -32,7 +32,7 @@ from ..errors import SimulationError
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
-from .message import Message, MessageType, Unit
+from .message import UNSOLICITED, Message, MessageType, Unit
 from .topology import make_topology
 
 __all__ = ["WormholeMesh", "NetworkStats"]
@@ -157,7 +157,7 @@ class WormholeMesh:
                 chain=msg.chain,
                 requester=msg.requester,
                 msg_id=msg.msg_id,
-                has_txn=msg.txn is not None,
+                has_txn=msg.mtype not in UNSOLICITED,
             )
             bus.emit("msg.send", sent, node=msg.src, delivered=delivered,
                      **fields)
@@ -239,13 +239,6 @@ class WormholeMesh:
             )
         type_counter.value += 1
 
-        txn = msg.txn
-        if txn is not None:
-            # TxnBreakdown.credit("network", done), inlined.
-            cursor = txn.cursor
-            if done > cursor:
-                txn.network += done - cursor
-                txn.cursor = done
         if self.events.active:
             self._observe(msg, now, done)
         sim.schedule(done - now, handler, msg)

@@ -28,7 +28,7 @@ import enum
 import itertools
 from typing import Any, Optional
 
-__all__ = ["MessageType", "Unit", "Message"]
+__all__ = ["MessageType", "Unit", "Message", "UNSOLICITED"]
 
 _msg_ids = itertools.count()
 
@@ -108,6 +108,10 @@ _DATA_MESSAGES = frozenset(
     }
 )
 
+#: The unsolicited cache -> home traffic, which no transaction waits on;
+#: every other message belongs to its requester's transaction.
+UNSOLICITED = frozenset({MessageType.WB, MessageType.DROP})
+
 
 class Message:
     """One protocol message in flight.
@@ -118,12 +122,6 @@ class Message:
         dst: Receiving node id.
         unit: Which unit at ``dst`` handles the message.
         block: Block number the message concerns.
-        txn: The requester's :class:`~repro.cache.mshr.Transaction`, or
-            None for traffic no transaction waits on; carried so acks
-            complete the right transaction and each hop credits its
-            cycles to the transaction's latency breakdown.  A reply
-            parked in ``txn.reply`` is dropped when the transaction
-            completes, so the two never form a reference cycle.
         chain: Serialized-message count including this message.
         requester: Node id of the transaction's originator.
         payload: Message-specific fields (operation descriptors, data
@@ -131,7 +129,7 @@ class Message:
             messages of one multicast share one payload dict.
     """
 
-    __slots__ = ("mtype", "src", "dst", "unit", "block", "txn", "chain",
+    __slots__ = ("mtype", "src", "dst", "unit", "block", "chain",
                  "requester", "payload", "msg_id")
 
     def __init__(
@@ -141,7 +139,6 @@ class Message:
         dst: int,
         unit: Unit,
         block: int,
-        txn: Any = None,
         chain: int = 1,
         requester: int = -1,
         payload: Optional[dict[str, Any]] = None,
@@ -152,7 +149,6 @@ class Message:
         self.dst = dst
         self.unit = unit
         self.block = block
-        self.txn = txn
         self.chain = chain
         self.requester = requester
         self.payload = {} if payload is None else payload

@@ -7,12 +7,11 @@ Three pillars (see ``docs/observability.md``):
 * :mod:`repro.obs.events` / :mod:`repro.obs.exporters` — the structured
   event bus (``machine.events``) with text / JSONL / Chrome-trace
   exporters;
-* :mod:`repro.obs.latency` — per-transaction cycle attribution
-  (network / queue / memory / controller), aggregated per
-  primitive × policy;
 * :mod:`repro.obs.spans` / :mod:`repro.obs.critpath` /
-  :mod:`repro.obs.hotspot` — causal span graphs per transaction,
-  run-level critical-path blame, and per-cache-line contention scores;
+  :mod:`repro.obs.hotspot` — causal span graphs per transaction, whose
+  critical paths are the per-transaction latency breakdown (aggregated
+  per primitive × policy and blamed by hop kind and component), and
+  per-cache-line contention scores;
 * :mod:`repro.obs.profile` — host-level self-observability:
   wall-clock attribution of the event-dispatch loop.
 
@@ -29,7 +28,6 @@ from .exporters import (
     to_jsonl,
 )
 from .hotspot import BlockStats, HotspotTracker
-from .latency import CATEGORIES, LatencyStats, LatencyTracker, TxnBreakdown
 from .profile import ComponentProfiler, active_profiler, profiled
 from .schema import (
     SCHEMA,
@@ -53,10 +51,6 @@ __all__ = [
     "to_jsonl",
     "to_chrome_trace",
     "export_events",
-    "TxnBreakdown",
-    "LatencyTracker",
-    "LatencyStats",
-    "CATEGORIES",
     "SCHEMA",
     "make_run_payload",
     "validate_run_payload",

@@ -9,7 +9,9 @@ answer to "where did the cycles go?":
 * **blame by component** — which node's memory module, which mesh link,
   which directory actually carried the path;
 * **composition per primitive × policy** — count, mean, p50/p95/max of
-  end-to-end cycles, plus the kind blame restricted to that key;
+  end-to-end cycles, plus the kind blame restricted to that key (the
+  run's per-transaction latency breakdown; ``repro stats`` prints its
+  table);
 * **worst transactions** — the N largest end-to-end latencies with their
   full critical paths, feeding the HTML report's waterfall panel.
 
@@ -21,10 +23,17 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from .latency import _percentile
 from .spans import SPAN_KINDS, TxnSpanGraph
 
 __all__ = ["CritPathAggregator"]
+
+
+def _percentile(sorted_values: list[int], p: float) -> int:
+    """Nearest-rank percentile of a pre-sorted list."""
+    if not sorted_values:
+        return 0
+    rank = max(1, int(round(p / 100.0 * len(sorted_values))))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class _KeyAgg:
@@ -163,17 +172,7 @@ class CritPathAggregator:
             lines.append(f"  {component:12s} {cycles:8d} {pct:5.1f}%")
 
         lines.append("")
-        lines.append("per primitive/policy:  n  mean  p50  p95  max  "
-                     "dominant")
-        for (op, policy), bucket in sorted(self._keys.items()):
-            snap = bucket.snapshot()
-            dominant = max(snap["by_kind"], key=snap["by_kind"].get,
-                           default="-") if snap["by_kind"] else "-"
-            lines.append(
-                f"  {op + '/' + policy:22s} {snap['count']:4d} "
-                f"{snap['mean']:7.1f} {snap['p50']:5d} {snap['p95']:5d} "
-                f"{snap['max']:5d}  {dominant}"
-            )
+        lines.append(self.render_keys())
 
         lines.append("")
         lines.append("worst transactions:")
@@ -191,4 +190,20 @@ class CritPathAggregator:
                     f"{span.component:12s} {step.cycles:5d}{gap} "
                     f"{span.detail}"
                 )
+        return "\n".join(lines)
+
+    def render_keys(self) -> str:
+        """The per-(primitive, policy) table of :meth:`render`: n, mean,
+        p50, p95 and max end-to-end cycles, and the hop kind with the
+        most of the key's critical-path cycles."""
+        lines = ["per primitive/policy:  n  mean  p50  p95  max  dominant"]
+        for (op, policy), bucket in sorted(self._keys.items()):
+            snap = bucket.snapshot()
+            dominant = max(snap["by_kind"], key=snap["by_kind"].get,
+                           default="-")
+            lines.append(
+                f"  {op + '/' + policy:22s} {snap['count']:4d} "
+                f"{snap['mean']:7.1f} {snap['p50']:5d} {snap['p95']:5d} "
+                f"{snap['max']:5d}  {dominant}"
+            )
         return "\n".join(lines)

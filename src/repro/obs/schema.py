@@ -14,7 +14,6 @@ any run without knowing which experiment produced it:
       "params": {"nodes": 64, "turns": 6},
       "results": { ... experiment-specific ... },
       "metrics": { ... optional registry snapshot ... },
-      "latency": { ... optional breakdown summary ... },
       "critpath": { ... optional critical-path attribution ... },
       "hotspots": { ... optional per-block contention ranking ... },
       "profile": { ... optional host-time attribution ... },
@@ -33,7 +32,9 @@ chaos-verification section built by :func:`repro.faults.chaos.run_chaos`
 deterministic, so chaos envelopes are byte-reproducible).
 The envelope is validated (no external dependency) by
 :func:`validate_run_payload`; bump :data:`SCHEMA` if the envelope ever
-changes shape (adding optional keys is backward-compatible).
+changes shape (adding optional keys is backward-compatible, and
+unknown keys are ignored, so older envelopes that carry the retired
+``latency`` section still load).
 :func:`load_run` reads and validates one from disk, and
 :func:`diff_runs` compares two leaf by leaf, minus the host sections;
 the envelope gate ``tools/diff_envelopes.py`` is built on the pair.
@@ -62,8 +63,8 @@ __all__ = [
 
 SCHEMA = "repro.run/1"
 
-_OPTIONAL_SECTIONS = ("metrics", "latency", "critpath", "hotspots",
-                      "profile", "faults")
+_OPTIONAL_SECTIONS = ("metrics", "critpath", "hotspots", "profile",
+                      "faults")
 
 #: Sections that describe the host, not the simulation: :func:`diff_runs`
 #: never compares them.  ``critpath`` is simulated, so it is compared.
@@ -75,7 +76,6 @@ def make_run_payload(
     params: Mapping[str, Any],
     results: Mapping[str, Any],
     metrics: Mapping[str, Any] | None = None,
-    latency: Mapping[str, Any] | None = None,
     critpath: Mapping[str, Any] | None = None,
     hotspots: Mapping[str, Any] | None = None,
     profile: Mapping[str, Any] | None = None,
@@ -96,9 +96,9 @@ def make_run_payload(
         "params": dict(params),
         "results": dict(results),
     }
-    for key, value in (("metrics", metrics), ("latency", latency),
-                       ("critpath", critpath), ("hotspots", hotspots),
-                       ("profile", profile), ("faults", faults)):
+    for key, value in (("metrics", metrics), ("critpath", critpath),
+                       ("hotspots", hotspots), ("profile", profile),
+                       ("faults", faults)):
         if value is not None:
             payload[key] = dict(value)
     return payload
@@ -199,17 +199,16 @@ def run_payload_to_jsonl(payload: Mapping[str, Any]) -> str:
     """Flatten one run envelope into line-delimited JSON records.
 
     The stream opens with a ``run`` header (schema, experiment, version,
-    params), then one record per metric / latency key / critpath key /
-    hotspot block, and closes with the experiment ``results``.  Each
-    line is a self-describing object with a ``record`` discriminator, so
-    consumers can ``grep``/``jq`` one record type without parsing the
-    whole envelope:
+    params), then one record per metric, one ``critpath`` record, one
+    record per hotspot block, and closes with the experiment
+    ``results``.  Each line is a self-describing object with a
+    ``record`` discriminator, so consumers can ``grep``/``jq`` one record
+    type without parsing the whole envelope:
 
     .. code-block:: text
 
         {"record": "run", "schema": "repro.run/1", ...}
         {"record": "metric", "name": "net.messages", "value": 42}
-        {"record": "latency", "key": "faa/INV", "count": 10, ...}
         {"record": "critpath", ...}
         {"record": "hotspot", "block": 7, "score": 1200, ...}
         {"record": "results", "results": { ... }}
@@ -226,11 +225,6 @@ def run_payload_to_jsonl(payload: Mapping[str, Any]) -> str:
             {"record": "metric", "name": name, "value": value},
             sort_keys=True,
         ))
-    for key, summary in sorted(document.get("latency", {}).items()):
-        row = {"record": "latency", "key": key}
-        row.update(summary if isinstance(summary, dict)
-                   else {"value": summary})
-        lines.append(json.dumps(row, sort_keys=True))
     critpath = document.get("critpath")
     if critpath is not None:
         lines.append(json.dumps({"record": "critpath", **critpath},

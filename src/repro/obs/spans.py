@@ -28,17 +28,16 @@ waits and reservation kills name the transaction responsible).
 **Critical path.**  ``TxnSpanGraph.critical_path()`` extracts the chain
 of spans that advanced the transaction's completion frontier: spans are
 scanned in end-time order and a span joins the path when it finishes
-past every span seen before it, absorbing any unclaimed idle gap (the
-same folding rule :class:`~repro.obs.latency.TxnBreakdown` uses).
+past every span seen before it, absorbing any unclaimed idle gap.
 Because the final controller span ends exactly at ``atomic.complete``,
 the path's cycles sum to the transaction's end-to-end latency
-**cycle-for-cycle** — the invariant the test suite asserts against
-:class:`~repro.obs.latency.LatencyTracker`.
+**cycle-for-cycle**, so the path is the transaction's latency
+breakdown; :mod:`repro.obs.critpath` aggregates it per primitive ×
+policy.
 
-The builder never mutates machine state and, when constructed with
-``enabled=False`` (or after :meth:`SpanBuilder.disable`), it is not
-subscribed at all, so an un-observed machine keeps its zero-event
-guarantee.
+The builder never mutates machine state, and after
+:meth:`SpanBuilder.detach` it is not subscribed at all, so a machine
+with no other subscriber is back on its zero-event path.
 """
 
 from __future__ import annotations
@@ -186,19 +185,17 @@ class TxnSpanGraph:
         can leave trailing traffic in flight — e.g. a delegated INVd CAS
         failure answers the requester directly while its FLUSH_NAK is
         still travelling home — and that flight is part of the
-        transaction's latency as :class:`~repro.obs.latency.TxnBreakdown`
-        accounts it.
+        transaction's latency.
         """
         return max(self.end,
                    max((s.t1 for s in self.spans), default=self.start))
 
     @property
     def duration(self) -> int:
-        """End-to-end cycles, matching ``LatencyTracker`` exactly.
+        """End-to-end cycles: start to quiescence (0 while still open).
 
-        Runs start to quiescence — the quantity the latency breakdown
-        records (0 while still open).  :attr:`response_cycles` is the
-        (usually equal) start-to-result-delivery time.
+        :attr:`response_cycles` is the (usually equal)
+        start-to-result-delivery time.
         """
         return max(0, self.quiesce - self.start)
 
@@ -305,12 +302,7 @@ class SpanBuilder:
             print(graph.critical_path())
     """
 
-    def __init__(
-        self,
-        bus: EventBus,
-        limit: int = 100_000,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, bus: EventBus, limit: int = 100_000) -> None:
         self.bus = bus
         self.limit = limit
         self.completed: list[TxnSpanGraph] = []
@@ -321,30 +313,14 @@ class SpanBuilder:
         self._dirwaits: dict[tuple, tuple[int, Optional[int]]] = {}
         self._pending_kills: dict[int, list[dict[str, Any]]] = {}
         self._next_id = 0
-        self._token: Optional[int] = None
-        if enabled:
-            self.enable()
+        self._token: Optional[int] = bus.subscribe(self._on_event,
+                                                   kinds=_SPAN_EVENT_KINDS)
 
-    # -- subscription management ---------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """True while subscribed to the bus."""
-        return self._token is not None
-
-    def enable(self) -> None:
-        """(Re)subscribe; a disabled builder costs the bus nothing."""
-        if self._token is None:
-            self._token = self.bus.subscribe(self._on_event,
-                                             kinds=_SPAN_EVENT_KINDS)
-
-    def disable(self) -> None:
-        """Unsubscribe (idempotent); the bus pays zero cost afterwards."""
+    def detach(self) -> None:
+        """Stop building (idempotent); the bus pays nothing afterwards."""
         if self._token is not None:
             self.bus.unsubscribe(self._token)
             self._token = None
-
-    detach = disable
 
     # -- event plumbing -------------------------------------------------
 

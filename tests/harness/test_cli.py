@@ -210,9 +210,11 @@ def test_stats_subcommand(tmp_path):
                           "figure3", "--json", str(out)])
     assert code == 0
     assert "net.messages" in text
-    assert "latency breakdown" in text
+    assert "critical path (cycles) per primitive/policy" in text
+    assert re.search(r"^  faa/INV +\d+ ", text, re.MULTILINE)
     payload = validate_run_payload(out.read_text())
-    assert "metrics" in payload and "latency" in payload
+    assert "metrics" in payload and "critpath" in payload
+    assert "latency" not in payload
     assert payload["metrics"]["net.messages"] > 0
 
 
@@ -293,7 +295,7 @@ def test_stats_jsonl_format():
     records = [json.loads(line) for line in text.splitlines()]
     kinds = [r["record"] for r in records]
     assert kinds[0] == "run" and kinds[-1] == "results"
-    assert "metric" in kinds and "latency" in kinds
+    assert "metric" in kinds and "latency" not in kinds
     assert "critpath" in kinds and "hotspot" in kinds
 
 
@@ -337,6 +339,19 @@ def test_report_rejects_invalid_json(tmp_path):
     bad.write_text('{"schema": "nope"}')
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         run_cli(["report", str(bad)])
+
+
+@pytest.mark.parametrize("option", [["--nodes", "3"], ["--jobs", "4"],
+                                    ["--profile"]],
+                         ids=lambda option: option[0])
+def test_report_takes_only_its_own_options(option, capsys):
+    """``report`` renders a file, so no experiment option follows it;
+    given before the subcommand, as for every command, one parses."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["report", "run.json", *option])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    build_parser().parse_args([*option, "report", "run.json"])
 
 
 # ----------------------------------------------------------------------

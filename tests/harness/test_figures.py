@@ -38,6 +38,12 @@ def test_contention_panels_clip_to_machine():
     assert [s.contention for s in cont] == [2, 4, 8]
 
 
+def test_contention_panels_leave_out_c1():
+    """A level clipped to 1 would repeat the c=1 a=1 panel."""
+    assert contention_panels(1) == []
+    assert [s.contention for s in contention_panels(2)] == [2]
+
+
 def test_run_counter_figure_structure():
     specs = [SyntheticSpec(contention=1, turns=4),
              SyntheticSpec(contention=4, turns=4)]

@@ -157,10 +157,10 @@ def limited_storm(observe):
 #: the counts measured at the last change that lowered them (rounded
 #: up); a change that lowers a count may lower its ceiling.
 CEILINGS = {
-    lockfree_c16: 10.40,
-    tclosure: 10.46,
-    writerun_c1: 13.76,
-    limited_storm: 9.77,
+    lockfree_c16: 10.08,
+    tclosure: 10.33,
+    writerun_c1: 13.45,
+    limited_storm: 9.40,
 }
 
 
@@ -291,8 +291,7 @@ def chaos_c16(observe):
 def test_runs_leave_no_cyclic_garbage(proxy):
     """Everything a run drops is freed by reference counting.
 
-    A finished transaction must not stay reachable from itself (say
-    through its parked reply, whose ``txn`` is the transaction), or every
+    A finished transaction must not stay reachable from itself, or every
     transaction of a run waits for the cyclic collector.  The machines
     stay alive through ``observe``, so their own structure is not
     garbage.

@@ -1,7 +1,7 @@
 """Run-level critical-path aggregation."""
 
 from repro import SyncPolicy
-from repro.obs.critpath import CritPathAggregator
+from repro.obs.critpath import CritPathAggregator, _percentile
 from repro.obs.spans import SPAN_KINDS, SpanBuilder
 
 from tests.conftest import make_machine, run_seq
@@ -73,11 +73,23 @@ def test_snapshot_shape_and_percentiles():
         assert sum(step["cycles"] for step in txn["path"]) == txn["cycles"]
 
 
+def test_percentile_is_nearest_rank():
+    ordered = [10, 20, 30, 40, 100]
+    # Nearest-rank with round-half-even: rank 2 of 5 for p50.
+    assert _percentile(ordered, 50) == 20
+    assert _percentile(ordered, 95) == 100
+    assert _percentile([], 50) == 0
+
+
 def test_render_names_the_blame():
     _, builder = _contended_run()
-    text = CritPathAggregator.from_graphs(builder.completed).render()
+    agg = CritPathAggregator.from_graphs(builder.completed)
+    text = agg.render()
     assert "blame by hop kind" in text
     assert "blame by component" in text
+    # ``repro stats`` prints the per-key table alone.
+    assert agg.render_keys() in text
+    assert agg.render_keys().splitlines()[1].startswith("  faa/INV ")
     assert "worst transactions" in text
     assert "faa/INV" in text
 

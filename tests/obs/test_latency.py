@@ -1,4 +1,5 @@
-"""Latency breakdown: categories sum exactly to end-to-end cycles."""
+"""Latency breakdown: a transaction's critical path sums exactly to its
+end-to-end cycles; and the ``TxnBreakdown`` cursor rule."""
 
 import hashlib
 import json
@@ -6,11 +7,13 @@ import json
 import pytest
 
 from repro import SyncPolicy
-from repro.obs.events import EventRecorder
-from repro.obs.latency import CATEGORIES, LatencyTracker, TxnBreakdown
+from repro.obs.critpath import CritPathAggregator
+from repro.obs.latency import TxnBreakdown
+from repro.obs.spans import SPAN_KINDS, SpanBuilder
 
 from tests.conftest import make_machine, run_one
 from tests.integration.test_hot_path_calls import limited_storm, lockfree_c16
+from tests.obs.test_spans import _instruments, assert_invariant
 
 
 def test_breakdown_cursor_no_double_count():
@@ -20,9 +23,8 @@ def test_breakdown_cursor_no_double_count():
     b.credit("memory", 125)     # fully covered: adds nothing
     b.credit("network", 120)    # behind the cursor: adds nothing
     b.credit("controller", 130)
-    assert b.parts == {"network": 10, "queue": 15, "controller": 5}
-    assert b.total == 30
-    assert sum(b.parts.values()) == b.total
+    assert (b.network, b.queue, b.memory, b.controller) == (10, 15, 0, 5)
+    assert b.cursor - b.start == 30
 
 
 def test_breakdown_gap_folds_into_next_segment():
@@ -30,63 +32,15 @@ def test_breakdown_gap_folds_into_next_segment():
     b.credit("network", 10)
     # Nothing claimed cycles 10..20; the next credit absorbs them.
     b.credit("memory", 30)
-    assert b.parts == {"network": 10, "memory": 20}
-    assert sum(b.parts.values()) == b.total == 30
-
-
-def test_tracker_percentiles_and_snapshot():
-    tracker = LatencyTracker()
-    for total in (10, 20, 30, 40, 100):
-        b = TxnBreakdown(0)
-        b.credit("network", total)
-        tracker.note("faa", "INV", b)
-    stats = tracker.get("faa", "INV")
-    assert stats.count == 5
-    pct = stats.percentiles()
-    # Nearest-rank with round-half-even: rank 2 of 5 for p50.
-    assert pct["p50"] == 20
-    assert pct["p95"] == 100
-    assert pct["max"] == 100
-    snap = tracker.snapshot()["faa/INV"]
-    assert snap["count"] == 5
-    assert snap["mean"] == pytest.approx(40.0)
-    assert snap["by_category"] == {"network": 200}
-    assert tracker.keys() == [("faa", "INV")]
-    assert "faa/INV" in tracker.render()
-
-
-def test_tracker_keys_policy_members_by_their_label():
-    # The controller passes SyncPolicy members; reports use the labels.
-    tracker = LatencyTracker()
-    for policy in (SyncPolicy.INVD, "INVd", SyncPolicy.INVD):
-        b = TxnBreakdown(0)
-        b.credit("memory", 10)
-        tracker.note("sync_cas", policy, b)
-    assert tracker.keys() == [("sync_cas", "INVd")]
-    assert tracker.get("sync_cas", "INVd").count == 3
-    assert list(tracker.snapshot()) == ["sync_cas/INVd"]
-
-
-def _txn_durations(recorder):
-    """(node-ordered) durations of remote transactions from the event log."""
-    pending = {}
-    durations = []
-    for e in recorder.events:
-        if e.kind == "atomic.start":
-            pending[e.node] = e.ts
-        elif e.kind == "atomic.complete":
-            start = pending.pop(e.node)
-            if not e.data.get("local"):
-                durations.append(e.ts - start)
-    return durations
+    assert (b.network, b.queue, b.memory, b.controller) == (10, 0, 20, 0)
+    assert b.cursor - b.start == 30
 
 
 @pytest.mark.parametrize("policy", [SyncPolicy.INV, SyncPolicy.UPD,
                                     SyncPolicy.UNC])
 def test_breakdown_sums_equal_transaction_cycles(policy):
     m = make_machine(4)
-    recorder = EventRecorder(m.events,
-                             kinds=("atomic.start", "atomic.complete"))
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(policy, home=1)
 
     def bump(p, addr):
@@ -97,27 +51,22 @@ def test_breakdown_sums_equal_transaction_cycles(policy):
     m.run()
     assert m.read_word(addr) == 4
 
-    totals = []
-    by_category_sum = 0
-    for key in m.stats.latency.keys():
-        stats = m.stats.latency.get(*key)
-        totals.extend(stats.totals)
-        assert set(stats.by_category) <= set(CATEGORIES)
-        # Aggregate category cycles sum exactly to aggregate end-to-end.
-        assert sum(stats.by_category.values()) == sum(stats.totals), key
-        by_category_sum += sum(stats.by_category.values())
-
-    # Every remote transaction's event-log duration matches a recorded
-    # breakdown total, one-to-one.
-    assert sorted(_txn_durations(recorder)) == sorted(totals)
-    assert by_category_sum == sum(totals)
-    assert totals, "contended fetch_add must produce remote transactions"
+    graphs = builder.remote()
+    assert graphs, "contended fetch_add must produce remote transactions"
+    # Every critical path sums to its transaction's duration, and the
+    # durations are the event log's, transaction by transaction.
+    assert_invariant(recorder, builder)
+    for graph in graphs:
+        assert set(graph.path_by_kind()) <= set(SPAN_KINDS)
+    # Aggregate blame sums exactly to aggregate end-to-end cycles.
+    agg = CritPathAggregator.from_graphs(builder.completed)
+    assert sum(agg.by_kind.values()) == agg.cycles == sum(
+        graph.duration for graph in graphs)
 
 
 def test_breakdown_sums_for_store_chain():
     m = make_machine(4)
-    recorder = EventRecorder(m.events,
-                             kinds=("atomic.start", "atomic.complete"))
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(SyncPolicy.INV, home=1)
 
     def put(p, addr, v):
@@ -125,35 +74,38 @@ def test_breakdown_sums_for_store_chain():
 
     run_one(m, 2, put, addr, 1)   # remote exclusive
     run_one(m, 0, put, addr, 2)   # 4-message ownership transfer
-    stats = m.stats.latency.get("store", "INV")
-    assert stats is not None and stats.count == 2
-    assert sum(stats.by_category.values()) == sum(stats.totals)
-    assert sorted(_txn_durations(recorder)) == sorted(stats.totals)
+    assert_invariant(recorder, builder)
+    graphs = builder.remote()
+    assert [(g.op, g.policy) for g in graphs] == [("store", "INV")] * 2
+    by_kind = CritPathAggregator.from_graphs(graphs).snapshot()[
+        "keys"]["store/INV"]["by_kind"]
+    assert sum(by_kind.values()) == sum(graph.duration for graph in graphs)
     # The uncontended ownership transfer spends no time queued, but does
     # flow through the network, the memory module, and the controller.
-    assert {"network", "memory", "controller"} <= set(stats.by_category)
+    assert {"msg", "memory", "ctrl"} <= set(by_kind)
+    assert "queue" not in by_kind and "dirwait" not in by_kind
 
 
-#: SHA-256 of the JSON list of ``[snapshot(), render()]`` of
-#: ``stats.latency`` on every machine a proxy builds, in build order.
-#: Recorded while each transaction still kept its breakdown in a
-#: separate ``parts`` dict; the values must not move when the way they
-#: are accumulated does.
-RECORDED_LATENCY = {
+#: SHA-256 of the JSON list of ``[snapshot(), render()]`` of the
+#: critical-path aggregation of every machine a proxy builds, in build
+#: order.  Recorded while every run also kept a second, always-on
+#: breakdown; the values must not move when that accounting goes.
+RECORDED_CRITPATH = {
     "lockfree_c16":
-        "a5699352447aebeb1176ba50e1df602817a69236a0a933e0a6ecb56bac8a5c12",
+        "6989e2c5d47783022d5decd402a9a95481473126b196e69e55decf5099c6c2e1",
     "limited_storm":
-        "8002bd0438a8764c25ae544cfd04b65b52e7c96e86d1660be520cd2f4c3c100b",
+        "b623b84efd19fd1b3a7be1084f9016f27a40bc1bc13b1533a26d15b67b56f7e5",
 }
 
 
 @pytest.mark.parametrize("proxy", [lockfree_c16, limited_storm],
                          ids=lambda proxy: proxy.__name__)
 def test_latency_snapshot_matches_recorded(proxy):
-    machines = []
-    proxy(machines.append)
-    record = [[m.stats.latency.snapshot(), m.stats.latency.render()]
-              for m in machines]
+    builders = []
+    proxy(lambda machine: builders.append(SpanBuilder(machine.events)))
+    aggs = [CritPathAggregator.from_graphs(builder.completed)
+            for builder in builders]
+    record = [[agg.snapshot(), agg.render()] for agg in aggs]
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     tables = "\n\n".join(render for _, render in record)
-    assert digest == RECORDED_LATENCY[proxy.__name__], tables
+    assert digest == RECORDED_CRITPATH[proxy.__name__], tables

@@ -2,10 +2,10 @@
 
 With no subscribers the event bus must construct no events, the mesh
 must carry exactly the same messages, and cycle counts must stay
-bit-identical to an instrumented (recorder-attached) run.  A *disabled*
-:class:`~repro.obs.spans.SpanBuilder` must be indistinguishable from no
-subscriber at all — zero events, identical results, and not one extra
-bytecode executed.
+bit-identical to an instrumented (recorder-attached) run.  A
+:class:`~repro.obs.spans.SpanBuilder` detached before the run must be
+indistinguishable from no subscriber at all — zero events, identical
+results, and not one extra bytecode executed.
 """
 
 from repro.apps.synthetic import run_lockfree_counter
@@ -91,26 +91,28 @@ def _counter_workload(attach=None):
 
 
 def test_disabled_spanbuilder_results_identical_and_silent():
+    """A builder detached before the run leaves the bus inactive and
+    the results identical to a plain run's."""
     builders = []
 
     def attach(machine):
-        builders.append(SpanBuilder(machine.events, enabled=False))
-        machine_events = machine.events
-        assert not machine_events.active
+        builder = SpanBuilder(machine.events)
+        builder.detach()
+        builders.append(builder)
+        assert not machine.events.active
 
     plain = _counter_workload()
-    disabled = _counter_workload(attach)
-    assert plain == disabled
+    detached = _counter_workload(attach)
+    assert plain == detached
     assert builders[0].completed == []
-    assert not builders[0].enabled
 
 
 def test_disabled_spanbuilder_adds_no_python_calls():
-    """A disabled builder leaves every emission site on the
-    zero-subscriber path, so the run executes exactly the bytecodes a
+    """A builder detached before the run leaves every emission site on
+    the zero-subscriber path, so the run executes exactly the bytecodes a
     plain run executes: no extra Python call and no extra branch."""
     def attach(machine):
-        SpanBuilder(machine.events, enabled=False)
+        SpanBuilder(machine.events).detach()
 
     plain = python_opcodes(_counter_machine().run)
     assert plain > 0

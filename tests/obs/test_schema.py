@@ -20,8 +20,6 @@ def _full_payload():
         "demo", params={"nodes": 4},
         results={"answer": 42},
         metrics={"net.messages": 7},
-        latency={"faa/INV": {"count": 2, "mean": 10.0, "p50": 9,
-                             "p95": 11, "max": 11}},
         critpath={"txns": 2, "cycles": 20, "by_kind": {"msg": 20},
                   "by_component": {}, "keys": {}, "worst": []},
         hotspots={"window": 256, "blocks_seen": 1,
@@ -39,9 +37,13 @@ def _full_payload():
 def test_optional_sections_kept_and_validated():
     payload = _full_payload()
     assert set(payload) == {"schema", "experiment", "version", "params",
-                            "results", "metrics", "latency", "critpath",
-                            "hotspots", "profile", "faults"}
+                            "results", "metrics", "critpath", "hotspots",
+                            "profile", "faults"}
     assert validate_run_payload(payload) is payload
+    # An envelope that still carries the retired ``latency`` section
+    # loads: unknown keys are ignored.
+    older = {**payload, "latency": {"faa/INV": {"count": 2}}}
+    assert validate_run_payload(older) is older
     for key in ("critpath", "hotspots", "profile", "faults"):
         bad = dict(payload)
         bad[key] = "nope"
@@ -71,7 +73,6 @@ def test_jsonl_one_record_per_line_with_discriminator():
     kinds = [r["record"] for r in records]
     assert kinds[0] == "run" and kinds[-1] == "results"
     assert kinds.count("metric") == 1
-    assert kinds.count("latency") == 1
     assert kinds.count("critpath") == 1
     assert kinds.count("hotspot") == 1
     assert kinds.count("profile") == 1
@@ -83,8 +84,6 @@ def test_jsonl_one_record_per_line_with_discriminator():
     by_kind = {r["record"]: r for r in records}
     assert by_kind["metric"] == {"record": "metric",
                                  "name": "net.messages", "value": 7}
-    assert by_kind["latency"]["key"] == "faa/INV"
-    assert by_kind["latency"]["p95"] == 11
     assert by_kind["critpath"]["cycles"] == 20
     assert by_kind["hotspot"]["block"] == 0
     assert by_kind["profile"]["dispatch_ns"] == 100

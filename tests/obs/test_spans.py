@@ -1,49 +1,58 @@
 """Causal span graphs: structure, blocking edges, and the latency invariant.
 
 The tentpole invariant: for every completed transaction, the span
-graph's critical-path length equals the ``LatencyTracker`` end-to-end
-latency cycle-for-cycle.
+graph's critical-path length equals its end-to-end latency
+cycle-for-cycle, and that latency equals the one the event log's
+``atomic.start``/``atomic.complete`` pair records.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro import SyncPolicy
+from repro.obs.events import EventRecorder
 from repro.obs.spans import SpanBuilder
 
 from tests.conftest import make_machine, run_one, run_seq
 
 
-def _durations_by_key(builder: SpanBuilder) -> dict:
-    """Multiset of end-to-end durations per (op, policy) key."""
-    out: dict = {}
-    for graph in builder.remote():
-        out.setdefault((graph.op, graph.policy), []).append(graph.duration)
-    return {key: sorted(values) for key, values in out.items()}
+def _instruments(machine) -> tuple[SpanBuilder, EventRecorder]:
+    """A span builder and an independent recorder of every operation's
+    ``atomic.start``/``atomic.complete`` pair."""
+    return (SpanBuilder(machine.events),
+            EventRecorder(machine.events,
+                          kinds=("atomic.start", "atomic.complete")))
 
 
-def _tracker_totals(machine) -> dict:
-    """The LatencyTracker's recorded totals, same keying."""
-    tracker = machine.stats.latency
-    return {
-        (kind, policy): sorted(tracker.get(kind, policy).totals)
-        for kind, policy in tracker.keys()
-    }
+def _recorded_latencies(recorder: EventRecorder) -> list:
+    """(node, start, cycles) of every operation in the event log."""
+    started: dict = {}
+    out = []
+    for event in recorder.events:
+        if event.kind == "atomic.start":
+            started[event.node] = event.ts
+        else:
+            start = started.pop(event.node)
+            out.append((event.node, start, event.ts - start))
+    return sorted(out)
 
 
-def assert_invariant(machine, builder: SpanBuilder) -> None:
-    """Every graph is well formed and critical path == tracked latency."""
+def assert_invariant(recorder: EventRecorder, builder: SpanBuilder) -> None:
+    """Every graph is well formed, its critical path sums to its
+    duration, and the durations are the event log's."""
     problems = builder.check_all()
     assert problems == [], problems
     for graph in builder.completed:
         assert graph.spans[0].kind == "root"
         for span in graph.spans[1:]:
             assert -1 < span.parent < span.index   # acyclic by construction
-    assert _durations_by_key(builder) == _tracker_totals(machine)
+    assert sorted((graph.node, graph.start, graph.duration)
+                  for graph in builder.completed) == _recorded_latencies(
+                      recorder)
 
 
 def test_single_remote_store_graph_shape():
     m = make_machine(4)
-    builder = SpanBuilder(m.events)
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(SyncPolicy.INV, home=1)
 
     def put(p):
@@ -56,12 +65,12 @@ def test_single_remote_store_graph_shape():
     assert graph.op and graph.policy == "INV"
     kinds = {span.kind for span in graph.spans}
     assert "msg" in kinds and "memory" in kinds and "ctrl" in kinds
-    assert_invariant(m, builder)
+    assert_invariant(recorder, builder)
 
 
 def test_local_hit_is_flagged_local():
     m = make_machine(4)
-    builder = SpanBuilder(m.events)
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(SyncPolicy.INV, home=1)
 
     def twice(p):
@@ -73,12 +82,12 @@ def test_local_hit_is_flagged_local():
     assert not builder.completed[0].local
     assert builder.completed[1].local
     assert builder.remote() == [builder.completed[0]]
-    assert_invariant(m, builder)
+    assert_invariant(recorder, builder)
 
 
 def test_contention_produces_dirwait_blocking_edges():
     m = make_machine(4)
-    builder = SpanBuilder(m.events)
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(SyncPolicy.INV, home=0)
 
     def bump(p):
@@ -88,7 +97,7 @@ def test_contention_produces_dirwait_blocking_edges():
         m.spawn(pid, bump)
     m.run()
     assert m.read_word(addr) == 4
-    assert_invariant(m, builder)
+    assert_invariant(recorder, builder)
     dirwaits = [span for graph in builder.completed
                 for span in graph.spans if span.kind == "dirwait"]
     assert dirwaits, "4-way fetch_add must queue on the directory"
@@ -102,7 +111,7 @@ def test_contention_produces_dirwait_blocking_edges():
 
 def test_reservation_kill_blames_the_writer():
     m = make_machine(4)
-    builder = SpanBuilder(m.events)
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(SyncPolicy.INV, home=1)
 
     def interleaved(p):
@@ -120,7 +129,7 @@ def test_reservation_kill_blames_the_writer():
     m.spawn(0, interleaved)
     m.spawn(3, stomp)
     m.run()
-    assert_invariant(m, builder)
+    assert_invariant(recorder, builder)
     kills = [note for graph in builder.completed
              for note in graph.blockers if note["kind"] == "res_kill"]
     if kills:     # interleaving-dependent, but when it happens, it's blamed
@@ -129,9 +138,12 @@ def test_reservation_kill_blames_the_writer():
 
 
 def test_disabled_builder_keeps_bus_silent():
+    """A detached builder is off the bus: the machine emits nothing."""
     m = make_machine(4)
-    builder = SpanBuilder(m.events, enabled=False)
-    assert not builder.enabled
+    builder = SpanBuilder(m.events)
+    assert m.events.active
+    builder.detach()
+    builder.detach()    # idempotent
     assert not m.events.active
     addr = m.alloc_sync(SyncPolicy.INV, home=1)
 
@@ -140,13 +152,7 @@ def test_disabled_builder_keeps_bus_silent():
 
     run_one(m, 0, put)
     assert m.events.emitted == 0
-    assert len(builder.completed) == 0
-    builder.enable()
-    assert builder.enabled and m.events.active
-    run_one(m, 2, put)
-    assert builder.completed
-    builder.disable()
-    assert not builder.enabled and not m.events.active
+    assert builder.completed == []
 
 
 def test_limit_drops_but_counts():
@@ -182,7 +188,7 @@ def test_property_critical_path_equals_latency(policy, ops, concurrent):
     edges, and the invariant must still hold for every transaction.
     """
     m = make_machine(4)
-    builder = SpanBuilder(m.events)
+    builder, recorder = _instruments(m)
     addr = m.alloc_sync(policy, home=1)
 
     def one(p, kind, value):
@@ -218,4 +224,4 @@ def test_property_critical_path_equals_latency(policy, ops, concurrent):
     assert builder.completed, "every op must close its graph"
     assert builder.orphan_events == 0
     assert builder.abandoned == 0
-    assert_invariant(m, builder)
+    assert_invariant(recorder, builder)
