@@ -23,40 +23,29 @@ at any job count).  ``--progress`` (implied by ``--jobs > 1``) prints
 per-point progress lines to stderr via the sweep EventBus.  See
 ``docs/parallel.md``.
 
-Four observability subcommands inspect a small *representative* run of
+Two observability subcommands inspect a small *representative* run of
 an experiment instead of regenerating it in full (see
 :mod:`repro.harness.instrumented`):
 
-* ``repro stats <experiment>`` — dump the machine's metrics registry and
-  the critical path per primitive × policy (n, mean, p50/p95/max and
-  dominant hop kind);
-  ``--format jsonl`` streams the same envelope as line-delimited JSON
-  records for machine consumption;
+* ``repro stats <experiment>`` — the whole run in one report: the
+  machine's metrics registry; critical-path attribution over the run's
+  transactions (blame by hop kind and component, n/mean/p50/p95/max and
+  dominant hop kind per primitive × policy, and the 8 worst
+  transactions with their full serialized paths); and the per-cache-line
+  contention ranking of the 10 hottest blocks (queue-wait cycles,
+  invalidation multicasts, failed atomics, directory-queue depth).
+  ``--json`` writes all of it as one envelope;
 * ``repro trace <experiment> --block N --format {text,jsonl,chrome}`` —
   export the structured event trace; ``chrome`` output loads directly
   into ``chrome://tracing`` / https://ui.perfetto.dev (message send and
   delivery slices are linked by flow events, so the viewer draws the
-  causal arrows);
-* ``repro critpath <experiment>`` — critical-path attribution over the
-  run's transactions: blame by hop kind and component, p50/p95
-  composition per primitive × policy, and the worst transactions with
-  their full serialized paths;
-* ``repro hotspots <experiment> --top N`` — per-cache-line contention
-  ranking (queue-wait cycles, invalidation multicasts, failed atomics,
-  directory-queue depth).
+  causal arrows).
 
-Host-level self-observability (see :mod:`repro.obs.profile` and
-``docs/observability.md``):
-
-* ``repro profile <experiment>`` — wall-clock attribution of
-  the dispatch loop over a representative run, as a text table, a full
-  JSON envelope (``--format json``), or flamegraph-compatible collapsed
-  stacks (``--format collapsed`` / ``--collapsed OUT``);
-* ``--profile`` on any experiment command profiles that run and prints
-  the attribution table to stderr (and injects a ``profile`` section
-  into ``--json`` output).
-
-``--profile`` is an in-process measurement, so it forces ``--jobs 1``
+Host time has one switch (see :mod:`repro.obs.profile` and
+``docs/observability.md``): ``--profile`` on any experiment command
+attributes the run's wall-clock time per (component, handler), prints
+the table to stderr and adds a ``profile`` section to ``--json``
+output.  It is an in-process measurement, so it forces ``--jobs 1``
 for that invocation (a pool worker would silently escape
 instrumentation).
 
@@ -66,7 +55,8 @@ message naming the option.
 
 ``repro chaos`` sweeps a seeded fault-injection matrix (seeds ×
 intensity × policy; see :mod:`repro.faults` and ``docs/robustness.md``)
-through the parallel sweep engine and gates every point on the
+on the machine the shape options describe, through the parallel sweep
+engine, and gates every point on the
 ``repro.verify`` checkers, an event-budget termination watchdog, metric
 conservation, and final-value agreement with the fault-free golden.
 Verdicts land in the envelope's ``faults`` section; the envelope
@@ -85,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import pathlib
 import sys
@@ -121,15 +112,12 @@ from .obs.schema import (
     dump_run,
     load_run,
     make_run_payload,
-    run_payload_to_jsonl,
     validate_run_payload,
 )
 
 __all__ = ["main", "build_parser"]
 
 TRACE_FORMATS = ("text", "jsonl", "chrome")
-STATS_FORMATS = ("text", "jsonl")
-PROFILE_FORMATS = ("text", "json", "collapsed")
 TOPOLOGIES = ("mesh", "torus")
 DIRECTORIES = ("full", "limited", "coarse")
 
@@ -201,15 +189,19 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The repro command-line parser."""
+    # Options match only when spelled in full: abbreviation would read
+    # an unknown ``--top`` as ``--topology``.
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
             "Reproduce Michael & Scott (HPCA '95): atomic primitives on "
             "DSM multiprocessors."
         ),
+        allow_abbrev=False,
     )
     _add_common(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
     for name, help_text in [
         ("table1", "serialized message counts for stores (exact)"),
         ("figure2", "contention histograms + write-run lengths"),
@@ -220,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("ablation-reservations", "LL/SC reservation strategies (§3.1)"),
         ("ablation-dropcopy", "when drop_copy helps and hurts"),
     ]:
-        _add_common(sub.add_parser(name, help=help_text), top_level=False)
-    abdir = sub.add_parser(
+        _add_common(add_parser(name, help=help_text), top_level=False)
+    abdir = add_parser(
         "ablation-directory",
         help="sharer-set representations (full/limited/coarse) at scale",
     )
@@ -230,20 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine sizes to sweep (repeatable; "
                             "default 64 and 256)")
     _add_common(abdir, top_level=False)
-    stats = sub.add_parser(
+    stats = add_parser(
         "stats",
-        help="metrics registry + per-key critical path of a representative "
-             "run",
+        help="metrics registry, critical path and cache-line hotspots of "
+             "a representative run",
     )
     stats.add_argument("experiment",
                        choices=sorted(INSTRUMENTED_EXPERIMENTS),
                        help="experiment to instrument")
-    stats.add_argument("--format", choices=STATS_FORMATS, default="text",
-                       dest="fmt",
-                       help="text report or line-delimited JSON records "
-                            "(default text)")
     _add_common(stats, top_level=False)
-    trace = sub.add_parser(
+    trace = add_parser(
         "trace",
         help="structured event trace of a representative run",
     )
@@ -255,27 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--format", choices=TRACE_FORMATS, default="text",
                        dest="fmt", help="export format (default text)")
     _add_common(trace, top_level=False)
-    critpath = sub.add_parser(
-        "critpath",
-        help="critical-path attribution of a representative run",
-    )
-    critpath.add_argument("experiment",
-                          choices=sorted(INSTRUMENTED_EXPERIMENTS),
-                          help="experiment to instrument")
-    critpath.add_argument("--worst", type=_count(0), default=8,
-                          help="worst transactions to expand (default 8)")
-    _add_common(critpath, top_level=False)
-    hotspots = sub.add_parser(
-        "hotspots",
-        help="per-cache-line contention ranking of a representative run",
-    )
-    hotspots.add_argument("experiment",
-                          choices=sorted(INSTRUMENTED_EXPERIMENTS),
-                          help="experiment to instrument")
-    hotspots.add_argument("--top", type=_count(0), default=10,
-                          help="blocks to list (default 10)")
-    _add_common(hotspots, top_level=False)
-    chaos = sub.add_parser(
+    chaos = add_parser(
         "chaos",
         help="fault-injection verification: sweep seeds x intensity x "
              "policy, gating every run on the verify checkers, a "
@@ -301,23 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulated events a run may execute "
                             f"(default {DEFAULT_MAX_EVENTS})")
     _add_common(chaos, top_level=False)
-    profile = sub.add_parser(
-        "profile",
-        help="host-time attribution of a representative run",
-    )
-    profile.add_argument("experiment", nargs="?", default="table1",
-                         choices=sorted(INSTRUMENTED_EXPERIMENTS),
-                         help="experiment to profile (default table1)")
-    profile.add_argument("--format", choices=PROFILE_FORMATS,
-                         default="text", dest="fmt",
-                         help="text table, full repro.run/1 JSON, or "
-                              "flamegraph collapsed stacks "
-                              "(default text)")
-    profile.add_argument("--collapsed", type=pathlib.Path, default=None,
-                         metavar="OUT",
-                         help="also write collapsed stacks to OUT")
-    _add_common(profile, top_level=False)
-    report = sub.add_parser(
+    report = add_parser(
         "report",
         help="render a repro.run/1 JSON document as self-contained HTML",
     )
@@ -374,8 +326,6 @@ def _emit(
     text: str,
     out: Callable[[str], None],
     results: Optional[dict[str, Any]] = None,
-    critpath: Optional[dict[str, Any]] = None,
-    hotspots: Optional[dict[str, Any]] = None,
     params: Optional[dict[str, Any]] = None,
 ) -> None:
     out(text)
@@ -389,8 +339,6 @@ def _emit(
                     {**_config(args).machine.envelope_params,
                      "turns": args.turns}),
             results=results,
-            critpath=critpath,
-            hotspots=hotspots,
         )
         dump_run(payload, args.json)
 
@@ -545,54 +493,19 @@ def _cmd_ablation_directory(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     run = run_instrumented(args.experiment, _config(args), turns=args.turns)
-    payload = run.payload(params=_instrumented_params(args, run))
-    if args.fmt == "jsonl":
-        text = run_payload_to_jsonl(payload)
-    else:
-        text = "\n".join([
-            f"stats — {args.experiment}: {run.description}",
-            "",
-            run.machine.registry.render(),
-            "",
-            "critical path (cycles) " + run.critpath().render_keys(),
-        ])
-    out(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        ext = {"text": "txt", "jsonl": "jsonl"}[args.fmt]
-        (args.out / f"stats-{args.experiment}.{ext}").write_text(text + "\n")
+    text = "\n".join([
+        f"stats — {args.experiment}: {run.description}",
+        "",
+        run.machine.registry.render(),
+        "",
+        run.critpath().render(),
+        "",
+        run.hotspots.render(),
+    ])
+    _emit(args, f"stats-{args.experiment}", text, out)
     if args.json is not None:
-        dump_run(payload, args.json)
-    return 0
-
-
-def _cmd_critpath(args, out) -> int:
-    run = run_instrumented(args.experiment, _config(args), turns=args.turns)
-    agg = run.critpath(worst=args.worst)
-    text = "\n".join([
-        f"critpath — {args.experiment}: {run.description}",
-        "",
-        agg.render(),
-    ])
-    _emit(args, f"critpath-{args.experiment}", text, out,
-          results={"description": run.description,
-                   "transactions": len(run.spans.completed)},
-          critpath=agg.snapshot(), params=_instrumented_params(args, run))
-    return 0
-
-
-def _cmd_hotspots(args, out) -> int:
-    run = run_instrumented(args.experiment, _config(args), turns=args.turns)
-    text = "\n".join([
-        f"hotspots — {args.experiment}: {run.description}",
-        "",
-        run.hotspots.render(top_n=args.top),
-    ])
-    _emit(args, f"hotspots-{args.experiment}", text, out,
-          results={"description": run.description,
-                   "transactions": len(run.spans.completed)},
-          hotspots=run.hotspots.snapshot(top_n=args.top),
-          params=_instrumented_params(args, run))
+        dump_run(run.payload(params=_instrumented_params(args, run)),
+                 args.json)
     return 0
 
 
@@ -606,8 +519,8 @@ def _cmd_chaos(args, out) -> int:
                   else DEFAULT_POLICIES),
         workload=args.workload,
         turns=args.turns,
-        nodes=args.nodes,
         max_events=args.max_events,
+        config=_config(args),
         **_sweep_opts(args),
     )
     text = render_chaos(payload)
@@ -625,36 +538,6 @@ def _cmd_chaos(args, out) -> int:
     if args.json is not None:
         dump_run(payload, args.json)
     return 0 if payload["results"]["ok"] else 1
-
-
-def _cmd_profile(args, out) -> int:
-    with profiled() as prof:
-        run = run_instrumented(args.experiment, _config(args),
-                               turns=args.turns)
-    payload = run.payload(params=_instrumented_params(args, run),
-                          profile=prof.snapshot())
-    if args.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    elif args.fmt == "collapsed":
-        text = prof.collapsed()
-    else:
-        text = "\n".join([
-            f"profile — {args.experiment}: {run.description}",
-            "",
-            prof.render(),
-        ])
-    out(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        ext = {"text": "txt", "json": "json", "collapsed": "collapsed"}
-        (args.out / f"profile-{args.experiment}.{ext[args.fmt]}"
-         ).write_text(text + "\n")
-    if args.collapsed is not None:
-        args.collapsed.parent.mkdir(parents=True, exist_ok=True)
-        args.collapsed.write_text(prof.collapsed() + "\n")
-    if args.json is not None:
-        dump_run(payload, args.json)
-    return 0
 
 
 def _cmd_report(args, out) -> int:
@@ -704,11 +587,8 @@ _COMMANDS: dict[str, Callable] = {
     "ablation-dropcopy": _cmd_ablation_dropcopy,
     "ablation-directory": _cmd_ablation_directory,
     "chaos": _cmd_chaos,
-    "profile": _cmd_profile,
     "stats": _cmd_stats,
     "trace": _cmd_trace,
-    "critpath": _cmd_critpath,
-    "hotspots": _cmd_hotspots,
     "report": _cmd_report,
 }
 
@@ -741,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None,
     args.jobs = 1
     with profiled() as prof:
         code = command(args, out)
-    print(prof.render(top_n=12), file=sys.stderr)
+    print(prof.render(), file=sys.stderr)
     if args.json is not None:
         _inject_profile(args.json, prof.snapshot())
     return code

@@ -198,7 +198,6 @@ def run_chaos(
     policies: Sequence[str] = DEFAULT_POLICIES,
     workload: str = "faa",
     turns: int = 6,
-    nodes: int = 8,
     plan: Optional[FaultPlan] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
     config: Optional[SimConfig] = None,
@@ -207,16 +206,18 @@ def run_chaos(
 ) -> dict[str, Any]:
     """Sweep seeds x intensities x policies; return the verdict envelope.
 
-    Intensity 0.0 (the fault-free golden) is always included: every
-    faulted point's final value is compared against the golden of its
-    (seed, policy) cell.  The returned ``repro.run/1`` payload carries
-    the verdict matrix in its ``faults`` section and no host-dependent
-    data, so the same arguments produce byte-identical envelopes.
+    Every point runs on ``config``'s machine (default: 8 nodes) under
+    its own seed.  Intensity 0.0 (the fault-free golden) is always
+    included: every faulted point's final value is compared against the
+    golden of its (seed, policy) cell.  The returned ``repro.run/1``
+    payload carries the verdict matrix in its ``faults`` section and no
+    host-dependent data, so the same arguments produce byte-identical
+    envelopes.
     """
     from ..harness.parallel import make_point, run_sweep
 
     base_plan = plan if plan is not None else DEFAULT_CHAOS_PLAN
-    base = config if config is not None else small_config(n_nodes=nodes)
+    base = config if config is not None else small_config(n_nodes=8)
     levels = sorted({float(level) for level in intensities} | {0.0})
     points = []
     cells = []
@@ -287,9 +288,10 @@ def run_chaos(
         "verdicts": verdicts,
     }
     params = {
+        **base.machine.envelope_params,
         "seeds": list(seeds), "intensities": levels,
         "policies": list(policies), "workload": workload, "turns": turns,
-        "nodes": base.machine.n_nodes, "max_events": max_events,
+        "max_events": max_events,
     }
     results = {
         "points": len(verdicts),

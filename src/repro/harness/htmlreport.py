@@ -25,8 +25,8 @@ disappearing):
    directory-queue-depth sparkline per block.
 5. **Host-time profile** — where wall-clock time went while producing
    the run: per-(component, handler) self-time bars plus the engine's
-   dispatch residual, from the ``profile`` envelope section
-   (``repro profile --json`` or any ``--profile`` run).
+   dispatch residual, from the ``profile`` envelope section (any run
+   with ``--profile --json``).
 6. **Chaos verification** — the seeded fault-injection matrix from the
    ``faults`` envelope section (``repro chaos --json``): per-point
    checker verdicts (history, termination, conservation, golden
@@ -506,8 +506,7 @@ def _panel_waterfalls(payload: Mapping[str, Any]) -> str:
     critpath = payload.get("critpath")
     if not isinstance(critpath, dict):
         return ('<p class="empty">This envelope carries no critical-path '
-                "data (instrumented runs — <code>repro stats</code>, "
-                "<code>repro critpath</code> — emit it under the "
+                "data (<code>repro stats --json</code> emits it under the "
                 "<code>critpath</code> key).</p>")
 
     total = critpath.get("cycles", 0)
@@ -551,9 +550,9 @@ def _panel_hotspots(payload: Mapping[str, Any]) -> str:
     hotspots = payload.get("hotspots")
     if not isinstance(hotspots, dict):
         return ('<p class="empty">This envelope carries no hotspot data '
-                "(instrumented runs emit the per-cache-line contention "
-                "ranking under the <code>hotspots</code> key; see "
-                "<code>repro hotspots</code>).</p>")
+                "(<code>repro stats --json</code> emits the per-cache-line "
+                "contention ranking under the <code>hotspots</code> "
+                "key).</p>")
     top = hotspots.get("top", [])
     if not top:
         return '<p class="empty">No protocol traffic was observed.</p>'
@@ -585,9 +584,10 @@ def _panel_profile(payload: Mapping[str, Any]) -> str:
     profile = payload.get("profile")
     if not isinstance(profile, dict):
         return ('<p class="empty">This envelope carries no host-time '
-                "profile (run <code>repro profile --json</code>, or any "
-                "experiment with <code>--profile --json</code>, to "
-                "attribute wall-clock time per component here).</p>")
+                "profile (run any experiment with <code>--profile "
+                "--json</code>, e.g. <code>repro --profile stats table1 "
+                "--json run.json</code>, to attribute wall-clock time per "
+                "component here).</p>")
     total = profile.get("total_ns", 0)
     kinds = profile.get("kinds", {})
     bars = [(key, entry.get("ns", 0) / 1e6)

@@ -15,6 +15,7 @@ graphs, and recorded events can be rendered or exported.
     run = run_instrumented("table1")
     print(run.machine.registry.render())
     print(run.critpath().render())
+    print(run.hotspots.render())
     print(export_events(run.recorder.events, "chrome"))
     payload = run.payload()          # full repro.run/1 envelope
 """
@@ -65,21 +66,19 @@ class InstrumentedRun:
     spans: SpanBuilder
     hotspots: HotspotTracker
 
-    def critpath(self, worst: int = 8) -> CritPathAggregator:
+    def critpath(self) -> CritPathAggregator:
         """Critical-path attribution over the run's remote transactions."""
-        return CritPathAggregator.from_graphs(self.spans.completed,
-                                              worst=worst)
+        return CritPathAggregator.from_graphs(self.spans.completed)
 
-    def payload(self, params: Optional[dict[str, Any]] = None,
-                top_hotspots: int = 10,
-                profile: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-        """The run as a full ``repro.run/1`` envelope.
+    def payload(self, params: Optional[dict[str, Any]] = None
+                ) -> dict[str, Any]:
+        """The run as a ``repro.run/1`` envelope.
 
-        Includes every optional section: registry ``metrics``,
-        ``critpath`` attribution, the ``hotspots`` ranking, and — when
-        the run executed under :func:`repro.obs.profile.profiled` — the
-        host-time ``profile`` snapshot; the input ``repro report``
-        renders.
+        Carries every simulated section: registry ``metrics``,
+        ``critpath`` attribution and the ``hotspots`` ranking of the 10
+        hottest blocks; the input ``repro report`` renders.  A
+        ``--profile`` run adds the host-time ``profile`` section to the
+        written file.
         """
         return make_run_payload(
             f"instrumented-{self.experiment}",
@@ -92,14 +91,19 @@ class InstrumentedRun:
             },
             metrics=self.machine.registry.snapshot(),
             critpath=self.critpath().snapshot(),
-            hotspots=self.hotspots.snapshot(top_n=top_hotspots),
-            profile=profile,
+            hotspots=self.hotspots.snapshot(),
         )
 
 
 def _run_table1(config: SimConfig, turns: int, observe: Observe) -> str:
     # The richest Table 1 row: INV store to a remote-exclusive line
     # (4 serialized messages — ownership transferred through the home).
+    # Requester 0, home 1 and owner 2 are three distinct nodes.
+    if config.machine.n_nodes < 3:
+        raise ConfigError(
+            "the table1 representative needs at least 3 nodes "
+            "(requester, home and owner), got "
+            f"{config.machine.n_nodes}")
     machine = build_machine(config)
     observe(machine)
     addr = machine.alloc_sync(SyncPolicy.INV, home=1)

@@ -33,7 +33,6 @@ from .schema import (
     SCHEMA,
     dump_run,
     make_run_payload,
-    run_payload_to_jsonl,
     validate_run_payload,
 )
 from .registry import Counter, Histogram, MetricsRegistry
@@ -55,7 +54,6 @@ __all__ = [
     "make_run_payload",
     "validate_run_payload",
     "dump_run",
-    "run_payload_to_jsonl",
     "Span",
     "CritStep",
     "TxnSpanGraph",

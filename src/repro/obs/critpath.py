@@ -10,13 +10,14 @@ answer to "where did the cycles go?":
   which directory actually carried the path;
 * **composition per primitive × policy** — count, mean, p50/p95/max of
   end-to-end cycles, plus the kind blame restricted to that key (the
-  run's per-transaction latency breakdown; ``repro stats`` prints its
-  table);
+  run's per-transaction latency breakdown);
 * **worst transactions** — the N largest end-to-end latencies with their
   full critical paths, feeding the HTML report's waterfall panel.
 
-Surfaced as ``repro critpath`` and folded into the ``--json`` envelope
-under the ``critpath`` key (see :mod:`repro.obs.schema`).
+:meth:`CritPathAggregator.render` is the critical-path part of
+``repro stats``, and ``repro stats --json`` folds
+:meth:`~CritPathAggregator.snapshot` into the envelope under the
+``critpath`` key (see :mod:`repro.obs.schema`).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class CritPathAggregator:
         }
 
     def render(self) -> str:
-        """Readable report for ``repro critpath``."""
+        """Readable report, the critical-path part of ``repro stats``."""
         lines = [f"critical path over {self.txns} remote transaction(s), "
                  f"{self.cycles} cycle(s)"]
         if not self.txns:
@@ -172,7 +173,16 @@ class CritPathAggregator:
             lines.append(f"  {component:12s} {cycles:8d} {pct:5.1f}%")
 
         lines.append("")
-        lines.append(self.render_keys())
+        lines.append("per primitive/policy:  n  mean  p50  p95  max  dominant")
+        for (op, policy), bucket in sorted(self._keys.items()):
+            snap = bucket.snapshot()
+            dominant = max(snap["by_kind"], key=snap["by_kind"].get,
+                           default="-")
+            lines.append(
+                f"  {op + '/' + policy:22s} {snap['count']:4d} "
+                f"{snap['mean']:7.1f} {snap['p50']:5d} {snap['p95']:5d} "
+                f"{snap['max']:5d}  {dominant}"
+            )
 
         lines.append("")
         lines.append("worst transactions:")
@@ -190,20 +200,4 @@ class CritPathAggregator:
                     f"{span.component:12s} {step.cycles:5d}{gap} "
                     f"{span.detail}"
                 )
-        return "\n".join(lines)
-
-    def render_keys(self) -> str:
-        """The per-(primitive, policy) table of :meth:`render`: n, mean,
-        p50, p95 and max end-to-end cycles, and the hop kind with the
-        most of the key's critical-path cycles."""
-        lines = ["per primitive/policy:  n  mean  p50  p95  max  dominant"]
-        for (op, policy), bucket in sorted(self._keys.items()):
-            snap = bucket.snapshot()
-            dominant = max(snap["by_kind"], key=snap["by_kind"].get,
-                           default="-")
-            lines.append(
-                f"  {op + '/' + policy:22s} {snap['count']:4d} "
-                f"{snap['mean']:7.1f} {snap['p50']:5d} {snap['p95']:5d} "
-                f"{snap['max']:5d}  {dominant}"
-            )
         return "\n".join(lines)

@@ -14,9 +14,10 @@ for every block that sees protocol traffic:
 
 Blocks are ranked by a single *contention score*: the waiting cycles
 plus fixed penalties per failure and per multicast (the penalties are
-class attributes, tunable by tests).  Surfaced as
-``repro hotspots --top N`` and folded into the ``--json`` envelope
-under the ``hotspots`` key.
+class attributes, tunable by tests).  :meth:`HotspotTracker.render`
+(the 10 hottest blocks) is the hotspot part of ``repro stats``, and
+``repro stats --json`` folds :meth:`~HotspotTracker.snapshot` into the
+envelope under the ``hotspots`` key.
 
 Like every bus subscriber, the tracker only listens — it never mutates
 machine state, and detaching it restores the zero-cost unobserved path.
@@ -178,7 +179,7 @@ class HotspotTracker:
         }
 
     def render(self, top_n: int = 10) -> str:
-        """Readable table for ``repro hotspots``."""
+        """Readable table, the hotspot part of ``repro stats``."""
         lines = [f"hotspots: {len(self.blocks)} block(s) saw traffic; "
                  f"top {min(top_n, len(self.blocks))} by contention score"]
         if not self.blocks:

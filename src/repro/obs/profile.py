@@ -29,7 +29,6 @@ session's profiler.
     with profiled() as prof:
         run_table1()
     print(prof.render())
-    print(prof.collapsed())      # flamegraph.pl-compatible
 
 With no session active no shim is installed and the engine's one
 event loop runs the callbacks directly — the disabled mode costs a few
@@ -153,12 +152,11 @@ class ComponentProfiler:
             "kinds": kinds,
         }
 
-    def render(self, top_n: int = 0) -> str:
-        """An aligned text table, hottest handler first."""
+    def render(self) -> str:
+        """An aligned text table of every handler, hottest first, then
+        the engine's dispatch residual (what ``--profile`` prints)."""
         total = self.total_ns
         rows = sorted(self.kinds.items(), key=lambda kv: -kv[1][1])
-        if top_n:
-            rows = rows[:top_n]
         lines = [
             f"host-time profile: {total / 1e6:.2f} ms over "
             f"{self.events:,} event(s), {self.runs} run(s)",
@@ -177,24 +175,6 @@ class ComponentProfiler:
             f"{'engine.dispatch':<40} {self.events:>10,} "
             f"{dispatch / 1e6:>10.3f} {share:>6.1f}%"
         )
-        return "\n".join(lines)
-
-    def collapsed(self) -> str:
-        """Collapsed-stack lines (``flamegraph.pl`` input, values in ns).
-
-        Two frames per line — component, then handler — plus one
-        ``engine;dispatch`` line for the loop residual::
-
-            CacheController;_accept 1203456
-            engine;dispatch 220311
-        """
-        lines = [
-            f"{component};{handler} {ns}"
-            for (component, handler), (_, ns) in sorted(
-                self.kinds.items(), key=lambda kv: -kv[1][1]
-            )
-        ]
-        lines.append(f"engine;dispatch {self.dispatch_ns}")
         return "\n".join(lines)
 
 

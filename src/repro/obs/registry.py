@@ -2,14 +2,13 @@
 
 Every counter in the machine lives here under a hierarchical dotted name
 (``cache.3.hits``, ``mem.7.queue_wait``, ``net.flits``), so a whole
-simulation's worth of counters can be enumerated, snapshotted, diffed,
-and exported as JSON with a single call:
+simulation's worth of counters can be enumerated, snapshotted and
+rendered with a single call:
 
 .. code-block:: python
 
-    before = machine.registry.snapshot()
     machine.run()
-    delta = MetricsRegistry.diff(before, machine.registry.snapshot())
+    snapshot = machine.registry.snapshot()   # name -> JSON-able value
     print(machine.registry.render())
 
 Two metric types:
@@ -28,7 +27,6 @@ so every reader sees one namespace of counters and histograms.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, Union
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry"]
@@ -105,22 +103,8 @@ class Histogram:
         self._min: int | None = None
         self._max: int | None = None
 
-    @staticmethod
-    def bucket_of(value: int) -> int:
-        """Bucket index of ``value`` (0 maps to bucket 0)."""
-        if value < 0:
-            raise ValueError(f"histogram samples must be >= 0, got {value}")
-        return value.bit_length()
-
-    @staticmethod
-    def bucket_bounds(bucket: int) -> tuple[int, int]:
-        """Inclusive ``(lo, hi)`` value range of ``bucket``."""
-        if bucket == 0:
-            return (0, 0)
-        return (1 << (bucket - 1), (1 << bucket) - 1)
-
     def observe(self, value: int) -> None:
-        """Record one sample (bucketed as :meth:`bucket_of` does)."""
+        """Record one sample (bucket ``value.bit_length()``)."""
         if value < 0:
             raise ValueError(f"histogram samples must be >= 0, got {value}")
         samples = self.samples
@@ -183,19 +167,6 @@ class Histogram:
     def mean(self) -> float:
         """Mean of all samples."""
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> int:
-        """Approximate ``p``-th percentile (upper bound of its bucket)."""
-        if not self.count:
-            return 0
-        rank = max(1, int(round(p / 100.0 * self.count)))
-        seen = 0
-        for b in sorted(self.buckets):
-            seen += self.buckets[b]
-            if seen >= rank:
-                hi = self.bucket_bounds(b)[1]
-                return min(hi, self.max if self.max is not None else hi)
-        return self.max or 0
 
     def snapshot(self) -> dict:
         """JSON-able summary: count/total/min/max plus bucket counts."""
@@ -303,7 +274,7 @@ class MetricsRegistry:
             len(fields) for _, fields in self._records.values())
 
     # ------------------------------------------------------------------
-    # Snapshot / diff / export.
+    # Snapshot and text views.
     # ------------------------------------------------------------------
 
     def snapshot(self, prefix: str = "") -> dict[str, object]:
@@ -318,41 +289,6 @@ class MetricsRegistry:
         prefix, _, suffix = name.rpartition(".")
         record, fields = self._records[prefix]
         return getattr(record, fields[suffix])
-
-    @staticmethod
-    def diff(before: dict[str, object], after: dict[str, object]) -> dict[str, object]:
-        """Per-metric change between two snapshots.
-
-        Scalars subtract; histogram summaries subtract field-wise (their
-        ``min``/``max`` are taken from ``after``).  Metrics absent from
-        ``before`` diff against zero.
-        """
-        delta: dict[str, object] = {}
-        for name, now in after.items():
-            was = before.get(name)
-            if isinstance(now, dict):
-                was = was if isinstance(was, dict) else {}
-                was_buckets = was.get("buckets", {})
-                buckets = {
-                    b: n - was_buckets.get(b, 0)
-                    for b, n in now.get("buckets", {}).items()
-                    if n != was_buckets.get(b, 0)
-                }
-                delta[name] = {
-                    "count": now["count"] - was.get("count", 0),
-                    "total": now["total"] - was.get("total", 0),
-                    "min": now.get("min"),
-                    "max": now.get("max"),
-                    "buckets": buckets,
-                }
-            else:
-                base = was if isinstance(was, (int, float)) else 0
-                delta[name] = now - base
-        return delta
-
-    def to_json(self, prefix: str = "", indent: int | None = None) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(prefix), indent=indent, sort_keys=True)
 
     def render(self, prefix: str = "") -> str:
         """A readable text listing of the registry (for ``repro stats``)."""

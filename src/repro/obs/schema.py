@@ -1,9 +1,9 @@
 """The stable machine-readable run schema.
 
-Every ``--json`` emission — CLI subcommands, the benchmark suite, the
-``stats`` subcommand — wraps its payload in one envelope so downstream
-tooling (the ``BENCH_*.json`` baselines, ``repro report``) can parse
-any run without knowing which experiment produced it:
+Every ``--json`` emission — CLI subcommands and the benchmark suite —
+wraps its payload in one envelope so downstream tooling (the
+``BENCH_*.json`` baselines, ``repro report``) can parse any run without
+knowing which experiment produced it:
 
 .. code-block:: json
 
@@ -21,13 +21,15 @@ any run without knowing which experiment produced it:
     }
 
 ``results`` content per experiment is documented in
-``docs/observability.md``; ``critpath`` is a
-:meth:`~repro.obs.critpath.CritPathAggregator.snapshot`,
-``hotspots`` a :meth:`~repro.obs.hotspot.HotspotTracker.snapshot`, and
-``profile`` a :meth:`~repro.obs.profile.ComponentProfiler.snapshot`
-(wall-clock attribution of the dispatch loop; host-dependent, so it
-never appears under ``results``).  ``faults`` is the
-chaos-verification section built by :func:`repro.faults.chaos.run_chaos`
+``docs/observability.md``.  ``repro stats`` fills ``metrics``, a
+:meth:`~repro.obs.critpath.CritPathAggregator.snapshot` under
+``critpath`` and a :meth:`~repro.obs.hotspot.HotspotTracker.snapshot`
+under ``hotspots``; ``--profile`` adds a
+:meth:`~repro.obs.profile.ComponentProfiler.snapshot` under ``profile``
+to any written envelope (wall-clock attribution of the dispatch loop;
+host-dependent, so it never appears under ``results``).  ``faults`` is
+the chaos-verification section built by
+:func:`repro.faults.chaos.run_chaos`
 (fault plan, matrix shape, and one verdict per point — fully
 deterministic, so chaos envelopes are byte-reproducible).
 The envelope is validated (no external dependency) by
@@ -38,10 +40,6 @@ unknown keys are ignored, so older envelopes that carry the retired
 :func:`load_run` reads and validates one from disk, and
 :func:`diff_runs` compares two leaf by leaf, minus the host sections;
 the envelope gate ``tools/diff_envelopes.py`` is built on the pair.
-
-For machine consumption as a stream (``repro stats --format jsonl``),
-:func:`run_payload_to_jsonl` flattens the same envelope into one JSON
-record per line, each tagged with a ``record`` discriminator.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = [
     "load_run",
     "diff_runs",
     "dump_run",
-    "run_payload_to_jsonl",
 ]
 
 SCHEMA = "repro.run/1"
@@ -78,14 +75,14 @@ def make_run_payload(
     metrics: Mapping[str, Any] | None = None,
     critpath: Mapping[str, Any] | None = None,
     hotspots: Mapping[str, Any] | None = None,
-    profile: Mapping[str, Any] | None = None,
     faults: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-stable run document.
 
-    ``profile`` (per-handler host-time attribution) is deliberately
-    separate from ``results`` so bit-exact baseline diffs
-    (:func:`diff_runs`) never see host-dependent timings.
+    Every section given here is simulated.  The host-time ``profile``
+    section is grafted onto a written envelope by ``--profile``, apart
+    from ``results``, so bit-exact baseline diffs (:func:`diff_runs`)
+    never see host-dependent timings.
     """
     from .. import __version__
 
@@ -97,8 +94,7 @@ def make_run_payload(
         "results": dict(results),
     }
     for key, value in (("metrics", metrics), ("critpath", critpath),
-                       ("hotspots", hotspots), ("profile", profile),
-                       ("faults", faults)):
+                       ("hotspots", hotspots), ("faults", faults)):
         if value is not None:
             payload[key] = dict(value)
     return payload
@@ -193,61 +189,3 @@ def dump_run(payload: Mapping[str, Any], path) -> None:
     with open(path, "w") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def run_payload_to_jsonl(payload: Mapping[str, Any]) -> str:
-    """Flatten one run envelope into line-delimited JSON records.
-
-    The stream opens with a ``run`` header (schema, experiment, version,
-    params), then one record per metric, one ``critpath`` record, one
-    record per hotspot block, and closes with the experiment
-    ``results``.  Each line is a self-describing object with a
-    ``record`` discriminator, so consumers can ``grep``/``jq`` one record
-    type without parsing the whole envelope:
-
-    .. code-block:: text
-
-        {"record": "run", "schema": "repro.run/1", ...}
-        {"record": "metric", "name": "net.messages", "value": 42}
-        {"record": "critpath", ...}
-        {"record": "hotspot", "block": 7, "score": 1200, ...}
-        {"record": "results", "results": { ... }}
-    """
-    document = validate_run_payload(dict(payload))
-    lines = [json.dumps(
-        {"record": "run", "schema": document["schema"],
-         "experiment": document["experiment"],
-         "version": document["version"], "params": document["params"]},
-        sort_keys=True,
-    )]
-    for name, value in sorted(document.get("metrics", {}).items()):
-        lines.append(json.dumps(
-            {"record": "metric", "name": name, "value": value},
-            sort_keys=True,
-        ))
-    critpath = document.get("critpath")
-    if critpath is not None:
-        lines.append(json.dumps({"record": "critpath", **critpath},
-                                sort_keys=True))
-    profile = document.get("profile")
-    if profile is not None:
-        lines.append(json.dumps({"record": "profile", **profile},
-                                sort_keys=True))
-    faults = document.get("faults")
-    if faults is not None:
-        summary = {key: value for key, value in faults.items()
-                   if key != "verdicts"}
-        lines.append(json.dumps({"record": "faults", **summary},
-                                sort_keys=True))
-        for verdict in faults.get("verdicts", []):
-            lines.append(json.dumps({"record": "chaos.verdict", **verdict},
-                                    sort_keys=True))
-    for block in document.get("hotspots", {}).get("top", []):
-        row = {"record": "hotspot"}
-        row.update(block if isinstance(block, dict) else {"value": block})
-        lines.append(json.dumps(row, sort_keys=True))
-    lines.append(json.dumps(
-        {"record": "results", "results": document["results"]},
-        sort_keys=True,
-    ))
-    return "\n".join(lines)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.config import small_config
 from repro.errors import ConfigError
 from repro.faults.chaos import render_chaos, run_chaos, run_chaos_point
 from repro.obs.schema import validate_run_payload
@@ -19,7 +20,7 @@ def test_chaos_point_rejects_unknown_names():
 
 def test_chaos_envelope_shape_and_golden():
     payload = run_chaos([1], intensities=[1.0], policies=("INV",),
-                        turns=3, nodes=4)
+                        turns=3, config=small_config(n_nodes=4))
     validate_run_payload(payload)
     section = payload["faults"]
     # The fault-free golden (intensity 0.0) is always swept alongside.
@@ -39,7 +40,7 @@ def test_chaos_envelope_shape_and_golden():
 
 def test_chaos_envelope_is_byte_reproducible_across_jobs():
     kwargs = dict(intensities=[1.0], policies=("INV", "UNC"),
-                  turns=3, nodes=4)
+                  turns=3, config=small_config(n_nodes=4))
     serial = run_chaos([1, 2], jobs=1, **kwargs)
     parallel = run_chaos([1, 2], jobs=2, **kwargs)
     assert (json.dumps(serial, sort_keys=True)
@@ -50,7 +51,7 @@ def test_chaos_verdicts_gate_on_golden_agreement():
     # Forge a failure by comparing against a golden that cannot match:
     # run with a plan whose every rate is zero except one, then tamper.
     payload = run_chaos([3], intensities=[1.0], policies=("INV",),
-                        turns=2, nodes=4)
+                        turns=2, config=small_config(n_nodes=4))
     verdict = [v for v in payload["faults"]["verdicts"]
                if v["intensity"] == 1.0][0]
     assert verdict["ok"]
@@ -62,7 +63,7 @@ def test_chaos_verdicts_gate_on_golden_agreement():
 
 def test_render_chaos_summarizes():
     payload = run_chaos([1], intensities=[1.0], policies=("INV",),
-                        turns=2, nodes=4)
+                        turns=2, config=small_config(n_nodes=4))
     text = render_chaos(payload)
     assert "2/2 points passed" in text
     assert "injected:" in text
@@ -100,6 +101,36 @@ def _fail_faulted_points(*, intensity=0.0, **kwargs):
 
 CHAOS_ARGV = ["--nodes", "4", "--turns", "2", "chaos", "--seed", "1",
               "--intensity", "1.0", "--policy", "INV"]
+
+#: The machines the points :func:`_note_machines` ran were built on.
+MACHINES = []
+
+
+def _note_machines(*, config, **kwargs):
+    """A chaos point runner that notes the machine of every point."""
+    MACHINES.append(config.machine)
+    return run_chaos_point(config=config, **kwargs)
+
+
+def test_cli_chaos_runs_the_machine_the_shape_flags_name(monkeypatch,
+                                                         tmp_path):
+    from repro.faults import chaos
+
+    monkeypatch.setattr(chaos, "run_chaos_point", _note_machines)
+    MACHINES.clear()
+    out_path = tmp_path / "chaos.json"
+    code = cli_main(
+        ["--topology", "torus", "--directory", "limited", "--dir-pointers",
+         "2", *CHAOS_ARGV, "--json", str(out_path)],
+        out=lambda _: None,
+    )
+    assert code == 0
+    assert len(MACHINES) == 2
+    assert {(m.n_nodes, m.topology, m.directory_label)
+            for m in MACHINES} == {(4, "torus", "limited:2")}
+    params = json.loads(out_path.read_text())["params"]
+    assert (params["nodes"], params["topology"], params["directory"]) == (
+        4, "torus", "limited:2")
 
 
 def test_cli_chaos_reports_quarantined_points(monkeypatch, capsys):

@@ -123,15 +123,28 @@ def test_app_figure_json_records_no_turns(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv", [
     ["table1", "--no-cache"],
     ["table1", "--cache-dir", "X"],
-    ["profile", "--quick"],
+    ["stats", "table1", "--quick"],
     ["table1", "--telemetry", "X"],
     ["table1", "--telemetry-every", "5"],
+    ["stats", "figure3", "--format", "jsonl"],
+    ["stats", "figure3", "--worst", "2"],
+    ["stats", "figure3", "--top", "3"],
+    ["stats", "table1", "--collapsed", "X"],
 ])
 def test_removed_flags_are_unrecognized(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["critpath", "hotspots", "profile"])
+def test_removed_subcommands_are_invalid_choices(command, capsys):
+    """``stats`` prints and writes every section these printed."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "figure3"])
+    assert exit_info.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -143,8 +156,6 @@ def test_removed_flags_are_unrecognized(argv, capsys):
     (["ablation-directory", "--sizes", "16", "--sizes", "0"],
      "--sizes: must be at least 1, got 0"),
     (["chaos", "--max-events", "0"], "--max-events: must be at least 1"),
-    (["hotspots", "figure3", "--top", "-1"], "--top: must be at least 0"),
-    (["critpath", "figure3", "--worst", "-1"], "--worst: must be at least 0"),
     (["trace", "table1", "--block", "-2"], "--block: must be at least 0"),
     (["--nodes", "four", "figure3"], "--nodes: invalid int value: 'four'"),
 ])
@@ -157,9 +168,9 @@ def test_bad_counts_exit_2_naming_the_option(argv, message, capsys):
 
 def test_counts_at_their_minimum_parse():
     args = build_parser().parse_args(
-        ["--nodes", "1", "--turns", "1", "--jobs", "1", "hotspots",
-         "figure3", "--top", "0"])
-    assert (args.nodes, args.turns, args.jobs, args.top) == (1, 1, 1, 0)
+        ["--nodes", "1", "--turns", "1", "--jobs", "1", "trace",
+         "figure3", "--block", "0"])
+    assert (args.nodes, args.turns, args.jobs, args.block) == (1, 1, 1, 0)
 
 
 SHAPE = ["--nodes", "4", "--topology", "torus", "--directory", "limited",
@@ -172,11 +183,11 @@ MACHINE = {"nodes": 4, "topology": "torus", "directory": "limited:2"}
     (["stats", "figure2"], MACHINE),
     (["stats", "figure4"], {**MACHINE, "turns": 3}),
     (["stats", "chaos"], {**MACHINE, "turns": 3}),
-    (["critpath", "table1"], MACHINE),
-    (["hotspots", "ablation-dropcopy"], {**MACHINE, "turns": 3}),
+    (["stats", "figure6"], MACHINE),
+    (["stats", "ablation-dropcopy"], {**MACHINE, "turns": 3}),
     (["trace", "table1", "--block", "1"],
      {**MACHINE, "block": 1, "format": "text"}),
-    (["profile", "figure3"], {**MACHINE, "turns": 3}),
+    (["--profile", "stats", "figure3"], {**MACHINE, "turns": 3}),
 ])
 def test_instrumented_json_records_the_machine_that_ran(tmp_path, argv,
                                                         params):
@@ -188,6 +199,19 @@ def test_instrumented_json_records_the_machine_that_ran(tmp_path, argv,
     code, _ = run_cli(SHAPE + argv + ["--json", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["params"] == params
+
+
+@pytest.mark.parametrize("command", ["stats", "trace"])
+@pytest.mark.parametrize("nodes", ["1", "2"])
+def test_table1_representative_needs_three_nodes(nodes, command):
+    """Its requester, home and owner are three distinct nodes."""
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError,
+                       match="table1 representative needs at least 3 nodes"):
+        run_cli(["--nodes", nodes, command, "table1"])
+    code, _ = run_cli(["--nodes", "3", command, "table1"])
+    assert code == 0
 
 
 def test_figure3_json_schema(tmp_path):
@@ -209,9 +233,16 @@ def test_stats_subcommand(tmp_path):
     code, text = run_cli(["--nodes", "4", "--turns", "2", "stats",
                           "figure3", "--json", str(out)])
     assert code == 0
+    # The registry, then the critical path, then the hotspots.
     assert "net.messages" in text
-    assert "critical path (cycles) per primitive/policy" in text
+    assert "blame by hop kind" in text
+    assert "per primitive/policy:" in text
     assert re.search(r"^  faa/INV +\d+ ", text, re.MULTILINE)
+    assert "worst transactions" in text
+    assert "contention score" in text
+    assert (text.index("net.messages") < text.index("blame by hop kind")
+            < text.index("worst transactions")
+            < text.index("contention score"))
     payload = validate_run_payload(out.read_text())
     assert "metrics" in payload and "critpath" in payload
     assert "latency" not in payload
@@ -251,54 +282,6 @@ def test_trace_block_filter():
     assert blocks  # the unfiltered trace does see blocks
 
 
-def test_critpath_subcommand(tmp_path):
-    import json
-
-    from repro.obs.schema import validate_run_payload
-
-    out = tmp_path / "critpath.json"
-    code, text = run_cli(["--nodes", "4", "--turns", "2", "critpath",
-                          "figure3", "--worst", "2", "--json", str(out)])
-    assert code == 0
-    assert "blame by hop kind" in text
-    assert "worst transactions" in text
-    payload = validate_run_payload(out.read_text())
-    critpath = payload["critpath"]
-    assert critpath["txns"] > 0
-    assert sum(critpath["by_kind"].values()) == critpath["cycles"]
-    assert len(critpath["worst"]) <= 2
-    for txn in critpath["worst"]:
-        assert sum(step["cycles"] for step in txn["path"]) == txn["cycles"]
-    assert json.loads(out.read_text())["schema"] == "repro.run/1"
-
-
-def test_hotspots_subcommand(tmp_path):
-    from repro.obs.schema import validate_run_payload
-
-    out = tmp_path / "hotspots.json"
-    code, text = run_cli(["--nodes", "4", "--turns", "2", "hotspots",
-                          "figure3", "--top", "3", "--json", str(out)])
-    assert code == 0
-    assert "contention score" in text
-    payload = validate_run_payload(out.read_text())
-    top = payload["hotspots"]["top"]
-    assert top and top[0]["score"] >= top[-1]["score"]
-    assert len(top) <= 3
-
-
-def test_stats_jsonl_format():
-    import json
-
-    code, text = run_cli(["--nodes", "4", "--turns", "2", "stats",
-                          "figure3", "--format", "jsonl"])
-    assert code == 0
-    records = [json.loads(line) for line in text.splitlines()]
-    kinds = [r["record"] for r in records]
-    assert kinds[0] == "run" and kinds[-1] == "results"
-    assert "metric" in kinds and "latency" not in kinds
-    assert "critpath" in kinds and "hotspot" in kinds
-
-
 def test_stats_json_envelope_carries_critpath_and_hotspots(tmp_path):
     from repro.obs.schema import validate_run_payload
 
@@ -307,8 +290,16 @@ def test_stats_json_envelope_carries_critpath_and_hotspots(tmp_path):
                        "--json", str(out)])
     assert code == 0
     payload = validate_run_payload(out.read_text())
-    assert "critpath" in payload and "hotspots" in payload
     assert payload["results"]["transactions"] > 0
+    critpath = payload["critpath"]
+    assert critpath["txns"] > 0
+    assert sum(critpath["by_kind"].values()) == critpath["cycles"]
+    assert 0 < len(critpath["worst"]) <= 8
+    for txn in critpath["worst"]:
+        assert sum(step["cycles"] for step in txn["path"]) == txn["cycles"]
+    scores = [block["score"] for block in payload["hotspots"]["top"]]
+    assert scores and scores == sorted(scores, reverse=True)
+    assert len(scores) <= 10
 
 
 def test_report_subcommand(tmp_path):
@@ -358,14 +349,8 @@ def test_report_takes_only_its_own_options(option, capsys):
 # Self-profiling.
 # ----------------------------------------------------------------------
 
-def test_profile_subcommand_text():
-    code, text = run_cli(["--nodes", "4", "profile"])
-    assert code == 0
-    assert "profile — table1" in text
-    assert "engine.dispatch" in text
-
-
 def test_profile_honours_machine_shape_flags(monkeypatch):
+    """A ``--profile`` run simulates the machine the shape flags name."""
     from repro import cli
 
     configs = []
@@ -377,41 +362,13 @@ def test_profile_honours_machine_shape_flags(monkeypatch):
 
     monkeypatch.setattr(cli, "run_instrumented", spy)
     code, _ = run_cli(["--nodes", "4", "--topology", "torus", "--directory",
-                       "limited", "--dir-pointers", "2", "profile"])
+                       "limited", "--dir-pointers", "2", "--profile", "stats",
+                       "table1"])
     assert code == 0
     machine = configs[0].machine
     assert machine.n_nodes == 4
     assert machine.topology == "torus"
     assert machine.directory_label == "limited:2"
-
-
-def test_profile_subcommand_json_validates(tmp_path):
-    import json
-
-    from repro.obs.schema import validate_run_payload
-
-    out = tmp_path / "prof"
-    code, text = run_cli(["--nodes", "4", "profile", "--format", "json",
-                          "--out", str(out)])
-    assert code == 0
-    payload = validate_run_payload(text, experiment="instrumented-table1")
-    prof = payload["profile"]
-    assert prof["attributed_ns"] + prof["dispatch_ns"] == prof["total_ns"]
-    assert prof["kinds"]
-    on_disk = json.loads((out / "profile-table1.json").read_text())
-    assert on_disk == payload
-
-
-def test_profile_subcommand_collapsed(tmp_path):
-    stacks = tmp_path / "out.collapsed"
-    code, text = run_cli(["--nodes", "4", "profile", "--format", "collapsed",
-                          "--collapsed", str(stacks)])
-    assert code == 0
-    lines = stacks.read_text().splitlines()
-    assert any(line.startswith("engine;dispatch ") for line in lines)
-    for line in lines:
-        frames, _, ns = line.rpartition(" ")
-        assert ";" in frames and int(ns) >= 0
 
 
 def test_profile_flag_injects_section_into_json(tmp_path, capsys):
@@ -420,14 +377,20 @@ def test_profile_flag_injects_section_into_json(tmp_path, capsys):
     from repro.obs.schema import validate_run_payload
 
     target = tmp_path / "stats.json"
-    code, _ = run_cli(["--nodes", "4", "--turns", "2", "--profile",
-                       "stats", "figure3", "--json", str(target)])
+    code, text = run_cli(["--nodes", "4", "--turns", "2", "--profile",
+                          "stats", "figure3", "--json", str(target)])
     assert code == 0
     payload = validate_run_payload(target.read_text())
-    assert "profile" in payload
-    assert payload["profile"]["kinds"]
-    # The human-readable table lands on stderr, leaving stdout clean.
-    assert "engine.dispatch" in capsys.readouterr().err
+    prof = payload["profile"]
+    assert prof["kinds"]
+    assert prof["attributed_ns"] + prof["dispatch_ns"] == prof["total_ns"]
+    # The human-readable table lands on stderr, leaving stdout clean; it
+    # lists every handler, then the dispatch residual.
+    err = capsys.readouterr().err
+    assert "host-time profile" not in text
+    rows = [line.split()[0] for line in err.splitlines()[2:]]
+    assert sorted(rows[:-1]) == sorted(prof["kinds"])
+    assert rows[-1] == "engine.dispatch"
     json.loads(target.read_text())
 
 

@@ -149,7 +149,7 @@ def test_profile_panel_renders_handler_bars():
 
     with profiled() as prof:
         run = run_instrumented("figure3", small_config(n_nodes=4), turns=2)
-    html = render_report(run.payload(profile=prof.snapshot()))
+    html = render_report({**run.payload(), "profile": prof.snapshot()})
     _assert_selfcontained(html)
     assert "Host-time profile" in html
     assert "engine.dispatch" in html
@@ -160,4 +160,4 @@ def test_profile_panel_renders_handler_bars():
 def test_profile_panel_empty_state_without_section():
     html = render_report(_bench_table1_payload())
     assert "Host-time profile" in html
-    assert "repro profile" in html        # the empty state names the command
+    assert "--profile" in html            # the empty state names the flag

@@ -87,9 +87,11 @@ def test_render_names_the_blame():
     text = agg.render()
     assert "blame by hop kind" in text
     assert "blame by component" in text
-    # ``repro stats`` prints the per-key table alone.
-    assert agg.render_keys() in text
-    assert agg.render_keys().splitlines()[1].startswith("  faa/INV ")
+    # The per-key table: n, mean, p50, p95, max and dominant hop kind.
+    lines = text.splitlines()
+    header = lines.index(
+        "per primitive/policy:  n  mean  p50  p95  max  dominant")
+    assert lines[header + 1].startswith("  faa/INV ")
     assert "worst transactions" in text
     assert "faa/INV" in text
 

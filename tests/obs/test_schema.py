@@ -1,4 +1,4 @@
-"""The repro.run/1 envelope: sections, JSONL, the loader and the differ."""
+"""The repro.run/1 envelope: sections, the loader and the differ."""
 
 import json
 
@@ -9,14 +9,14 @@ from repro.obs.schema import (
     diff_runs,
     load_run,
     make_run_payload,
-    run_payload_to_jsonl,
     validate_run_payload,
 )
 
 
 def _full_payload():
-    """An envelope carrying every optional section the schema knows."""
-    return make_run_payload(
+    """An envelope carrying every optional section the schema knows; the
+    host-time ``profile`` is added as ``--profile`` adds it."""
+    payload = make_run_payload(
         "demo", params={"nodes": 4},
         results={"answer": 42},
         metrics={"net.messages": 7},
@@ -24,14 +24,15 @@ def _full_payload():
                   "by_component": {}, "keys": {}, "worst": []},
         hotspots={"window": 256, "blocks_seen": 1,
                   "top": [{"block": 0, "score": 12}]},
-        profile={"total_ns": 1000, "attributed_ns": 900, "dispatch_ns": 100,
-                 "events": 5, "runs": 1,
-                 "kinds": {"Process.resume": {"calls": 5, "ns": 900,
-                                              "share": 0.9}}},
         faults={"workload": "faa", "points": 1, "passed": 1, "failed": 0,
                 "verdicts": [{"seed": 1, "intensity": 1.0, "ok": True,
                               "faults": {"faults.net.delay": 3}}]},
     )
+    payload["profile"] = {
+        "total_ns": 1000, "attributed_ns": 900, "dispatch_ns": 100,
+        "events": 5, "runs": 1,
+        "kinds": {"Process.resume": {"calls": 5, "ns": 900, "share": 0.9}}}
+    return payload
 
 
 def test_optional_sections_kept_and_validated():
@@ -63,47 +64,9 @@ def test_all_sections_round_trip_through_json():
 
 def test_sections_absent_when_not_given():
     payload = make_run_payload("demo", params={}, results={})
+    assert (payload["schema"], payload["experiment"]) == (SCHEMA, "demo")
     assert "critpath" not in payload and "hotspots" not in payload
     validate_run_payload(payload)
-
-
-def test_jsonl_one_record_per_line_with_discriminator():
-    lines = run_payload_to_jsonl(_full_payload()).splitlines()
-    records = [json.loads(line) for line in lines]
-    kinds = [r["record"] for r in records]
-    assert kinds[0] == "run" and kinds[-1] == "results"
-    assert kinds.count("metric") == 1
-    assert kinds.count("critpath") == 1
-    assert kinds.count("hotspot") == 1
-    assert kinds.count("profile") == 1
-    assert kinds.count("faults") == 1
-    assert kinds.count("chaos.verdict") == 1
-    header = records[0]
-    assert header["schema"] == SCHEMA
-    assert header["experiment"] == "demo"
-    by_kind = {r["record"]: r for r in records}
-    assert by_kind["metric"] == {"record": "metric",
-                                 "name": "net.messages", "value": 7}
-    assert by_kind["critpath"]["cycles"] == 20
-    assert by_kind["hotspot"]["block"] == 0
-    assert by_kind["profile"]["dispatch_ns"] == 100
-    assert by_kind["faults"]["passed"] == 1
-    assert "verdicts" not in by_kind["faults"]
-    assert by_kind["chaos.verdict"]["seed"] == 1
-    assert by_kind["results"]["results"] == {"answer": 42}
-
-
-def test_jsonl_minimal_payload():
-    lines = run_payload_to_jsonl(
-        make_run_payload("demo", params={}, results={})
-    ).splitlines()
-    kinds = [json.loads(line)["record"] for line in lines]
-    assert kinds == ["run", "results"]
-
-
-def test_jsonl_validates_first():
-    with pytest.raises(ValueError):
-        run_payload_to_jsonl({"schema": "bogus", "results": {}})
 
 
 # ----------------------------------------------------------------------

@@ -2,16 +2,15 @@
 
 The canonical measurement reads ``controller.last_chain``; the registry
 mirrors every completed transaction's chain into
-``ctrl.<node>.chain.<kind>``.  Diffing registry snapshots around the
-measured store must reproduce the paper's serialized message counts
-exactly — and agree with :func:`repro.harness.table1.run_table1`.
+``ctrl.<node>.chain.<kind>``.  Subtracting registry snapshots taken
+around the measured store must reproduce the paper's serialized message
+counts exactly — and agree with :func:`repro.harness.table1.run_table1`.
 """
 
 from repro.coherence.policy import SyncPolicy
 from repro.config import small_config
 from repro.harness.table1 import TABLE1_EXPECTED, run_table1
 from repro.machine.machine import build_machine
-from repro.obs.registry import MetricsRegistry
 
 REQUESTER, HOME, OTHER = 0, 1, 2
 
@@ -33,20 +32,18 @@ def _load(machine, pid, addr):
 
 
 def _measured_via_registry(policy, stage):
-    """Stage a machine, then measure one store's chain via snapshot diff."""
+    """Stage a machine, then measure one store's chain between two
+    snapshots of the requester's counters."""
     machine = build_machine(small_config(n_nodes=4))
     addr = machine.alloc_sync(policy, home=HOME)
     stage(machine, addr)
-    before = machine.registry.snapshot(f"ctrl.{REQUESTER}")
+    prefix = f"ctrl.{REQUESTER}.chain"
+    before = machine.registry.snapshot(prefix)
     _store(machine, REQUESTER, addr, 9)
-    after = machine.registry.snapshot(f"ctrl.{REQUESTER}")
-    delta = MetricsRegistry.diff(before, after)
+    after = machine.registry.snapshot(prefix)
     # Exactly one transaction completed; its kind-specific chain counter
     # (ctrl.<node>.chain.<kind>) carries the serialized message count.
-    chain = sum(
-        v for name, v in delta.items()
-        if name.startswith(f"ctrl.{REQUESTER}.chain.")
-    )
+    chain = sum(value - before.get(name, 0) for name, value in after.items())
     # Cross-check against the canonical reading.
     assert chain == machine.nodes[REQUESTER].controller.last_chain
     return chain
