@@ -15,7 +15,7 @@ from ..config import MachineConfig
 from ..obs.registry import MetricsRegistry
 from .line import CacheLine, LineState
 
-__all__ = ["Cache", "Eviction", "CacheStats"]
+__all__ = ["Cache", "Eviction"]
 
 _INVALID = LineState.INVALID
 _CACHE_FIELDS = {"hits": "hits", "misses": "misses", "evictions": "evictions"}
@@ -31,38 +31,13 @@ class Eviction:
     dirty: bool
 
 
-class CacheStats:
-    """Hit/miss counters for one cache.
-
-    The attributes are the counters; the registry reads them as
-    ``<prefix>.hits`` / ``.misses`` / ``.evictions``.
-    """
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "cache",
-    ) -> None:
-        #: Lookups that found a valid line.
-        self.hits = 0
-        #: Lookups that found nothing.
-        self.misses = 0
-        #: Installs that pushed out a victim line.
-        self.evictions = 0
-        if registry is not None:
-            registry.attach(prefix, self, _CACHE_FIELDS)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class Cache:
-    """Set-associative, LRU-replaced cache of 32-byte blocks."""
+    """Set-associative, LRU-replaced cache of 32-byte blocks.
+
+    ``hits``, ``misses`` and ``evictions`` are the counters; a cache
+    built with a registry publishes them as ``<name>.hits`` /
+    ``.misses`` / ``.evictions``.
+    """
 
     def __init__(
         self,
@@ -75,7 +50,14 @@ class Cache:
         self.assoc = config.cache_assoc
         self._sets: dict[int, dict[int, CacheLine]] = {}
         self._tick = 0
-        self.stats = CacheStats(registry, prefix=name)
+        #: Lookups that found a valid line.
+        self.hits = 0
+        #: Lookups that found nothing.
+        self.misses = 0
+        #: Installs that pushed out a victim line.
+        self.evictions = 0
+        if registry is not None:
+            registry.attach(name, self, _CACHE_FIELDS)
 
     def _set_for(self, block: int) -> dict[int, CacheLine]:
         index = block % self.n_sets
@@ -96,10 +78,10 @@ class Cache:
         line = group.get(block) if group is not None else None
         if line is None or line.state is _INVALID:
             if touch:
-                self.stats.misses += 1
+                self.misses += 1
             return None
         if touch:
-            self.stats.hits += 1
+            self.hits += 1
             tick = self._tick + 1
             self._tick = tick
             line.last_use = tick
@@ -134,7 +116,7 @@ class Cache:
                 dirty=loser.dirty,
             )
             del group[loser.block]
-            self.stats.evictions += 1
+            self.evictions += 1
         # Purge any stale invalid entries for tidiness.
         for stale in [b for b, line in group.items() if not line.valid]:
             del group[stale]

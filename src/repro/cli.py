@@ -82,6 +82,7 @@ import sys
 from typing import Any, Callable, Optional, Sequence
 
 from .config import SimConfig
+from .errors import ConfigError
 from .faults.chaos import CHAOS_WORKLOADS, DEFAULT_MAX_EVENTS, DEFAULT_POLICIES
 from .harness.ablation import (
     RESERVATION_STRATEGIES,
@@ -611,8 +612,23 @@ def _inject_profile(path: pathlib.Path, snapshot: dict[str, Any]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None,
          out: Callable[[str], None] = print) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A :class:`ConfigError` (a machine or run the options describe is
+    unusable) is reported in one line and exits 2, as argparse reports
+    a bad option.  A :class:`~repro.errors.SimulationError` keeps its
+    traceback: it points at a simulator bug.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args, out)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+    """Run the parsed command, under the profiler if ``--profile``."""
     command = _COMMANDS[args.command]
     if not args.profile:
         return command(args, out)

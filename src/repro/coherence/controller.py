@@ -117,55 +117,15 @@ class LocalReservation:
         self.doomed = doomed
 
 
-class ControllerStats:
-    """Per-controller counters, read by the registry as ``ctrl.<node>.*``.
-
-    The scalar attributes are the counters.  ``chains`` (summed
-    serialized-chain depth per transaction kind) is materialized from
-    the ``<prefix>.chain.<kind>`` registry counters.
-    """
-
-    __slots__ = ("ops", "local_hits", "sc_local_failures", "spurious_losses",
-                 "nak_retries", "_registry", "_prefix", "_chains")
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "ctrl",
-    ) -> None:
-        #: Operations executed by this controller.
-        self.ops = 0
-        #: Operations satisfied without leaving the node.
-        self.local_hits = 0
-        #: store_conditionals failed locally with no network traffic.
-        self.sc_local_failures = 0
-        #: Reservations lost to the spurious-invalidation model.
-        self.spurious_losses = 0
-        #: Transactions reissued after an OWNER_NAK.
-        self.nak_retries = 0
-        reg = registry if registry is not None else MetricsRegistry()
-        reg.attach(prefix, self, _CONTROLLER_FIELDS)
-        self._registry = reg
-        self._prefix = prefix
-        self._chains: dict[str, Any] = {}
-
-    def note_chain(self, kind: str, chain: int) -> None:
-        """Accumulate the serialized-chain depth of one transaction."""
-        counter = self._chains.get(kind)
-        if counter is None:
-            counter = self._chains[kind] = self._registry.counter(
-                f"{self._prefix}.chain.{kind}"
-            )
-        counter.value += chain
-
-    @property
-    def chains(self) -> dict[str, int]:
-        """Summed chain depth per transaction kind."""
-        return {kind: c.value for kind, c in self._chains.items()}
-
-
 class CacheController:
-    """Requester-side coherence engine for one node."""
+    """Requester-side coherence engine for one node.
+
+    The scalar counters (``ops``, ``local_hits``, ``sc_local_failures``,
+    ``spurious_losses``, ``nak_retries``) are attributes, published as
+    ``ctrl.<node>.*``.  The summed serialized-chain depth per transaction
+    kind is a ``ctrl.<node>.chain.<kind>`` registry counter, made when a
+    transaction of that kind first completes.
+    """
 
     def __init__(
         self, node: int, mesh: WormholeMesh, config: SimConfig, machine: Any
@@ -180,7 +140,22 @@ class CacheController:
         self.cache = Cache(config.machine, registry, name=f"cache.{node}")
         self.mshr = Mshr()
         self.reservation = LocalReservation()
-        self.stats = ControllerStats(registry, prefix=f"ctrl.{node}")
+        #: Operations executed by this controller.
+        self.ops = 0
+        #: Operations satisfied without leaving the node.
+        self.local_hits = 0
+        #: store_conditionals failed locally with no network traffic.
+        self.sc_local_failures = 0
+        #: Reservations lost to the spurious-invalidation model.
+        self.spurious_losses = 0
+        #: Transactions reissued after an OWNER_NAK.
+        self.nak_retries = 0
+        if registry is None:
+            registry = MetricsRegistry()
+        registry.attach(f"ctrl.{node}", self, _CONTROLLER_FIELDS)
+        self._registry = registry
+        # Transaction kind -> its chain-depth counter, made on first use.
+        self._chains: dict[str, Any] = {}
         self.last_chain = 0
         # Spurious reservation loss (paper §2.1: context switches / TLB
         # exceptions reset the LLbit on real processors).  The RNG is
@@ -257,7 +232,7 @@ class CacheController:
         operation on a misaligned address raises before it touches the
         cache or the network; ``drop_copy`` addresses a whole block.
         """
-        self.stats.ops += 1
+        self.ops += 1
         addr = op.addr
         if addr < 0:
             raise AddressError(f"negative address {addr}")
@@ -323,7 +298,7 @@ class CacheController:
         if self._spurious_rate and self.reservation.valid:
             if self._spurious_rng.random() < self._spurious_rate:
                 self._revoke_reservation("spurious")
-                self.stats.spurious_losses += 1
+                self.spurious_losses += 1
                 return True
         return False
 
@@ -339,13 +314,13 @@ class CacheController:
             if res.doomed:
                 # Over-limit reservation: guaranteed failure, no traffic.
                 self._revoke_reservation("doomed")
-                self.stats.sc_local_failures += 1
+                self.sc_local_failures += 1
                 self._hit_result(False, callback)
                 return
         if token is None and not (res.valid and res.addr == op.addr):
             # No reservation was ever established and no explicit token:
             # the store_conditional cannot succeed; fail locally.
-            self.stats.sc_local_failures += 1
+            self.sc_local_failures += 1
             self._hit_result(False, callback)
             return
         addr = op.addr
@@ -451,7 +426,7 @@ class CacheController:
         res = self.reservation
         addr = op.addr
         if not (res.valid and res.addr == addr):
-            self.stats.sc_local_failures += 1
+            self.sc_local_failures += 1
             self._hit_result(False, callback)
             return
         if line is not None and line.state is _EXCLUSIVE:
@@ -471,7 +446,7 @@ class CacheController:
         # Line gone; the invalidation should have killed the reservation,
         # but be defensive: fail locally.
         self._revoke_reservation("line_gone")
-        self.stats.sc_local_failures += 1
+        self.sc_local_failures += 1
         self._hit_result(False, callback)
 
     # ------------------------------------------------------------------
@@ -511,7 +486,7 @@ class CacheController:
         atomic: bool = False,
     ) -> None:
         """Complete an operation that was satisfied locally."""
-        self.stats.local_hits += 1
+        self.local_hits += 1
         self.last_chain = 0
         self.machine.stats.writerun.note_access(addr, self.node, is_write)
         delay = self._t_occ if atomic else self._t_hit
@@ -652,7 +627,7 @@ class CacheController:
         if txn is None or txn.block != msg.block:
             raise self._unmatched(msg)
         txn.retries += 1
-        self.stats.nak_retries += 1
+        self.nak_retries += 1
         if txn.retries > Mshr.MAX_RETRIES:
             raise ProtocolError(f"transaction for block {txn.block} livelocked")
         if msg.chain > txn.chain:
@@ -762,7 +737,11 @@ class CacheController:
         chain = txn.chain
         block = txn.block
         self.last_chain = chain
-        self.stats.note_chain(kind, chain)
+        counter = self._chains.get(kind)
+        if counter is None:
+            counter = self._chains[kind] = self._registry.counter(
+                f"ctrl.{self.node}.chain.{kind}")
+        counter.value += chain
         if mshr.deferred:
             # Serve remote requests that arrived while we were in flight.
             for deferred in mshr.take_deferred(block):

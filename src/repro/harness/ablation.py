@@ -84,7 +84,7 @@ def run_reservation_point(
             f"{strategy}: counter={value}, expected {updates}"
         )
     local_failures = sum(
-        node.controller.stats.sc_local_failures for node in machine.nodes
+        node.controller.sc_local_failures for node in machine.nodes
     )
     return {
         "cycles_per_update": machine.now / updates,

@@ -33,6 +33,7 @@ from ..faults.plan import FaultInjector
 from ..memory.directory import Directory, DirState
 from ..memory.module import MemoryModule
 from ..memory.reservations import make_reservation_table
+from ..memory.sharers import make_sharer_factory
 from ..network.mesh import WormholeMesh
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
@@ -90,17 +91,15 @@ class Machine:
         self._running_programs = 0
 
         n = config.machine.n_nodes
+        # One sharer-set factory serves every node's directory.
+        make_sharers = make_sharer_factory(
+            config.machine.directory, n, config.machine.dir_pointers,
+            config.machine.dir_region)
         self.nodes: list[Node] = [None] * n  # type: ignore[list-item]
         for i in range(n):
             memory = MemoryModule(self.sim, i, config, registry=self.registry,
                                   events=self.events)
-            directory = Directory(
-                i,
-                n_nodes=n,
-                representation=config.machine.directory,
-                pointers=config.machine.dir_pointers,
-                region=config.machine.dir_region,
-            )
+            directory = Directory(i, make_sharers)
             reservations = make_reservation_table(
                 config.reservation_strategy, n, config.reservation_limit
             )

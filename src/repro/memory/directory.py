@@ -19,10 +19,10 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..errors import ProtocolError
-from .sharers import SharerSet, make_sharer_factory
+from .sharers import SharerSet
 
 __all__ = ["DirState", "DirectoryEntry", "Directory"]
 
@@ -101,24 +101,24 @@ class DirectoryEntry:
 
 
 class Directory:
-    """All directory entries homed at one node (created on demand)."""
+    """All directory entries homed at one node (created on demand).
+
+    ``make_sharers`` builds each entry's sharer set; it is what
+    :func:`~repro.memory.sharers.make_sharer_factory` returns, built
+    once per machine and shared by every node's directory.
+    """
 
     def __init__(
         self,
         node: int,
-        n_nodes: int = 0,
-        representation: str = "full",
-        pointers: int = 8,
-        region: int = 8,
+        make_sharers: Callable[[], SharerSet] = SharerSet,
     ) -> None:
         self.node = node
-        self.representation = representation
-        #: True when fan-out may exceed the exact sharer set; the home
-        #: node only accounts spurious-message counters in that case.
-        self.imprecise = representation != "full"
-        self._make_sharers = make_sharer_factory(
-            representation, n_nodes, pointers, region
-        )
+        #: True when fan-out may exceed the exact sharer set (every
+        #: representation but the full bit vector); the home node only
+        #: accounts spurious-message counters in that case.
+        self.imprecise = make_sharers is not SharerSet
+        self._make_sharers = make_sharers
         self._entries: dict[int, DirectoryEntry] = {}
 
     def entry(self, block: int) -> DirectoryEntry:

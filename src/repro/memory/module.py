@@ -20,42 +20,19 @@ from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
 
-__all__ = ["MemoryModule", "MemoryStats"]
+__all__ = ["MemoryModule"]
 
 _MEMORY_FIELDS = {"accesses": "accesses", "queue_wait": "total_queue_wait"}
 
 
-class MemoryStats:
-    """Counters for one memory module, read by the registry as ``mem.<node>.*``.
-
-    ``accesses`` and ``total_queue_wait`` are the counters
-    (``<prefix>.accesses`` and ``<prefix>.queue_wait``); the registry
-    also keeps a log-bucketed ``queue_wait_hist`` of per-request waits.
-    """
-
-    __slots__ = ("accesses", "total_queue_wait", "queue_wait_hist")
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "mem",
-    ) -> None:
-        #: Requests serviced.
-        self.accesses = 0
-        #: Summed cycles spent waiting for service.
-        self.total_queue_wait = 0
-        reg = registry if registry is not None else MetricsRegistry()
-        self.queue_wait_hist = reg.histogram(f"{prefix}.queue_wait_hist")
-        reg.attach(prefix, self, _MEMORY_FIELDS)
-
-    @property
-    def mean_queue_wait(self) -> float:
-        """Average cycles a request waited before service began."""
-        return self.total_queue_wait / self.accesses if self.accesses else 0.0
-
-
 class MemoryModule:
-    """One node's memory: block storage plus a FIFO service queue."""
+    """One node's memory: block storage plus a FIFO service queue.
+
+    ``accesses`` and ``total_queue_wait`` are the counters, published as
+    ``mem.<node>.accesses`` and ``mem.<node>.queue_wait``; the registry
+    also keeps a log-bucketed ``mem.<node>.queue_wait_hist`` of
+    per-request waits.
+    """
 
     def __init__(
         self,
@@ -72,10 +49,17 @@ class MemoryModule:
         self.words_per_block = config.machine.words_per_block
         self._blocks: dict[int, list[int]] = {}
         self._next_free = 0
-        self.stats = MemoryStats(registry, prefix=f"mem.{node}")
+        #: Requests serviced.
+        self.accesses = 0
+        #: Summed cycles spent waiting for service.
+        self.total_queue_wait = 0
+        reg = registry if registry is not None else MetricsRegistry()
+        prefix = f"mem.{node}"
+        self.queue_wait_hist = reg.histogram(f"{prefix}.queue_wait_hist")
+        reg.attach(prefix, self, _MEMORY_FIELDS)
         # Hot-path caches: the wait histogram's sample dict and the
         # frozen service time, resolved once.
-        self._wait_samples = self.stats.queue_wait_hist.samples
+        self._wait_samples = self.queue_wait_hist.samples
         self._t_service = config.timing.memory_service
 
     # ------------------------------------------------------------------
@@ -152,10 +136,9 @@ class MemoryModule:
         service = self._t_service if service_time is None else service_time
         end = start + service
         self._next_free = end
-        stats = self.stats
-        stats.accesses += 1
+        self.accesses += 1
         wait = start - now
-        stats.total_queue_wait += wait
+        self.total_queue_wait += wait
         # Histogram.observe without the call: start >= now.
         samples = self._wait_samples
         samples[wait] = samples.get(wait, 0) + 1

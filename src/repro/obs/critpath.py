@@ -11,8 +11,9 @@ answer to "where did the cycles go?":
 * **composition per primitive × policy** — count, mean, p50/p95/max of
   end-to-end cycles, plus the kind blame restricted to that key (the
   run's per-transaction latency breakdown);
-* **worst transactions** — the N largest end-to-end latencies with their
-  full critical paths, feeding the HTML report's waterfall panel.
+* **worst transactions** — the :data:`WORST_N` largest end-to-end
+  latencies with their full critical paths, feeding the HTML report's
+  waterfall panel.
 
 :meth:`CritPathAggregator.render` is the critical-path part of
 ``repro stats``, and ``repro stats --json`` folds
@@ -27,6 +28,9 @@ from typing import Any, Iterable
 from .spans import SPAN_KINDS, TxnSpanGraph
 
 __all__ = ["CritPathAggregator"]
+
+#: Worst transactions an aggregation keeps, most expensive first.
+WORST_N = 8
 
 
 def _percentile(sorted_values: list[int], p: float) -> int:
@@ -76,8 +80,7 @@ class CritPathAggregator:
         payload["critpath"] = agg.snapshot()
     """
 
-    def __init__(self, worst: int = 8) -> None:
-        self.worst_limit = worst
+    def __init__(self) -> None:
         self.txns = 0
         self.cycles = 0
         self.by_kind: dict[str, int] = {}
@@ -87,15 +90,14 @@ class CritPathAggregator:
 
     @classmethod
     def from_graphs(
-        cls, graphs: Iterable[TxnSpanGraph], worst: int = 8,
-        include_local: bool = False,
+        cls, graphs: Iterable[TxnSpanGraph], include_local: bool = False,
     ) -> "CritPathAggregator":
         """Build an aggregation over completed graphs.
 
         Local hits are excluded by default — they have no protocol
         critical path and would drown the remote signal.
         """
-        agg = cls(worst=worst)
+        agg = cls()
         for graph in graphs:
             if graph.local and not include_local:
                 continue
@@ -119,7 +121,7 @@ class CritPathAggregator:
         bucket.note(graph)
         self._worst.append(graph)
         self._worst.sort(key=lambda g: -g.duration)
-        del self._worst[self.worst_limit:]
+        del self._worst[WORST_N:]
 
     # -- queries --------------------------------------------------------
 

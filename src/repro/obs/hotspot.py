@@ -78,6 +78,11 @@ class BlockStats:
         }
 
 
+#: Blocks listed by :meth:`HotspotTracker.render` and
+#: :meth:`HotspotTracker.snapshot`, hottest first.
+TOP_N = 10
+
+
 class HotspotTracker:
     """Rank cache lines by contention, from bus events alone.
 
@@ -85,7 +90,7 @@ class HotspotTracker:
 
         tracker = HotspotTracker(machine.events)
         ...  # run programs
-        print(tracker.render(top_n=5))
+        print(tracker.render())
     """
 
     FAIL_PENALTY = 25
@@ -157,7 +162,7 @@ class HotspotTracker:
 
     # -- queries --------------------------------------------------------
 
-    def top(self, n: int = 10) -> list[BlockStats]:
+    def top(self, n: int = TOP_N) -> list[BlockStats]:
         """The ``n`` hottest blocks, descending score."""
         ranked = sorted(
             self.blocks.values(),
@@ -166,7 +171,7 @@ class HotspotTracker:
         )
         return ranked[:n]
 
-    def snapshot(self, top_n: int = 10) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         """JSON-able aggregation (the envelope's ``hotspots`` value)."""
         return {
             "window": self.window,
@@ -174,20 +179,20 @@ class HotspotTracker:
             "top": [
                 stats.to_dict(self.window, self.FAIL_PENALTY,
                               self.MULTICAST_PENALTY)
-                for stats in self.top(top_n)
+                for stats in self.top()
             ],
         }
 
-    def render(self, top_n: int = 10) -> str:
+    def render(self) -> str:
         """Readable table, the hotspot part of ``repro stats``."""
         lines = [f"hotspots: {len(self.blocks)} block(s) saw traffic; "
-                 f"top {min(top_n, len(self.blocks))} by contention score"]
+                 f"top {min(TOP_N, len(self.blocks))} by contention score"]
         if not self.blocks:
             lines.append("  (no protocol traffic observed)")
             return "\n".join(lines)
         lines.append("  block    score  queue_wait  dir_wait  enters  "
                      "maxdepth  multicast  failed  res_kills")
-        for stats in self.top(top_n):
+        for stats in self.top():
             score = stats.score(self.FAIL_PENALTY, self.MULTICAST_PENALTY)
             lines.append(
                 f"  {stats.block:5d} {score:8d} {stats.queue_wait:11d} "

@@ -18,9 +18,9 @@ Two metric types:
   non-negative integer samples, for latency/queue-wait distributions.
 
 Per-node counters are not :class:`Counter` objects: a component keeps
-them as plain attributes of its stats record (``cache.stats.hits``) and
-increments them directly, and :meth:`MetricsRegistry.attach` tells the
-registry which attribute holds which metric.  The registry reads those
+them as plain attributes of its own (``cache.hits``) and increments
+them directly, and :meth:`MetricsRegistry.attach` tells the registry
+which attribute holds which metric.  The registry reads those
 attributes by name only when asked, through live :class:`Counter` views,
 so every reader sees one namespace of counters and histograms.
 """
@@ -188,13 +188,16 @@ class MetricsRegistry:
     ``counter``/``histogram`` create-or-return, so components
     may be constructed in any order.  Per-node counters are attached
     instead (:meth:`attach`): their values stay attributes of the
-    component's stats record, and the registry reads them by name.
+    component, and the registry reads them by name.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        # prefix -> (record, {metric suffix: attribute of record}).
-        self._records: dict[str, tuple[object, dict[str, str]]] = {}
+        # prefix -> attached record, and prefix -> {metric suffix:
+        # attribute of that record}: two dicts, so attaching a record
+        # makes no object for it.
+        self._records: dict[str, object] = {}
+        self._fields: dict[str, dict[str, str]] = {}
         # Counter views of attached names, built when first read.
         self._views: dict[str, Counter] = {}
 
@@ -213,18 +216,19 @@ class MetricsRegistry:
         """
         if prefix in self._records:
             raise ValueError(f"metric prefix {prefix!r} is already attached")
-        self._records[prefix] = (record, fields)
+        self._records[prefix] = record
+        self._fields[prefix] = fields
 
     def _view(self, name: str) -> Counter | None:
         """The counter view of the attached ``name``, or None."""
         view = self._views.get(name)
         if view is None:
             prefix, _, suffix = name.rpartition(".")
-            attached = self._records.get(prefix)
-            if attached is None or suffix not in attached[1]:
+            fields = self._fields.get(prefix)
+            if fields is None or suffix not in fields:
                 return None
-            record, fields = attached
-            view = _AttributeCounter(name, record, fields[suffix])
+            view = _AttributeCounter(name, self._records[prefix],
+                                     fields[suffix])
             self._views[name] = view
         return view
 
@@ -258,7 +262,7 @@ class MetricsRegistry:
     def names(self, prefix: str = "") -> list[str]:
         """Sorted metric names, optionally filtered by dotted prefix."""
         names = list(self._metrics)
-        for record_prefix, (_, fields) in self._records.items():
+        for record_prefix, fields in self._fields.items():
             names += [f"{record_prefix}.{suffix}" for suffix in fields]
         if not prefix:
             return sorted(names)
@@ -271,7 +275,7 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics) + sum(
-            len(fields) for _, fields in self._records.values())
+            len(fields) for fields in self._fields.values())
 
     # ------------------------------------------------------------------
     # Snapshot and text views.
@@ -287,8 +291,7 @@ class MetricsRegistry:
         if metric is not None:
             return metric.snapshot()
         prefix, _, suffix = name.rpartition(".")
-        record, fields = self._records[prefix]
-        return getattr(record, fields[suffix])
+        return getattr(self._records[prefix], self._fields[prefix][suffix])
 
     def render(self, prefix: str = "") -> str:
         """A readable text listing of the registry (for ``repro stats``)."""

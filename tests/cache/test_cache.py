@@ -90,7 +90,7 @@ def test_stats_count_evictions():
     cache = build(sets=1, assoc=1)
     cache.install(0, LineState.SHARED, data())
     cache.install(1, LineState.SHARED, data())
-    assert cache.stats.evictions == 1
+    assert cache.evictions == 1
 
 
 def test_valid_blocks_listing():

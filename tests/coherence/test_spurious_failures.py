@@ -22,7 +22,7 @@ def machine(rate, n=8, strategy="bitvector"):
 
 
 def spurious_losses(m):
-    return sum(node.controller.stats.spurious_losses for node in m.nodes)
+    return sum(node.controller.spurious_losses for node in m.nodes)
 
 
 def llsc_counter(addr, iters):

@@ -203,13 +203,15 @@ def test_instrumented_json_records_the_machine_that_ran(tmp_path, argv,
 
 @pytest.mark.parametrize("command", ["stats", "trace"])
 @pytest.mark.parametrize("nodes", ["1", "2"])
-def test_table1_representative_needs_three_nodes(nodes, command):
-    """Its requester, home and owner are three distinct nodes."""
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError,
-                       match="table1 representative needs at least 3 nodes"):
-        run_cli(["--nodes", nodes, command, "table1"])
+def test_table1_representative_needs_three_nodes(nodes, command, capsys):
+    """Its requester, home and owner are three distinct nodes.  Too few
+    is a one-line usage error, as argparse reports a bad option."""
+    code, _ = run_cli(["--nodes", nodes, command, "table1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: the table1 representative needs "
+                          "at least 3 nodes")
+    assert len(err.splitlines()) == 1
     code, _ = run_cli(["--nodes", "3", command, "table1"])
     assert code == 0
 

@@ -61,7 +61,7 @@ def test_instrumented_envelope_populates_every_panel():
     assert "txn" in html                      # a waterfall heading
     assert "contention score" in html or "block" in html
     # the hotspot table lists the counter's block
-    top = run.hotspots.snapshot(top_n=1)["top"]
+    top = run.hotspots.snapshot()["top"]
     assert top and f"<td>{top[0]['block']}</td>" in html
 
 

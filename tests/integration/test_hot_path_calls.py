@@ -15,7 +15,8 @@ module, including code ``repro`` generates (a dataclass's
 ``__init__``).  The counts are exact and host-independent.
 
 Objects that only the cyclic garbage collector can free cost collector
-passes that grow with the run, so the same proxies must leave none.
+passes that grow with the run, so the same proxies must leave none, and
+the objects a machine build leaves tracked are pinned per node.
 """
 
 import dataclasses
@@ -157,10 +158,10 @@ def limited_storm(observe):
 #: the counts measured at the last change that lowered them (rounded
 #: up); a change that lowers a count may lower its ceiling.
 CEILINGS = {
-    lockfree_c16: 10.08,
-    tclosure: 10.33,
-    writerun_c1: 13.45,
-    limited_storm: 9.40,
+    lockfree_c16: 9.88,
+    tclosure: 10.26,
+    writerun_c1: 13.05,
+    limited_storm: 9.16,
 }
 
 
@@ -258,7 +259,7 @@ def test_python_calls_per_event_stay_under_their_ceilings():
 #: build their RNGs on first use, so a build makes no per-node metric
 #: objects; one ``Counter`` per node per metric would cost about three
 #: calls each.
-BUILD_CALLS_PER_NODE = 27.93
+BUILD_CALLS_PER_NODE = 23.86
 
 
 def test_build_calls_per_node_stay_under_ceiling():
@@ -267,6 +268,51 @@ def test_build_calls_per_node_stay_under_ceiling():
     assert per_node <= BUILD_CALLS_PER_NODE, (
         f"Python calls per node of a 64-node build: {per_node:.4f} "
         f"(ceiling {BUILD_CALLS_PER_NODE})")
+
+
+#: Machine -> most GC-tracked objects per node its build may add, on
+#: Python 3.11 and later and on 3.10.  Every tracked object is one more
+#: for each young collection to walk, and a 1024-node build triggers
+#: dozens of them.  A node's components (processor, controller, cache,
+#: MSHR, LL reservation, memory module and its wait histogram,
+#: directory, reservation table, home, ``Node``) and the three bound
+#: methods its handlers and the home's memory queue are reached through
+#: make 14; the rest is the machine's own.  Python 3.10 keeps each
+#: instance's attributes in a tracked dict of its own, nine more per
+#: node; 3.11 stores them inline.  Set to the counts measured at the
+#: last change that lowered them (rounded up).
+BUILD_OBJECTS_PER_NODE = {
+    "1024 full": (scale_config(1024, directory="full"), 14.10, 23.11),
+    "1024 limited": (scale_config(1024, directory="limited"), 14.10, 23.11),
+    "1024 coarse": (scale_config(1024, directory="coarse"), 14.10, 23.11),
+    "64 default": (SimConfig().with_nodes(64), 14.77, 23.94),
+}
+
+
+def tracked_objects_per_node(config) -> float:
+    """Growth of ``len(gc.get_objects())`` per node across one build
+    from ``config``, with the collector off."""
+    build_machine(config)  # one-time imports and caches are not per node
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        machine = build_machine(config)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    return grown / machine.n_nodes
+
+
+@pytest.mark.parametrize("name", BUILD_OBJECTS_PER_NODE)
+def test_build_tracked_objects_per_node_stay_under_ceiling(name):
+    config, ceiling, ceiling_py310 = BUILD_OBJECTS_PER_NODE[name]
+    if sys.version_info < (3, 11):
+        ceiling = ceiling_py310
+    per_node = tracked_objects_per_node(config)
+    assert per_node <= ceiling, (
+        f"GC-tracked objects per node of a {name} build: {per_node:.4f} "
+        f"(ceiling {ceiling})")
 
 
 # ----------------------------------------------------------------------

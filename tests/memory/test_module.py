@@ -62,8 +62,8 @@ def test_concurrent_requests_queue_fifo():
     sim.run()
     assert times == ["a", "b"]
     assert sim.now == 2 * config.timing.memory_service
-    assert mem.stats.accesses == 2
-    assert mem.stats.total_queue_wait == config.timing.memory_service
+    assert mem.accesses == 2
+    assert mem.total_queue_wait == config.timing.memory_service
 
 
 def test_custom_service_time():
@@ -82,4 +82,4 @@ def test_queue_drains_between_bursts():
     mem.service(lambda: None)
     sim.run()
     assert sim.now == start + config.timing.memory_service
-    assert mem.stats.mean_queue_wait == 0.0
+    assert mem.total_queue_wait == 0

@@ -1,19 +1,21 @@
 """Run-level critical-path aggregation."""
 
 from repro import SyncPolicy
-from repro.obs.critpath import CritPathAggregator, _percentile
+from repro.obs.critpath import WORST_N, CritPathAggregator, _percentile
 from repro.obs.spans import SPAN_KINDS, SpanBuilder
 
 from tests.conftest import make_machine, run_seq
 
 
-def _contended_run(n_ops: int = 4):
+def _contended_run(n_ops: int = 4, turns: int = 1,
+                   policy: SyncPolicy = SyncPolicy.INV):
     m = make_machine(4)
     builder = SpanBuilder(m.events)
-    addr = m.alloc_sync(SyncPolicy.INV, home=0)
+    addr = m.alloc_sync(policy, home=0)
 
     def bump(p):
-        yield p.fetch_add(addr, 1)
+        for _ in range(turns):
+            yield p.fetch_add(addr, 1)
 
     for pid in range(n_ops):
         m.spawn(pid % 4, bump)
@@ -49,10 +51,11 @@ def test_local_hits_excluded_by_default():
 
 
 def test_worst_list_is_bounded_and_sorted():
-    _, builder = _contended_run()
-    agg = CritPathAggregator.from_graphs(builder.completed, worst=2)
+    _, builder = _contended_run(turns=4, policy=SyncPolicy.UNC)
+    agg = CritPathAggregator.from_graphs(builder.completed)
+    assert agg.txns > WORST_N
     worst = agg.worst()
-    assert len(worst) == min(2, agg.txns)
+    assert len(worst) == WORST_N
     durations = [g.duration for g in worst]
     assert durations == sorted(durations, reverse=True)
     assert durations[0] == max(g.duration for g in builder.remote())

@@ -1,7 +1,7 @@
 """Per-cache-line contention scoring."""
 
 from repro import SyncPolicy
-from repro.obs.hotspot import HotspotTracker
+from repro.obs.hotspot import TOP_N, HotspotTracker
 
 from tests.conftest import make_machine, run_one, run_seq
 
@@ -120,12 +120,12 @@ def test_snapshot_and_render():
     for pid in range(4):
         m.spawn(pid, bump)
     m.run()
-    snap = tracker.snapshot(top_n=1)
+    snap = tracker.snapshot()
     assert snap["window"] == tracker.window
     assert snap["blocks_seen"] == len(tracker.blocks)
-    assert len(snap["top"]) == 1
+    assert len(snap["top"]) == min(TOP_N, len(tracker.blocks))
     assert snap["top"][0]["score"] > 0
-    text = tracker.render(top_n=3)
+    text = tracker.render()
     assert "contention score" in text
     assert str(snap["top"][0]["block"]) in text
 

@@ -15,6 +15,7 @@ from repro.coherence.policy import SyncPolicy
 from repro.config import SimConfig
 from repro.machine.machine import build_machine
 from repro.memory.directory import Directory, DirState
+from repro.memory.sharers import make_sharer_factory
 
 N_MAX = 64
 
@@ -43,7 +44,8 @@ ops = st.sampled_from(["add", "remove", "exclusive", "share_wb", "uncache"])
 @example(n=16, seq=[("add", 3), ("add", 7), ("remove", 7), ("add", 3)])
 def test_identical_state_transitions(n, seq):
     dirs = [
-        Directory(0, n_nodes=n, **kwargs) for kwargs in REPRESENTATIONS
+        Directory(0, make_sharer_factory(n_nodes=n, **kwargs))
+        for kwargs in REPRESENTATIONS
     ]
     entries = [d.entry(7) for d in dirs]
     for op, raw_node in seq:
