@@ -77,6 +77,9 @@ _HOME = Unit.HOME
 _SHARED = LineState.SHARED
 _EXCLUSIVE = LineState.EXCLUSIVE
 _INV = SyncPolicy.INV
+# Builds a CasResult or LLValue from all of its fields in one C call,
+# without the NamedTuple's generated ``__new__`` frame.
+_new = tuple.__new__
 _CONTROLLER_FIELDS = {name: name for name in (
     "ops", "local_hits", "sc_local_failures", "spurious_losses",
     "nak_retries")}
@@ -403,7 +406,7 @@ class CacheController:
         success = old == op.expected
         if success:
             line.write_word(offset, op.new)
-        self._hit(addr, CasResult(success, old), callback,
+        self._hit(addr, _new(CasResult, (success, old)), callback,
                   is_write=success, atomic=True)
         return True
 
@@ -414,7 +417,8 @@ class CacheController:
             addr = op.addr
             offset = (addr & self._block_mask) >> self._word_shift
             self._grant_reservation(block, addr)
-            self._hit(addr, LLValue(line.read_word(offset)), callback,
+            value = line.read_word(offset)
+            self._hit(addr, _new(LLValue, (value, None, False)), callback,
                       is_write=False)
         else:
             self._start_txn(op, block, callback, "ll_inv", _GETS, {})
@@ -770,7 +774,8 @@ class CacheController:
         self._install(txn.block, _SHARED, data)
         self._grant_reservation(txn.block, addr)
         self.machine.stats.writerun.note_access(addr, self.node, False)
-        return LLValue(data[(addr & self._block_mask) >> self._word_shift])
+        return _new(LLValue, (
+            data[(addr & self._block_mask) >> self._word_shift], None, False))
 
     def _complete_exclusive(
         self, txn: Transaction, reply: Message, data: list[int]
@@ -802,7 +807,7 @@ class CacheController:
             success = old == op.expected
             if success:
                 line_data[offset] = op.new
-            result = CasResult(success, old)
+            result = _new(CasResult, (success, old))
             dirty = success
             is_write = success
         self._install(txn.block, LineState.EXCLUSIVE, line_data, dirty=dirty)
@@ -842,11 +847,11 @@ class CacheController:
             old = reply.payload.get("old", line_data[offset])
             line_data[offset] = op.new
             self._install(txn.block, LineState.EXCLUSIVE, line_data, dirty=True)
-            return CasResult(True, old)
+            return _new(CasResult, (True, old))
 
         if reply.mtype is MessageType.CAS_FAIL:
             # INVd failure answered directly by the owner; no copy for us.
-            return CasResult(False, reply.payload.get("old", 0))
+            return _new(CasResult, (False, reply.payload.get("old", 0)))
 
         if reply.mtype is not MessageType.SYNC_REPLY:
             raise ProtocolError(f"{kind} expected SYNC_REPLY, got {reply}")
@@ -860,12 +865,12 @@ class CacheController:
             _tag, value, token, doomed = result
             self._grant_reservation(txn.block, op.addr, token=token,
                                     doomed=doomed)
-            return LLValue(value, token=token, doomed=doomed)
+            return _new(LLValue, (value, token, doomed))
         if kind == "sync_sc":
             return result[1]
         if kind == "sync_cas":
             _tag, success, old = result
-            return CasResult(success, old)
+            return _new(CasResult, (success, old))
         return result
 
     def _install(

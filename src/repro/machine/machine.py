@@ -21,6 +21,7 @@ top-level object experiments use:
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -213,10 +214,21 @@ class Machine:
         return Proc(pid, n, self.nodes[pid].processor)
 
     def spawn(self, pid: int, program_fn: Callable[..., Any], *args: Any) -> None:
-        """Start ``program_fn(proc, *args)`` on processor ``pid``."""
+        """Start ``program_fn(proc, *args)`` on processor ``pid``.
+
+        ``program_fn`` must be a generator function.  A refused spawn
+        leaves the machine as it was: the program counts as running only
+        once its processor has taken it.
+        """
         proc = self.proc_handle(pid)  # rejects a pid outside the machine
+        program = program_fn(proc, *args)
+        if not isinstance(program, Generator):
+            name = getattr(program_fn, "__qualname__", repr(program_fn))
+            raise ProgramError(
+                f"processor {pid}: {name} is not a generator function "
+                f"(it returned {program!r})")
+        self.nodes[pid].processor.run_program(program)
         self._running_programs += 1
-        self.nodes[pid].processor.run_program(program_fn(proc, *args))
 
     def spawn_all(
         self,

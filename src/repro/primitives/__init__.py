@@ -1,7 +1,6 @@
 """Atomic-primitive definitions: operation types and their semantics."""
 
 from .ops import (
-    Op,
     Load,
     Store,
     LoadExclusive,
@@ -20,7 +19,6 @@ from .ops import (
 from .semantics import PhiOp, apply_phi
 
 __all__ = [
-    "Op",
     "Load",
     "Store",
     "LoadExclusive",

@@ -22,17 +22,29 @@ operation                 result of the ``yield``
 :class:`ContendBegin`     ``None`` (statistics hook, zero time)
 :class:`ContendEnd`       ``None`` (statistics hook, zero time)
 ========================  =====================================
+
+Every operation and result is a :class:`typing.NamedTuple`: immutable
+(assigning to a field raises ``AttributeError``), hashable, picklable,
+and built without a Python frame when the hot path calls
+``tuple.__new__(Cls, (field, ...))`` with every field given in order, as
+the :class:`~repro.processor.api.Proc` factories and the cache
+controller's result sites do.  ``Cls(...)`` works everywhere else, with
+the defaults below.
+
+The one caveat is equality: a NamedTuple compares as a plain tuple, so
+ops of different types holding the same fields are equal
+(``Load(8) == LoadLinked(8) == (8,)``).  The processor and the
+controller dispatch on ``type(op)``, never on equality, and no code
+compares ops of different types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .semantics import PhiOp
 
 __all__ = [
-    "Op",
     "Load",
     "Store",
     "LoadExclusive",
@@ -50,35 +62,20 @@ __all__ = [
 ]
 
 
-class Op:
-    """Base class for everything a program may yield."""
-
-    __slots__ = ()
-
-
-class MemOp(Op):
-    """Base class for operations that reference a memory address."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Load(MemOp):
+class Load(NamedTuple):
     """Ordinary word load."""
 
     addr: int
 
 
-@dataclass(frozen=True)
-class Store(MemOp):
+class Store(NamedTuple):
     """Ordinary word store."""
 
     addr: int
     value: int
 
 
-@dataclass(frozen=True)
-class LoadExclusive(MemOp):
+class LoadExclusive(NamedTuple):
     """Auxiliary instruction: load that acquires an exclusive copy.
 
     Under INV it primes the line for an upcoming compare_and_swap (or for
@@ -89,8 +86,7 @@ class LoadExclusive(MemOp):
     addr: int
 
 
-@dataclass(frozen=True)
-class DropCopy(MemOp):
+class DropCopy(NamedTuple):
     """Auxiliary instruction: self-invalidate the cached line, if any.
 
     An exclusive line is written back; a shared copy sends a drop notice so
@@ -101,8 +97,7 @@ class DropCopy(MemOp):
     addr: int
 
 
-@dataclass(frozen=True)
-class FetchAndPhi(MemOp):
+class FetchAndPhi(NamedTuple):
     """The fetch_and_phi family (fetch_and_add, test_and_set, ...)."""
 
     addr: int
@@ -110,8 +105,7 @@ class FetchAndPhi(MemOp):
     operand: int = 0
 
 
-@dataclass(frozen=True)
-class CompareAndSwap(MemOp):
+class CompareAndSwap(NamedTuple):
     """compare_and_swap(addr, expected, new) -> CasResult."""
 
     addr: int
@@ -119,15 +113,13 @@ class CompareAndSwap(MemOp):
     new: int
 
 
-@dataclass(frozen=True)
-class LoadLinked(MemOp):
+class LoadLinked(NamedTuple):
     """load_linked(addr) -> LLValue; sets a reservation."""
 
     addr: int
 
 
-@dataclass(frozen=True)
-class StoreConditional(MemOp):
+class StoreConditional(NamedTuple):
     """store_conditional(addr, value[, token]) -> bool.
 
     ``token`` is only meaningful with the serial-number reservation
@@ -142,15 +134,13 @@ class StoreConditional(MemOp):
     token: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Think(Op):
+class Think(NamedTuple):
     """Local computation for ``cycles`` cycles; no memory traffic."""
 
     cycles: int
 
 
-@dataclass(frozen=True)
-class MagicBarrier(Op):
+class MagicBarrier(NamedTuple):
     """Constant-time barrier, as provided by MINT in the paper.
 
     Used by the synthetic applications to control sharing patterns.  It
@@ -164,22 +154,19 @@ class MagicBarrier(Op):
     participants: int
 
 
-@dataclass(frozen=True)
-class ContendBegin(Op):
+class ContendBegin(NamedTuple):
     """Statistics hook: this processor starts contending for ``addr``."""
 
     addr: int
 
 
-@dataclass(frozen=True)
-class ContendEnd(Op):
+class ContendEnd(NamedTuple):
     """Statistics hook: this processor stops contending for ``addr``."""
 
     addr: int
 
 
-@dataclass(frozen=True)
-class LLValue:
+class LLValue(NamedTuple):
     """Result of a load_linked.
 
     Attributes:
@@ -196,8 +183,7 @@ class LLValue:
     doomed: bool = False
 
 
-@dataclass(frozen=True)
-class CasResult:
+class CasResult(NamedTuple):
     """Result of a compare_and_swap: success flag plus the old value."""
 
     success: bool

@@ -13,6 +13,10 @@ executes them and the ``yield`` evaluates to the result:
 
 Composite synchronization operations (locks, barriers, counters) in
 :mod:`repro.sync` are generators used with ``yield from``.
+
+Every factory builds its operation with ``tuple.__new__``, one C call,
+so a yielded operation costs the program one Python frame: the
+factory's own.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from ..primitives.ops import (
 from ..primitives.semantics import PhiOp
 
 __all__ = ["Proc"]
+
+# Builds an operation from all of its fields without running the
+# NamedTuple's generated ``__new__`` (a Python frame).
+_new = tuple.__new__
 
 
 class Proc:
@@ -64,11 +72,11 @@ class Proc:
 
     def load(self, addr: int) -> Load:
         """Word load; yields the value."""
-        return Load(addr)
+        return _new(Load, (addr,))
 
     def store(self, addr: int, value: int) -> Store:
         """Word store."""
-        return Store(addr, value)
+        return _new(Store, (addr, value))
 
     # ------------------------------------------------------------------
     # Atomic primitives.
@@ -76,27 +84,27 @@ class Proc:
 
     def fetch_add(self, addr: int, operand: int = 1) -> FetchAndPhi:
         """fetch_and_add; yields the old value."""
-        return FetchAndPhi(addr, PhiOp.ADD, operand)
+        return _new(FetchAndPhi, (addr, PhiOp.ADD, operand))
 
     def fetch_store(self, addr: int, value: int) -> FetchAndPhi:
         """fetch_and_store (atomic swap); yields the old value."""
-        return FetchAndPhi(addr, PhiOp.STORE, value)
+        return _new(FetchAndPhi, (addr, PhiOp.STORE, value))
 
     def fetch_or(self, addr: int, operand: int) -> FetchAndPhi:
         """fetch_and_or; yields the old value."""
-        return FetchAndPhi(addr, PhiOp.OR, operand)
+        return _new(FetchAndPhi, (addr, PhiOp.OR, operand))
 
     def test_and_set(self, addr: int) -> FetchAndPhi:
         """test_and_set; stores 1, yields the old value."""
-        return FetchAndPhi(addr, PhiOp.TEST_AND_SET, 1)
+        return _new(FetchAndPhi, (addr, PhiOp.TEST_AND_SET, 1))
 
     def cas(self, addr: int, expected: int, new: int) -> CompareAndSwap:
         """compare_and_swap; yields a truthy CasResult on success."""
-        return CompareAndSwap(addr, expected, new)
+        return _new(CompareAndSwap, (addr, expected, new))
 
     def ll(self, addr: int) -> LoadLinked:
         """load_linked; yields an LLValue and sets the reservation."""
-        return LoadLinked(addr)
+        return _new(LoadLinked, (addr,))
 
     def sc(self, addr: int, value: int,
            token: Optional[int] = None) -> StoreConditional:
@@ -105,7 +113,7 @@ class Proc:
         Pass ``token`` for a *bare* store_conditional under the
         serial-number reservation strategy.
         """
-        return StoreConditional(addr, value, token)
+        return _new(StoreConditional, (addr, value, token))
 
     # ------------------------------------------------------------------
     # Auxiliary instructions.
@@ -113,11 +121,11 @@ class Proc:
 
     def load_exclusive(self, addr: int) -> LoadExclusive:
         """Load that acquires an exclusive copy (paper §3)."""
-        return LoadExclusive(addr)
+        return _new(LoadExclusive, (addr,))
 
     def drop_copy(self, addr: int) -> DropCopy:
         """Self-invalidate the cached copy of ``addr``'s line, if any."""
-        return DropCopy(addr)
+        return _new(DropCopy, (addr,))
 
     # ------------------------------------------------------------------
     # Experiment control.
@@ -125,22 +133,25 @@ class Proc:
 
     def think(self, cycles: int) -> Think:
         """Local computation for ``cycles`` cycles."""
-        return Think(cycles)
+        return _new(Think, (cycles,))
 
     def barrier(self, barrier_id: int, participants: int | None = None
                 ) -> MagicBarrier:
         """Constant-time barrier over ``participants`` processors.
 
-        Defaults to all processors.  Magic barriers are an experiment
-        instrument (the paper uses MINT's); applications that want to
-        measure barrier cost use :func:`repro.sync.barrier.tree_barrier`.
+        ``None`` means all processors; any other count, 0 included, is
+        passed on as given.  Magic barriers are an experiment instrument
+        (the paper uses MINT's); applications that want to measure
+        barrier cost use :func:`repro.sync.barrier.tree_barrier`.
         """
-        return MagicBarrier(barrier_id, participants or self.nprocs)
+        if participants is None:
+            participants = self.nprocs
+        return _new(MagicBarrier, (barrier_id, participants))
 
     def contend_begin(self, addr: int) -> ContendBegin:
         """Mark the start of one contended access attempt (statistics)."""
-        return ContendBegin(addr)
+        return _new(ContendBegin, (addr,))
 
     def contend_end(self, addr: int) -> ContendEnd:
         """Mark the end of one contended access attempt (statistics)."""
-        return ContendEnd(addr)
+        return _new(ContendEnd, (addr,))

@@ -27,7 +27,9 @@ class BarrierManager:
     def arrive(self, barrier_id: int, participants: int, process: Process) -> None:
         """Block ``process`` until ``participants`` processes have arrived."""
         if participants < 1:
-            raise ProgramError("barrier needs at least one participant")
+            raise ProgramError(
+                f"barrier needs at least one participant: {process.name} "
+                f"arrived at barrier {barrier_id} with {participants}")
         # Probe first: a ``setdefault`` default is built on every call.
         waiting = self._waiting.get(barrier_id)
         if waiting is None:

@@ -87,7 +87,8 @@ class Processor:
         self.machine.on_processor_exit(self)
 
     def _interpret(self, process: Process, op: Any) -> None:
-        if type(op) in _MEMORY_OPS:
+        kind = type(op)
+        if kind in _MEMORY_OPS:
             # Memory operations, most of what programs yield, go to the
             # controller from this frame.
             self.ops_issued += 1
@@ -103,18 +104,23 @@ class Processor:
                     return
             self.controller.execute(op, process.resume)
             return
-        handler = _HANDLERS.get(type(op))
+        # Think and barrier, the next most common, are handled here too.
+        if kind is Think:
+            cycles = op.cycles
+            if type(cycles) is not int or cycles < 0:
+                raise ProgramError(
+                    f"think() needs a non-negative int cycle count, "
+                    f"got {cycles!r} on processor {self.pid}")
+            self.sim.schedule(cycles, process.resume, None)
+            return
+        if kind is MagicBarrier:
+            self.machine.barriers.arrive(op.barrier_id, op.participants,
+                                         process)
+            return
+        handler = _HANDLERS.get(kind)
         if handler is None:
             raise ProgramError(f"program yielded a non-operation: {op!r}")
         handler(self, process, op)
-
-    def _think(self, process: Process, op: Think) -> None:
-        if op.cycles < 0:
-            raise ProgramError("think() needs a non-negative cycle count")
-        self.sim.schedule(op.cycles, process.resume, None)
-
-    def _barrier(self, process: Process, op: MagicBarrier) -> None:
-        self.machine.barriers.arrive(op.barrier_id, op.participants, process)
 
     def _contend_begin(self, process: Process, op: ContendBegin) -> None:
         self.machine.stats.contention.begin(op.addr, self.pid)
@@ -130,10 +136,8 @@ _MEMORY_OPS = frozenset(
     {Load, Store, LoadExclusive, DropCopy, FetchAndPhi, CompareAndSwap,
      LoadLinked, StoreConditional})
 
-# Any other operation type -> interpretation.
+# The contend hooks -> interpretation.
 _HANDLERS = {
-    Think: Processor._think,
-    MagicBarrier: Processor._barrier,
     ContendBegin: Processor._contend_begin,
     ContendEnd: Processor._contend_end,
 }

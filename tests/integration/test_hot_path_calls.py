@@ -12,7 +12,9 @@ number of them per executed event is pinned too, on 16-node proxies of
 the benchmark's four workloads, and so is the number per node of a
 64-node machine build.  A frame counts when it runs in a ``repro``
 module, including code ``repro`` generates (a dataclass's
-``__init__``).  The counts are exact and host-independent.
+``__init__``, a NamedTuple's ``__new__``).  The counts are exact and
+host-independent.  Every operation a program yields costs one frame,
+the ``Proc`` factory that builds it.
 
 Objects that only the cyclic garbage collector can free cost collector
 passes that grow with the run, so the same proxies must leave none, and
@@ -39,6 +41,8 @@ from repro.config import scale_config
 from repro.faults.plan import DEFAULT_CHAOS_PLAN
 from repro.harness.configs import figure_variants
 from repro.memory.directory import DirectoryEntry
+from repro.primitives.ops import CasResult, Load
+from repro.processor.api import Proc
 from repro.stats import writerun
 from repro.sync.variant import PrimitiveVariant
 
@@ -158,23 +162,39 @@ def limited_storm(observe):
 #: the counts measured at the last change that lowered them (rounded
 #: up); a change that lowers a count may lower its ceiling.
 CEILINGS = {
-    lockfree_c16: 9.88,
-    tclosure: 10.26,
-    writerun_c1: 13.05,
-    limited_storm: 9.16,
+    lockfree_c16: 9.54,
+    tclosure: 9.40,
+    writerun_c1: 12.16,
+    limited_storm: 8.99,
 }
+
+
+def runs_in_repro(frame) -> bool:
+    """Whether ``frame`` counts as a Python call into ``repro``.
+
+    It does when its globals' ``__name__`` is ``repro`` or starts with
+    ``repro.``.  That takes in code ``repro`` generates, such as a
+    dataclass's ``__init__``, whose file name is ``<string>``.  A
+    NamedTuple's generated ``__new__`` is a ``<lambda>`` whose globals'
+    ``__name__`` is ``namedtuple_<Name>``; it counts when its class
+    lives in ``repro``, so building ``Load(addr)`` on the hot path
+    shows.  Other code named ``<...>`` is left out: Python 3.12 inlines
+    comprehensions (PEP 709), so counting them would make the number
+    depend on the version.
+    """
+    module = frame.f_globals.get("__name__", "")
+    if module.startswith("namedtuple_"):
+        module = frame.f_locals["_cls"].__module__
+    elif frame.f_code.co_name.startswith("<"):
+        return False
+    return module == "repro" or module.startswith("repro.")
 
 
 def python_calls(fn) -> int:
     """Python calls into ``repro`` made while ``fn()`` runs.
 
     A call is a ``call`` profile event (a frame started, or a generator
-    resumed) whose frame runs in a ``repro`` module: its globals'
-    ``__name__`` is ``repro`` or starts with ``repro.``.  That takes in
-    code ``repro`` generates, such as a dataclass's ``__init__``, whose
-    file name is ``<string>``.  Code named ``<...>`` is left out: Python
-    3.12 inlines comprehensions (PEP 709), so counting them would make
-    the number depend on the version.
+    resumed) whose frame :func:`runs_in_repro`.
     """
     ours: dict = {}
     calls = 0
@@ -185,10 +205,7 @@ def python_calls(fn) -> int:
             code = frame.f_code
             hit = ours.get(code)
             if hit is None:
-                module = frame.f_globals.get("__name__", "")
-                hit = ours[code] = (
-                    (module == "repro" or module.startswith("repro."))
-                    and not code.co_name.startswith("<"))
+                hit = ours[code] = runs_in_repro(frame)
             calls += hit
 
     sys.setprofile(profile)
@@ -251,6 +268,37 @@ def test_python_calls_per_event_stay_under_their_ceilings():
         if per_event > ceiling:
             over[proxy.__name__] = (round(per_event, 4), ceiling)
     assert not over, f"Python calls per event (measured, ceiling): {over}"
+
+
+#: ``Proc`` factory -> arguments to call it with.
+PROC_FACTORIES = {
+    "load": (8,), "store": (8, 1), "fetch_add": (8, 1),
+    "fetch_store": (8, 1), "fetch_or": (8, 1), "test_and_set": (8,),
+    "cas": (8, 0, 1), "ll": (8,), "sc": (8, 1), "load_exclusive": (8,),
+    "drop_copy": (8,), "think": (5,), "barrier": (0,),
+    "contend_begin": (8,), "contend_end": (8,),
+}
+
+
+def test_every_proc_factory_is_listed():
+    public = {name for name, value in vars(Proc).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == set(PROC_FACTORIES)
+
+
+@pytest.mark.parametrize("name", PROC_FACTORIES)
+def test_proc_factory_runs_one_python_frame(name):
+    """A factory builds its operation without running the NamedTuple's
+    ``__new__``: the only frame is the factory's own."""
+    factory = getattr(build_machine(CONFIG16).proc_handle(0), name)
+    args = PROC_FACTORIES[name]
+    assert python_calls(lambda: factory(*args)) == 1
+
+
+def test_python_calls_counts_a_namedtuple_new():
+    """``Load(addr)`` runs the generated ``__new__``; the gate sees it."""
+    assert python_calls(lambda: Load(8)) == 1
+    assert python_calls(lambda: CasResult(True, 0)) == 1
 
 
 #: Most Python calls per node that building a 64-node machine may make,

@@ -95,6 +95,31 @@ def test_spawn_all_with_pid_subset():
     assert m.read_word(addr) == 2
 
 
+def test_refused_spawn_leaves_no_phantom_program():
+    m = make_machine(4)
+
+    def prog(p):
+        yield p.think(10)
+
+    m.spawn(0, prog)
+    with pytest.raises(ProgramError, match="processor 0 is already running"):
+        m.spawn(0, prog)
+    assert m.run() == 10
+
+
+def test_spawn_rejects_a_function_that_is_not_a_generator_function():
+    m = make_machine(4)
+
+    def not_a_program(p):
+        return 5
+
+    with pytest.raises(ProgramError,
+                       match="processor 1: .*not_a_program is not a "
+                             "generator function"):
+        m.spawn(1, not_a_program)
+    assert m.run() == 0
+
+
 def test_deadlock_detection():
     m = make_machine(4)
 

@@ -1,14 +1,20 @@
 """Unit tests for operation objects and the Proc factory."""
 
+import pickle
 import random
 from types import SimpleNamespace
 
+from repro.primitives import ops
 from repro.primitives.ops import (
     CasResult,
     CompareAndSwap,
+    ContendBegin,
+    ContendEnd,
+    DropCopy,
     FetchAndPhi,
     LLValue,
     Load,
+    LoadExclusive,
     LoadLinked,
     MagicBarrier,
     Store,
@@ -34,14 +40,38 @@ def test_ll_value_fields():
     assert v.value == 10 and v.token == 3 and v.doomed
 
 
+#: One instance of every operation and result type.
+EVERY_OP = (
+    Load(4), Store(4, 1), LoadExclusive(4), DropCopy(4),
+    FetchAndPhi(4, PhiOp.ADD, 2), CompareAndSwap(4, 0, 1), LoadLinked(4),
+    StoreConditional(4, 1, 7), Think(10), MagicBarrier(3, 8),
+    ContendBegin(4), ContendEnd(4), LLValue(5, token=2, doomed=True),
+    CasResult(False, 5),
+)
+
+
 def test_ops_are_frozen():
-    op = Load(4)
-    try:
-        op.addr = 8
-        raised = False
-    except AttributeError:
-        raised = True
-    assert raised
+    assert len({type(op) for op in EVERY_OP}) == len(ops.__all__) == 14
+    for op in EVERY_OP:
+        for field in op._fields:
+            try:
+                setattr(op, field, 8)
+                raised = False
+            except AttributeError:
+                raised = True
+            assert raised, (op, field)
+        copy = pickle.loads(pickle.dumps(op))
+        assert type(copy) is type(op)
+        assert copy == op and hash(copy) == hash(op)
+        assert copy == type(op)(*op)
+
+
+def test_ops_keep_defaults_and_repr():
+    assert FetchAndPhi(4, PhiOp.ADD) == FetchAndPhi(4, PhiOp.ADD, 0)
+    assert StoreConditional(4, 1).token is None
+    assert LLValue(5) == LLValue(5, None, False)
+    assert repr(Load(4)) == "Load(addr=4)"
+    assert repr(CasResult(True, 3)) == "CasResult(success=True, old=3)"
 
 
 def test_proc_builds_load_store():
@@ -71,6 +101,19 @@ def test_proc_builds_think_and_barrier():
     assert p.think(10) == Think(10)
     assert p.barrier(3) == MagicBarrier(3, 8)
     assert p.barrier(3, 2) == MagicBarrier(3, 2)
+    # Only ``None`` means all processors; 0 is passed on to be refused.
+    assert p.barrier(3, None) == MagicBarrier(3, 8)
+    assert p.barrier(3, 0) == MagicBarrier(3, 0)
+
+
+def test_proc_factories_build_the_same_types_as_the_constructors():
+    p = make_proc()
+    built = [p.load(4), p.store(4, 1), p.load_exclusive(4), p.drop_copy(4),
+             p.fetch_add(4, 2), p.cas(4, 0, 1), p.ll(4), p.sc(4, 1, 7),
+             p.think(10), p.barrier(3, 8), p.contend_begin(4),
+             p.contend_end(4)]
+    for op, expected in zip(built, EVERY_OP):
+        assert type(op) is type(expected) and op == expected
 
 
 def test_default_fetch_add_amount_is_one():

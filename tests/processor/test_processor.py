@@ -43,6 +43,23 @@ def test_negative_think_rejected():
         m.run()
 
 
+@pytest.mark.parametrize("cycles", [2.5, 1.0, True])
+def test_non_int_think_rejected(cycles):
+    """A fractional cycle count would make the integer clock fractional."""
+    m = make_machine(4)
+    addr = m.alloc_data(1)
+
+    def prog(p):
+        yield p.think(cycles)
+        yield p.fetch_add(addr, 1)
+
+    m.spawn(0, prog)
+    with pytest.raises(ProgramError, match="non-negative int cycle count, "
+                                           f"got {cycles!r} on processor 0"):
+        m.run()
+    assert m.now == 0
+
+
 def test_yielding_garbage_rejected():
     m = make_machine(2)
 
@@ -218,6 +235,32 @@ class TestMagicBarrier:
                 proc.start()
             manager.arrive(2, 2, big[0])
             manager.arrive(2, 1, big[1])
+
+    def test_barrier_with_zero_participants_rejected(self):
+        """An explicit 0 is passed on, not read as "all processors"."""
+        m = make_machine(4)
+
+        def prog(p):
+            yield p.barrier(7, 0)
+
+        m.spawn(0, prog)
+        with pytest.raises(ProgramError,
+                           match="at least one participant: cpu0 arrived "
+                                 "at barrier 7 with 0"):
+            m.run()
+
+    def test_barrier_without_participants_waits_for_all(self):
+        m = make_machine(4)
+        arrived = []
+
+        def prog(p):
+            yield p.think(10 * p.pid)
+            yield p.barrier(7)
+            arrived.append(m.now)
+
+        m.spawn_all(prog)
+        m.run()
+        assert arrived == [30] * 4
 
     def test_zero_participants_rejected(self):
         from repro.processor.magic import BarrierManager
